@@ -2,6 +2,7 @@
 #define GAL_CLUSTER_CLUSTER_H_
 
 #include <atomic>
+#include <cmath>
 #include <cstdint>
 #include <cstdlib>
 #include <string>
@@ -31,13 +32,26 @@ inline bool ParsePositiveEnvInt(const char* text, uint32_t* out) {
   return true;
 }
 
+/// Strict full-string parse of a positive finite number: "15x", "abc",
+/// "" and "-2" are malformed (atof would read "15x" as 15 and "abc" as 0).
+inline bool ParsePositiveEnvDouble(const char* text, double* out) {
+  if (text == nullptr || *text == '\0') return false;
+  char* end = nullptr;
+  const double v = std::strtod(text, &end);
+  if (*end != '\0' || !(v > 0.0) || !std::isfinite(v)) return false;
+  *out = v;
+  return true;
+}
+
 /// One process-wide warning per env variable; repeated resolutions of
 /// the same malformed value stay quiet.
+template <typename T>
 inline void WarnOnceBadEnv(std::atomic<bool>& warned, const char* var,
-                           const char* value, uint32_t fallback) {
+                           const char* value, const char* expected,
+                           const T& fallback) {
   if (warned.exchange(true)) return;
-  GAL_LOG(Warning) << var << "=\"" << value
-                   << "\" is not a positive integer; using " << fallback;
+  GAL_LOG(Warning) << var << "=\"" << value << "\" is not " << expected
+                   << "; using " << fallback;
 }
 
 }  // namespace internal
@@ -55,7 +69,8 @@ inline uint32_t ResolveTaskThreads(uint32_t requested) {
     uint32_t v = 0;
     if (internal::ParsePositiveEnvInt(env, &v)) return v;
     static std::atomic<bool> warned{false};
-    internal::WarnOnceBadEnv(warned, "GAL_TASK_THREADS", env, fallback);
+    internal::WarnOnceBadEnv(warned, "GAL_TASK_THREADS", env,
+                             "a positive integer", fallback);
   }
   return fallback;
 }
@@ -72,7 +87,8 @@ inline uint32_t ResolveClusterWorkers(uint32_t requested) {
     uint32_t v = 0;
     if (internal::ParsePositiveEnvInt(env, &v)) return v;
     static std::atomic<bool> warned{false};
-    internal::WarnOnceBadEnv(warned, "GAL_CLUSTER_WORKERS", env, 4);
+    internal::WarnOnceBadEnv(warned, "GAL_CLUSTER_WORKERS", env,
+                             "a positive integer", 4);
   }
   return 4;
 }

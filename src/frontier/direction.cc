@@ -1,26 +1,42 @@
 #include "frontier/direction.h"
 
+#include <atomic>
 #include <cstdlib>
 #include <cstring>
 
+#include "cluster/cluster.h"
+
 namespace gal {
+namespace {
+
+/// Overrides `*value` from `var` when it holds a positive number; a
+/// malformed value warns once and keeps the default.
+void OverrideThreshold(const char* var, std::atomic<bool>& warned,
+                       double* value) {
+  const char* env = std::getenv(var);
+  if (env == nullptr || internal::ParsePositiveEnvDouble(env, value)) return;
+  internal::WarnOnceBadEnv(warned, var, env, "a positive number", *value);
+}
+
+}  // namespace
 
 DirectionConfig DirectionConfig::FromEnv() {
   DirectionConfig config;
   if (const char* env = std::getenv("GAL_FRONTIER_MODE")) {
-    if (std::strcmp(env, "push") == 0) config.mode = DirectionMode::kPushOnly;
-    else if (std::strcmp(env, "pull") == 0) config.mode = DirectionMode::kPullOnly;
-    else if (std::strcmp(env, "auto") == 0) config.mode = DirectionMode::kAuto;
-    // Unrecognized values keep the auto default.
+    if (std::strcmp(env, "push") == 0) {
+      config.mode = DirectionMode::kPushOnly;
+    } else if (std::strcmp(env, "pull") == 0) {
+      config.mode = DirectionMode::kPullOnly;
+    } else if (std::strcmp(env, "auto") != 0) {
+      static std::atomic<bool> warned{false};
+      internal::WarnOnceBadEnv(warned, "GAL_FRONTIER_MODE", env,
+                               "one of auto|push|pull", "auto");
+    }
   }
-  if (const char* env = std::getenv("GAL_FRONTIER_ALPHA")) {
-    const double v = std::atof(env);
-    if (v > 0.0) config.alpha = v;
-  }
-  if (const char* env = std::getenv("GAL_FRONTIER_BETA")) {
-    const double v = std::atof(env);
-    if (v > 0.0) config.beta = v;
-  }
+  static std::atomic<bool> alpha_warned{false};
+  static std::atomic<bool> beta_warned{false};
+  OverrideThreshold("GAL_FRONTIER_ALPHA", alpha_warned, &config.alpha);
+  OverrideThreshold("GAL_FRONTIER_BETA", beta_warned, &config.beta);
   return config;
 }
 

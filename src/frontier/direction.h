@@ -34,13 +34,18 @@ struct DirectionConfig {
   ///   GAL_FRONTIER_MODE  ∈ {auto, push, pull}
   ///   GAL_FRONTIER_ALPHA > 0 (push→pull aggressiveness; higher = later)
   ///   GAL_FRONTIER_BETA  > 0 (pull→push switch-back; higher = later)
+  /// Each value must match in full ("pul", "abc" and "15x" are all
+  /// malformed); a malformed value warns once per process and keeps the
+  /// default, the policy ResolveTaskThreads uses.
   static DirectionConfig FromEnv();
 };
 
 /// Per-run direction chooser with the hysteresis the two thresholds
 /// encode: once pulling, keep pulling until the frontier is sparse again.
+/// Trivially copyable, so a traversal checkpoint snapshots it by bytes.
 class DirectionController {
  public:
+  DirectionController() = default;  // a checkpoint restore target
   DirectionController(const DirectionConfig& config, VertexId num_vertices)
       : config_(config), num_vertices_(num_vertices) {}
 
@@ -55,7 +60,7 @@ class DirectionController {
 
  private:
   DirectionConfig config_;
-  VertexId num_vertices_;
+  VertexId num_vertices_ = 0;
   Direction current_ = Direction::kPush;
   uint32_t switches_ = 0;
 };

@@ -2,114 +2,61 @@
 #define GAL_FRONTIER_TRAVERSAL_H_
 
 #include <cstdint>
-#include <limits>
 #include <vector>
 
-#include "cluster/cluster.h"
 #include "common/status.h"
 #include "frontier/direction.h"
-#include "frontier/frontier.h"
 #include "graph/graph.h"
+#include "tlav/engine.h"
 
 namespace gal {
 
-/// Distance sentinel of the frontier traversals (same value as the TLAV
-/// kUnreachable so result vectors compare bit-identical across engines).
-inline constexpr uint32_t kFrontierUnreachable =
-    std::numeric_limits<uint32_t>::max();
+/// The frontier substrate's traversal kernels: the one engine under
+/// TlavBfs, TlavSssp and Wcc (tlav/algos/), which validate the request,
+/// translate ids and canonicalize labels around these calls. Each kernel
+/// runs in g's internal id space as level-synchronous two-phase BSP
+/// steps on `config`'s simulated cluster (a non-null `config.cluster` is
+/// charged and dictates the width; else a private runtime with
+/// `config.num_workers` workers), drives `config.faults` through the
+/// shared RecoverySession at every step barrier, and fills `stats` with
+/// TlavStats semantics: per-step work, payload bytes, this run's ledger
+/// and clock deltas, and the fault accounting. Results are bit-identical
+/// across direction schedules, worker counts, host thread counts and
+/// fault schedules.
 
-/// Configuration of the frontier-based (level-synchronous) traversal
-/// engine. Like TlavConfig, a non-null `cluster` makes the run charge
-/// the shared runtime's TrafficLedger and VirtualClock and adopt its
-/// worker count; otherwise a private runtime with `num_workers` workers
-/// is used. Host threads (GAL_TASK_THREADS) never change results.
-struct FrontierEngineOptions {
-  DirectionConfig direction = DirectionConfig::FromEnv();
-  ClusterRuntime* cluster = nullptr;
-  /// Simulated workers when `cluster` is null (0 = GAL_CLUSTER_WORKERS,
-  /// else 4 — the same default every engine config uses).
-  uint32_t num_workers = 0;
-  /// Per-wire-message envelope added to the payload, matching the TLAV
-  /// engine's message_overhead_bytes so wire volumes are comparable.
-  uint32_t message_overhead_bytes = 8;
-  /// Safety bound on level-synchronous steps.
-  uint32_t max_steps = 1000000;
-};
-
-/// One level-synchronous step as the engine executed it.
-struct FrontierStep {
-  Direction direction = Direction::kPush;
-  uint64_t frontier_vertices = 0;  // n_f entering the step
-  uint64_t frontier_edges = 0;     // m_f scout count entering the step
-  uint64_t active_vertices = 0;    // vertices computed this step
-  uint64_t edges_scanned = 0;      // adjacency entries inspected
-  uint64_t messages = 0;           // logical sends (push) / probes (pull)
-  /// Cross-partition traffic: per-message for scatter steps; for a BFS
-  /// pull step, the all-to-all frontier-bitmap broadcast that makes the
-  /// membership probes local (WCC pulls fetch remote *labels*, so they
-  /// stay per-probe).
-  uint64_t wire_messages = 0;
-  uint64_t wire_bytes = 0;
-};
-
-/// Run totals; wire fields are this run's TrafficLedger delta and
-/// modeled seconds this run's VirtualClock delta, exactly like
-/// TlavStats, so push-only and direction-optimizing rows land on one
-/// comparable axis.
-struct FrontierTraversalStats {
-  uint32_t steps = 0;
-  uint32_t push_steps = 0;
-  uint32_t pull_steps = 0;
-  uint32_t direction_switches = 0;
-  uint64_t edges_scanned = 0;
-  uint64_t messages = 0;
-  uint64_t vertex_activations = 0;
-  uint64_t wire_messages = 0;
-  uint64_t wire_bytes = 0;
-  double wall_seconds = 0.0;
-  double modeled_seconds = 0.0;
-  std::vector<FrontierStep> per_step;
-};
+/// Rejects the TlavConfig features the substrate does not model: Pregel+
+/// mirroring (`mirror_degree_threshold != 0`) is a TlavEngine feature
+/// for broadcast programs, and a traversal must not silently drop it.
+Status CheckFrontierConfig(const TlavConfig& config);
 
 /// Direction-optimizing BFS (Beamer-style): push steps scatter the
 /// frontier over out-edges; pull steps gather over Graph::ReversedView()
-/// in-edges with first-hit early exit. Results are bit-identical to a
-/// push-only run for any direction schedule, worker count, and host
-/// thread count. `status` is non-OK (and `distance` empty) when `source`
-/// is out of range.
-struct FrontierBfsResult {
-  std::vector<uint32_t> distance;  // kFrontierUnreachable if not reached
-  FrontierTraversalStats stats;
-  Status status;
-};
-FrontierBfsResult FrontierBfs(const Graph& g, VertexId source,
-                              const FrontierEngineOptions& options = {});
+/// in-edges with first-hit early exit. Returns hop distances
+/// (UINT32_MAX if not reached); `source` must be in range.
+std::vector<uint32_t> FrontierBfs(const Graph& g, VertexId source,
+                                  const TlavConfig& config,
+                                  const DirectionConfig& direction,
+                                  TlavStats& stats);
 
-/// Hash-min weakly-connected components over the undirected view
-/// (Graph::UndirectedView(): out ∪ in neighbors), so directed graphs get
-/// *weak* components. Push steps scatter changed labels; pull steps
-/// gather the neighborhood minimum under the frontier bitmap.
-struct FrontierWccResult {
-  std::vector<VertexId> component;  // min vertex id of each component
-  uint32_t num_components = 0;
-  FrontierTraversalStats stats;
-};
-FrontierWccResult FrontierWcc(const Graph& g,
-                              const FrontierEngineOptions& options = {});
+/// Hash-min weakly-connected components over Graph::UndirectedView()
+/// (out ∪ in neighbors), so directed graphs get *weak* components. Push
+/// steps scatter changed labels; pull steps gather the neighborhood
+/// minimum under the frontier bitmap. Returns each vertex's component
+/// minimum internal id.
+std::vector<VertexId> FrontierWcc(const Graph& g, const TlavConfig& config,
+                                  const DirectionConfig& direction,
+                                  TlavStats& stats);
 
-/// Bellman-Ford SSSP with SyntheticEdgeWeight-compatible weights
-/// supplied by `weight`. Always scatters (weighted gather has no early
-/// exit), but the active set rides the frontier substrate: the sparse
-/// queue tracks improved vertices, deduplicated through the bitmap.
-struct FrontierSsspResult {
-  std::vector<uint64_t> distance;  // UINT64_MAX if not reached
-  FrontierTraversalStats stats;
-  Status status;
-};
+/// Bellman-Ford SSSP under `weight` (a function of ORIGINAL endpoint ids,
+/// so every layout sees one weighted graph). Always scatters (a weighted
+/// gather has no early exit); the frontier tracks improved vertices.
+/// Returns distances (UINT64_MAX if not reached); `source` must be in
+/// range.
 using EdgeWeightFn = uint32_t (*)(VertexId, VertexId);
-FrontierSsspResult FrontierSssp(const Graph& g, VertexId source,
-                                EdgeWeightFn weight,
-                                const FrontierEngineOptions& options = {});
+std::vector<uint64_t> FrontierSssp(const Graph& g, VertexId source,
+                                   EdgeWeightFn weight,
+                                   const TlavConfig& config,
+                                   TlavStats& stats);
 
 }  // namespace gal
 

@@ -2,13 +2,13 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cmath>
 #include <numeric>
-#include <unordered_set>
 
 #include "cluster/cluster.h"
+#include "common/fixed_point.h"
 #include "common/threadpool.h"
 #include "common/timer.h"
+#include "graph/components.h"
 #include "graph/intersect.h"
 
 namespace gal {
@@ -65,19 +65,6 @@ class OocRunTracker {
   uint32_t supersteps_ = 0;
   uint64_t shards_skipped_ = 0;
 };
-
-// Fixed-point helpers replicated from tlav/algos/pagerank.cc — the
-// whole point is arithmetic identical to the in-memory program, down to
-// llround and the division order, so the two must not drift apart.
-constexpr double kFixedScale = static_cast<double>(1ull << 50);
-
-uint64_t ToFixed(double x) {
-  return static_cast<uint64_t>(std::llround(x * kFixedScale));
-}
-
-double FromFixed(uint64_t fixed) {
-  return static_cast<double>(fixed) / kFixedScale;
-}
 
 }  // namespace
 
@@ -207,22 +194,10 @@ OocWccResult OocWcc(const ShardedGraph& g, const OocWccOptions& options) {
     run.ChargeSuperstep(superstep.ElapsedSeconds());
   }
 
-  // Canonicalize to min-original-id labels — same pass as
-  // CanonicalizeComponents in tlav/algos/wcc.cc, so reordered stores
-  // report the exact labels the in-memory run does.
-  if (g.IsReordered()) {
-    std::vector<VertexId> mapped(n);
-    std::vector<VertexId> root_label(n, kInvalidVertex);
-    for (VertexId v = 0; v < n; ++v) {
-      const VertexId root = label[g.InternalId(v)];
-      if (root_label[root] == kInvalidVertex) root_label[root] = v;
-      mapped[v] = root_label[root];
-    }
-    label = std::move(mapped);
-  }
-  std::unordered_set<VertexId> roots(label.begin(), label.end());
-  result.num_components = static_cast<uint32_t>(roots.size());
-  result.component = std::move(label);
+  // The in-memory Wcc()'s label rules, so reordered stores report the
+  // exact labels the in-memory run does.
+  result.component = CanonicalizeComponents(g, std::move(label));
+  result.num_components = CountComponents(result.component);
   result.stats = run.Finish();
   return result;
 }

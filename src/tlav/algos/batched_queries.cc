@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "common/logging.h"
 #include "tlav/algos/traversal.h"
 
 namespace gal {
@@ -17,8 +16,8 @@ struct QueryMsg {
 /// Vertex value is unused; per-(query, vertex) distances live in one
 /// shared table. A vertex's row slice is only written while that vertex
 /// computes, so no locking is needed.
-struct BatchedBfsProgram : public VertexProgram<uint8_t, QueryMsg> {
-  BatchedBfsProgram(const std::vector<VertexId>* sources,
+struct QueryBatchProgram : public VertexProgram<uint8_t, QueryMsg> {
+  QueryBatchProgram(const std::vector<VertexId>* sources,
                     std::vector<std::vector<uint32_t>>* distances)
       : sources_(sources), distances_(distances) {}
 
@@ -59,9 +58,17 @@ BatchedBfsResult BatchedBfsQueries(const Graph& g,
   result.distances.assign(sources.size(),
                           std::vector<uint32_t>(g.NumVertices(),
                                                 kUnreachable));
+  // Sources and distances are in original-id space; the engine runs in
+  // the (possibly reordered) internal layout.
+  std::vector<VertexId> internal_sources;
+  internal_sources.reserve(sources.size());
+  for (VertexId s : sources) internal_sources.push_back(g.InternalId(s));
   TlavEngine<uint8_t, QueryMsg> engine(&g, config);
-  BatchedBfsProgram program(&sources, &result.distances);
+  QueryBatchProgram program(&internal_sources, &result.distances);
   result.stats = engine.Run(program);
+  for (std::vector<uint32_t>& d : result.distances) {
+    d = g.MapToOriginal(std::move(d));
+  }
   return result;
 }
 
@@ -70,15 +77,12 @@ BatchedBfsResult SequentialBfsQueries(const Graph& g,
                                       const TlavConfig& config) {
   BatchedBfsResult result;
   result.queries = static_cast<uint32_t>(sources.size());
-  // Force push-only so this stays the one-query-per-run message-engine
-  // baseline the batched (Quegel-style) engine is measured against;
-  // direction-optimizing runs would change the per-query message counts.
-  TraversalOptions per_query;
-  per_query.engine = config;
-  per_query.direction.mode = DirectionMode::kPushOnly;
+  // The same program with a batch of one: each query pays its own BSP
+  // schedule, and superstep sharing is the only factor that differs from
+  // BatchedBfsQueries (same messages on the wire, no combiner on either).
   for (VertexId s : sources) {
-    BfsResult one = TlavBfs(g, s, per_query);
-    result.distances.push_back(std::move(one.distance));
+    BatchedBfsResult one = BatchedBfsQueries(g, {s}, config);
+    result.distances.push_back(std::move(one.distances[0]));
     result.stats.supersteps += one.stats.supersteps;
     result.stats.total_messages += one.stats.total_messages;
     result.stats.cross_worker_messages += one.stats.cross_worker_messages;

@@ -26,8 +26,9 @@ BatchedBfsResult BatchedBfsQueries(const Graph& g,
                                    const std::vector<VertexId>& sources,
                                    const TlavConfig& config = {});
 
-/// Baseline: the same queries as independent engine runs (one BSP
-/// schedule each). Returns summed stats for comparison.
+/// Baseline: BatchedBfsQueries with a batch of one, once per source, so
+/// each query pays its own BSP schedule while the program, the messages
+/// and the wire traffic stay the same. Returns summed stats.
 BatchedBfsResult SequentialBfsQueries(const Graph& g,
                                       const std::vector<VertexId>& sources,
                                       const TlavConfig& config = {});

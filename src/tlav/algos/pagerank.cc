@@ -1,30 +1,12 @@
 #include "tlav/algos/pagerank.h"
 
-#include <cmath>
+#include "common/fixed_point.h"
 
 namespace gal {
 namespace {
 
-/// Rank contributions travel as fixed-point integers (2^-50 resolution).
-/// Floating-point summation is order-sensitive, and both vertex
-/// reordering and worker/thread splits change the order messages fold in
-/// — integer addition is associative and commutative, so the reduction
-/// is exact and the final ranks are bit-identical across layouts,
-/// worker counts, and delivery orders. Total rank mass is ~1, so the
-/// fixed-point sum stays far below 2^63 (and below 2^53 when mirrored
-/// into the double-typed dangling aggregator, keeping that sum exact
-/// too). Quantization error is ~2^-51 per edge, orders of magnitude
-/// under the tolerance any consumer of PageRank uses.
-constexpr double kFixedScale = static_cast<double>(1ull << 50);
-
-uint64_t ToFixed(double x) {
-  return static_cast<uint64_t>(std::llround(x * kFixedScale));
-}
-
-double FromFixed(uint64_t fixed) {
-  return static_cast<double>(fixed) / kFixedScale;
-}
-
+/// Rank contributions travel as 2^-50 fixed-point integers
+/// (common/fixed_point.h), so the reduction is exact in any order.
 struct PageRankProgram : public VertexProgram<double, uint64_t> {
   PageRankProgram(uint32_t iterations, double damping)
       : iterations_(iterations), damping_(damping) {}

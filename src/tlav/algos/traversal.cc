@@ -1,92 +1,24 @@
 #include "tlav/algos/traversal.h"
 
-#include <algorithm>
+#include <string>
+#include <utility>
 
-#include "tlav/algos/frontier_bridge.h"
+#include "frontier/traversal.h"
 
 namespace gal {
 namespace {
 
-Status ValidateSource(const Graph& g, VertexId source) {
+/// The checks every traversal request shares: an in-range source and a
+/// config the frontier substrate models.
+Status ValidateTraversal(const Graph& g, VertexId source,
+                         const TlavConfig& engine) {
   if (source >= g.NumVertices()) {
     return Status::InvalidArgument(
         "traversal source " + std::to_string(source) +
         " out of range for |V|=" + std::to_string(g.NumVertices()));
   }
-  return Status::Ok();
+  return CheckFrontierConfig(engine);
 }
-
-struct BfsProgram : public VertexProgram<uint32_t, uint32_t> {
-  explicit BfsProgram(VertexId source) : source_(source) {}
-
-  void Compute(VertexHandle<uint32_t, uint32_t>& v,
-               std::span<const uint32_t> messages) override {
-    if (v.superstep() == 0) {
-      v.value() = kUnreachable;
-      if (v.id() == source_) {
-        v.value() = 0;
-        v.SendToAllNeighbors(1);
-      }
-      v.VoteToHalt();
-      return;
-    }
-    uint32_t best = v.value();
-    for (uint32_t m : messages) best = std::min(best, m);
-    if (best < v.value()) {
-      v.value() = best;
-      v.SendToAllNeighbors(best + 1);
-    }
-    v.VoteToHalt();
-  }
-
-  bool has_combiner() const override { return true; }
-  uint32_t Combine(const uint32_t& a, const uint32_t& b) const override {
-    return std::min(a, b);
-  }
-
-  VertexId source_;
-};
-
-struct SsspProgram : public VertexProgram<uint64_t, uint64_t> {
-  SsspProgram(VertexId source, const Graph* g) : source_(source), g_(g) {}
-
-  void Compute(VertexHandle<uint64_t, uint64_t>& v,
-               std::span<const uint64_t> messages) override {
-    if (v.superstep() == 0) {
-      v.value() = std::numeric_limits<uint64_t>::max();
-      if (v.id() == source_) {
-        v.value() = 0;
-        Relax(v);
-      }
-      v.VoteToHalt();
-      return;
-    }
-    uint64_t best = v.value();
-    for (uint64_t m : messages) best = std::min(best, m);
-    if (best < v.value()) {
-      v.value() = best;
-      Relax(v);
-    }
-    v.VoteToHalt();
-  }
-
-  void Relax(VertexHandle<uint64_t, uint64_t>& v) {
-    // Synthetic weights are a pure function of the ORIGINAL endpoint
-    // ids, so a reordered layout sees the exact same weighted graph.
-    const VertexId vo = g_->OriginalId(v.id());
-    for (VertexId u : v.Neighbors()) {
-      v.SendTo(u, v.value() + SyntheticEdgeWeight(vo, g_->OriginalId(u)));
-    }
-  }
-
-  bool has_combiner() const override { return true; }
-  uint64_t Combine(const uint64_t& a, const uint64_t& b) const override {
-    return std::min(a, b);
-  }
-
-  VertexId source_;
-  const Graph* g_;
-};
 
 }  // namespace
 
@@ -99,30 +31,18 @@ uint32_t SyntheticEdgeWeight(VertexId u, VertexId v) {
   return static_cast<uint32_t>(x % 16) + 1;
 }
 
+// Callers address vertices in original-id space; the substrate runs in
+// the (possibly reordered) internal layout, so the source is translated
+// on the way in and per-vertex results are permuted back on the way out.
+
 BfsResult TlavBfs(const Graph& g, VertexId source,
                   const TraversalOptions& options) {
   BfsResult result;
-  result.status = ValidateSource(g, source);
+  result.status = ValidateTraversal(g, source, options.engine);
   if (!result.status.ok()) return result;
-  // Callers address vertices in original-id space; the engines run in
-  // the (possibly reordered) internal layout, so translate on the way
-  // in and permute per-vertex results back on the way out.
-  source = g.InternalId(source);
-
-  if (internal::UseFrontierPath(options.engine, options.direction)) {
-    FrontierBfsResult fr = FrontierBfs(
-        g, source, internal::ToFrontierOptions(options.engine, options.direction));
-    result.distance = g.MapToOriginal(std::move(fr.distance));
-    result.stats = internal::BridgeStats(fr.stats, sizeof(uint32_t),
-                                         options.engine.message_overhead_bytes);
-    result.status = std::move(fr.status);
-    return result;
-  }
-
-  TlavEngine<uint32_t, uint32_t> engine(&g, options.engine);
-  BfsProgram program(source);
-  result.stats = engine.Run(program);
-  result.distance = g.MapToOriginal(engine.values());
+  result.distance = g.MapToOriginal(FrontierBfs(
+      g, g.InternalId(source), options.engine, options.direction,
+      result.stats));
   return result;
 }
 
@@ -135,25 +55,11 @@ BfsResult TlavBfs(const Graph& g, VertexId source, const TlavConfig& config) {
 SsspResult TlavSssp(const Graph& g, VertexId source,
                     const TraversalOptions& options) {
   SsspResult result;
-  result.status = ValidateSource(g, source);
+  result.status = ValidateTraversal(g, source, options.engine);
   if (!result.status.ok()) return result;
-  source = g.InternalId(source);
-
-  if (internal::UseFrontierPath(options.engine, options.direction)) {
-    FrontierSsspResult fr = FrontierSssp(
-        g, source, &SyntheticEdgeWeight,
-        internal::ToFrontierOptions(options.engine, options.direction));
-    result.distance = g.MapToOriginal(std::move(fr.distance));
-    result.stats = internal::BridgeStats(fr.stats, sizeof(uint64_t),
-                                         options.engine.message_overhead_bytes);
-    result.status = std::move(fr.status);
-    return result;
-  }
-
-  TlavEngine<uint64_t, uint64_t> engine(&g, options.engine);
-  SsspProgram program(source, &g);
-  result.stats = engine.Run(program);
-  result.distance = g.MapToOriginal(engine.values());
+  result.distance = g.MapToOriginal(
+      FrontierSssp(g, g.InternalId(source), &SyntheticEdgeWeight,
+                   options.engine, result.stats));
   return result;
 }
 

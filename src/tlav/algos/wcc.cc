@@ -1,83 +1,16 @@
 #include "tlav/algos/wcc.h"
 
-#include <algorithm>
-#include <unordered_set>
-
-#include "tlav/algos/frontier_bridge.h"
+#include "frontier/traversal.h"
+#include "graph/components.h"
 
 namespace gal {
-namespace {
-
-struct WccProgram : public VertexProgram<VertexId, VertexId> {
-  void Compute(VertexHandle<VertexId, VertexId>& v,
-               std::span<const VertexId> messages) override {
-    if (v.superstep() == 0) {
-      v.value() = v.id();
-      v.SendToAllNeighbors(v.value());
-      v.VoteToHalt();
-      return;
-    }
-    VertexId best = v.value();
-    for (VertexId m : messages) best = std::min(best, m);
-    if (best < v.value()) {
-      v.value() = best;
-      v.SendToAllNeighbors(best);
-    }
-    v.VoteToHalt();
-  }
-
-  bool has_combiner() const override { return true; }
-  VertexId Combine(const VertexId& a, const VertexId& b) const override {
-    return std::min(a, b);
-  }
-};
-
-uint32_t CountComponents(const std::vector<VertexId>& component) {
-  std::unordered_set<VertexId> roots(component.begin(), component.end());
-  return static_cast<uint32_t>(roots.size());
-}
-
-/// Labels computed in internal space are each component's min *internal*
-/// id, which depends on the layout. Relabel to the min *original* id so
-/// reordered runs are bit-identical to unordered ones: one ascending
-/// pass over original ids — the first original id to reach a component
-/// root is, by construction, that component's minimum.
-std::vector<VertexId> CanonicalizeComponents(const Graph& g,
-                                             std::vector<VertexId> internal) {
-  if (!g.IsReordered()) return internal;
-  const VertexId n = g.NumVertices();
-  std::vector<VertexId> mapped(n);
-  std::vector<VertexId> root_label(n, kInvalidVertex);
-  for (VertexId v = 0; v < n; ++v) {
-    const VertexId root = internal[g.InternalId(v)];
-    if (root_label[root] == kInvalidVertex) root_label[root] = v;
-    mapped[v] = root_label[root];
-  }
-  return mapped;
-}
-
-}  // namespace
 
 WccResult Wcc(const Graph& g, const WccOptions& options) {
   WccResult result;
-  if (internal::UseFrontierPath(options.engine, options.direction)) {
-    FrontierWccResult fr = FrontierWcc(
-        g, internal::ToFrontierOptions(options.engine, options.direction));
-    result.component = CanonicalizeComponents(g, std::move(fr.component));
-    result.num_components = fr.num_components;
-    result.stats = internal::BridgeStats(fr.stats, sizeof(VertexId),
-                                         options.engine.message_overhead_bytes);
-    return result;
-  }
-
-  // Weak connectivity is direction-blind: the message engine propagates
-  // over the symmetrized view so a directed edge carries labels both
-  // ways (SendToAllNeighbors alone would walk out-edges only).
-  const Graph& ug = g.UndirectedView();
-  TlavEngine<VertexId, VertexId> engine(&ug, options.engine);
-  WccProgram program;
-  result.stats = engine.Run(program);
-  result.component = CanonicalizeComponents(g, engine.values());
+  result.status = CheckFrontierConfig(options.engine);
+  if (!result.status.ok()) return result;
+  result.component = CanonicalizeComponents(
+      g, FrontierWcc(g, options.engine, options.direction, result.stats));
   result.num_components = CountComponents(result.component);
   return result;
 }

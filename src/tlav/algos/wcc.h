@@ -3,6 +3,7 @@
 
 #include <vector>
 
+#include "common/status.h"
 #include "frontier/direction.h"
 #include "graph/graph.h"
 #include "tlav/engine.h"
@@ -24,13 +25,13 @@ struct WccResult {
   std::vector<VertexId> component;  // min vertex id of each component
   uint32_t num_components = 0;
   TlavStats stats;
+  Status status;  // non-OK (and `component` empty) when options are rejected
 };
 
-/// Like TraversalOptions: the default direction (kAuto unless
-/// GAL_FRONTIER_MODE says otherwise) routes through the frontier
-/// substrate; forced push or engine features (mirroring, checkpointing,
-/// fault injection) run the message engine. Components are identical
-/// either way.
+/// Same contract as TraversalOptions: every run executes on the frontier
+/// substrate in any direction mode and under any fault plan, and a
+/// non-zero `engine.mirror_degree_threshold` is rejected. Components are
+/// identical across direction schedules, workers, threads and faults.
 struct WccOptions {
   TlavConfig engine;
   DirectionConfig direction = DirectionConfig::FromEnv();

@@ -54,13 +54,16 @@ struct TlavStats {
   /// failure — recovery costs modeled time too).
   double modeled_seconds = 0.0;
   // Direction-optimizing traversal accounting. The message engine is
-  // push-only (both stay 0); runs routed through the frontier substrate
+  // push-only (both stay 0); BFS/WCC runs on the frontier substrate
   // report how many supersteps gathered over in-edges and how often the
   // Beamer heuristic flipped direction.
   uint32_t pull_supersteps = 0;
   uint32_t direction_switches = 0;
   // Fault-tolerance accounting, read back from the shared
-  // RecoverySession (cluster/checkpoint.h) this run drove.
+  // RecoverySession (cluster/checkpoint.h) this run drove. Work counters
+  // above (messages, activations, edge scans, ledger bytes) include
+  // recomputed supersteps; `supersteps`, `pull_supersteps` and
+  // `per_step` describe the logical schedule, equal to a clean run's.
   uint32_t checkpoints_taken = 0;
   uint64_t checkpoint_bytes = 0;
   uint64_t restored_bytes = 0;
@@ -76,6 +79,18 @@ struct TlavStats {
     uint64_t messages = 0;
   };
   std::vector<PerStep> per_step;
+
+  /// Copies one run's RecoverySession accounting into the fields above.
+  void SetFaultStats(const FaultStats& f) {
+    checkpoints_taken = f.checkpoints_taken;
+    checkpoint_bytes = f.checkpoint_bytes;
+    restored_bytes = f.restored_bytes;
+    failures_recovered = f.failures_recovered;
+    recomputed_supersteps = f.recomputed_rounds;
+    rebalances = f.rebalances;
+    migrated_vertices = f.migrated_vertices;
+    migration_bytes = f.migration_bytes;
+  }
 };
 
 template <typename V, typename M>
@@ -151,7 +166,8 @@ struct TlavConfig {
   /// threshold broadcasts to each remote worker once (its "mirror"
   /// fans the value out locally) instead of once per neighbor
   /// (0 = off). Only affects SendToAllNeighbors, and only the wire
-  /// accounting — logical deliveries are unchanged.
+  /// accounting — logical deliveries are unchanged. TlavBfs, TlavSssp
+  /// and Wcc run on the frontier substrate and reject a non-zero value.
   uint32_t mirror_degree_threshold = 0;
   /// The shared fault-tolerance schedule (cluster/fault.h): checkpoint
   /// cadence, worker failures, straggler slowdowns, and live
@@ -612,15 +628,7 @@ TlavStats TlavEngine<V, M>::Run(VertexProgram<V, M>& program) {
       ledger_end.cross_messages - ledger_start.cross_messages;
   stats_.cross_worker_bytes = ledger_end.cross_bytes - ledger_start.cross_bytes;
   stats_.modeled_seconds = cluster_->clock().SecondsSince(clock_start);
-  const FaultStats& fault_stats = session.stats();
-  stats_.checkpoints_taken = fault_stats.checkpoints_taken;
-  stats_.checkpoint_bytes = fault_stats.checkpoint_bytes;
-  stats_.restored_bytes = fault_stats.restored_bytes;
-  stats_.failures_recovered = fault_stats.failures_recovered;
-  stats_.recomputed_supersteps = fault_stats.recomputed_rounds;
-  stats_.rebalances = fault_stats.rebalances;
-  stats_.migrated_vertices = fault_stats.migrated_vertices;
-  stats_.migration_bytes = fault_stats.migration_bytes;
+  stats_.SetFaultStats(session.stats());
   return stats_;
 }
 

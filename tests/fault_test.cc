@@ -2,7 +2,8 @@
 // cluster/checkpoint.h): deterministic fault schedules, checkpoint
 // ledger/clock accounting, the recovery session's failure and straggler
 // machinery, and the cross-engine contract — an injected mid-run worker
-// failure (or straggler-triggered migration) leaves TLAV PageRank/WCC,
+// failure (or straggler-triggered migration) leaves TLAV PageRank, the
+// frontier substrate's BFS/SSSP/WCC (push-only and direction-optimizing),
 // dist-GCN training, and TLAG triangle counts bit-identical to their
 // failure-free runs at any worker x host-thread combination. The parity
 // and rebalance suites are also run under ThreadSanitizer by
@@ -24,6 +25,7 @@
 #include "graph/generators.h"
 #include "tlag/algos/triangles.h"
 #include "tlav/algos/pagerank.h"
+#include "tlav/algos/traversal.h"
 #include "tlav/algos/wcc.h"
 
 namespace gal {
@@ -338,11 +340,12 @@ TEST(RecoverySessionTest, MaxMigrationsCapsRebalancing) {
 // --- cross-engine bit-identity under fault schedules ------------------------
 
 // The three schedules every parity sweep runs: nothing, a mid-run
-// failure, and a failure plus a straggler window.
+// failure that replays rounds 8-9 from the round-7 checkpoint, and a
+// failure on a checkpoint boundary plus a straggler window.
 std::vector<FaultPlan> ParitySchedules() {
   std::vector<FaultPlan> schedules;
   schedules.push_back(FaultPlan{});
-  schedules.push_back(FaultPlan{}.CheckpointEvery(4).FailWorkerAt(1, 7));
+  schedules.push_back(FaultPlan{}.CheckpointEvery(4).FailWorkerAt(1, 9));
   schedules.push_back(FaultPlan{}
                           .CheckpointEvery(3)
                           .FailWorkerAt(0, 8)
@@ -379,21 +382,100 @@ TEST(FaultParityTest, PageRankBitIdenticalAcrossWorkersThreadsAndFaults) {
   ASSERT_EQ(unsetenv("GAL_TASK_THREADS"), 0);
 }
 
-TEST(FaultParityTest, WccBitIdenticalAcrossWorkersThreadsAndFaults) {
-  Graph g = ErdosRenyi(400, 0.01, 3);
-  const WccResult baseline = Wcc(g);
+constexpr DirectionMode kParityModes[] = {DirectionMode::kPushOnly,
+                                          DirectionMode::kAuto};
 
+/// Checks one traversal run against its clean baseline: identical
+/// results and the clean run's step schedule (a replay re-executes the
+/// same direction choices), with the scheduled failure really recovered.
+template <typename Result, typename Values>
+void ExpectRecoveredRun(const Result& r, const Result& clean,
+                        Values Result::*values, const FaultPlan& plan,
+                        uint32_t workers, const std::string& what) {
+  EXPECT_EQ(r.*values, clean.*values) << what;
+  EXPECT_EQ(r.stats.supersteps, clean.stats.supersteps) << what;
+  EXPECT_EQ(r.stats.pull_supersteps, clean.stats.pull_supersteps) << what;
+  EXPECT_EQ(r.stats.direction_switches, clean.stats.direction_switches)
+      << what;
+  if (!plan.failures().empty() && workers > 1) {
+    EXPECT_EQ(r.stats.failures_recovered, 1u) << what;
+    EXPECT_GT(r.stats.restored_bytes, 0u) << what;
+  }
+}
+
+TEST(FaultParityTest, WccBitIdenticalAcrossWorkersThreadsAndFaults) {
+  // A fragmented random graph plus a 30-vertex path component, so label
+  // propagation outlasts every parity schedule's failure round.
+  std::vector<Edge> edges = ErdosRenyi(400, 0.01, 3).CollectEdges();
+  for (VertexId v = 401; v < 430; ++v) edges.push_back({v - 1, v});
+  const Graph g = std::move(Graph::FromEdges(430, std::move(edges), {}).value());
   for (const char* threads : {"1", "8"}) {
     ASSERT_EQ(setenv("GAL_TASK_THREADS", threads, 1), 0);
-    for (uint32_t workers : {1u, 2u, 4u}) {
-      for (const FaultPlan& plan : ParitySchedules()) {
-        TlavConfig config;
-        config.num_workers = workers;
-        config.faults = plan;
-        const WccResult r = Wcc(g, config);
-        EXPECT_EQ(r.component, baseline.component)
-            << "W=" << workers << " threads=" << threads;
-        EXPECT_EQ(r.num_components, baseline.num_components);
+    for (DirectionMode mode : kParityModes) {
+      WccOptions clean;
+      clean.engine.faults = FaultPlan{};
+      clean.direction.mode = mode;
+      const WccResult baseline = Wcc(g, clean);
+      for (uint32_t workers : {1u, 2u, 4u}) {
+        for (const FaultPlan& plan : ParitySchedules()) {
+          WccOptions options = clean;
+          options.engine.num_workers = workers;
+          options.engine.faults = plan;
+          const WccResult r = Wcc(g, options);
+          ExpectRecoveredRun(r, baseline, &WccResult::component, plan,
+                             workers,
+                             "W=" + std::to_string(workers) + " threads=" +
+                                 threads + " mode=" +
+                                 std::to_string(static_cast<int>(mode)));
+          EXPECT_EQ(r.num_components, baseline.num_components);
+        }
+      }
+    }
+  }
+  ASSERT_EQ(unsetenv("GAL_TASK_THREADS"), 0);
+}
+
+/// A dense power-law core behind a 24-hop tail: traversals from the
+/// tail's end run long enough for every parity schedule's failure to
+/// fire, and the core's dense middle levels make auto mode pull.
+constexpr VertexId kTailEnd = 323;
+Graph Lollipop() {
+  std::vector<Edge> edges = BarabasiAlbert(300, 4, 7).CollectEdges();
+  for (VertexId v = 300; v <= kTailEnd; ++v) {
+    edges.push_back({v == 300 ? 0 : v - 1, v});
+  }
+  return std::move(Graph::FromEdges(kTailEnd + 1, std::move(edges), {}).value());
+}
+
+TEST(FaultParityTest, BfsAndSsspBitIdenticalAcrossWorkersThreadsAndFaults) {
+  const Graph g = Lollipop();
+  for (const char* threads : {"1", "8"}) {
+    ASSERT_EQ(setenv("GAL_TASK_THREADS", threads, 1), 0);
+    for (DirectionMode mode : kParityModes) {
+      TraversalOptions clean;
+      clean.engine.faults = FaultPlan{};
+      clean.direction.mode = mode;
+      const BfsResult bfs = TlavBfs(g, kTailEnd, clean);
+      const SsspResult sssp = TlavSssp(g, kTailEnd, clean);
+      ASSERT_TRUE(bfs.status.ok());
+      if (mode == DirectionMode::kAuto) {
+        ASSERT_GT(bfs.stats.pull_supersteps, 0u);  // recovery across pulls
+      }
+      for (uint32_t workers : {1u, 2u, 4u}) {
+        for (const FaultPlan& plan : ParitySchedules()) {
+          TraversalOptions options = clean;
+          options.engine.num_workers = workers;
+          options.engine.faults = plan;
+          const std::string what =
+              "W=" + std::to_string(workers) + " threads=" + threads +
+              " mode=" + std::to_string(static_cast<int>(mode));
+          ExpectRecoveredRun(TlavBfs(g, kTailEnd, options), bfs,
+                             &BfsResult::distance, plan, workers,
+                             "BFS " + what);
+          ExpectRecoveredRun(TlavSssp(g, kTailEnd, options), sssp,
+                             &SsspResult::distance, plan, workers,
+                             "SSSP " + what);
+        }
       }
     }
   }
@@ -474,31 +556,84 @@ TEST(FaultParityTest, TriangleCountBitIdenticalUnderFaults) {
   }
 }
 
+TEST(FaultParityTest, TraversalReplayRepeatsTheDirectionSchedule) {
+  // A failure at every round of auto-mode BFS and WCC, replaying either
+  // from the initial snapshot (no interval checkpoints) or from the
+  // last every-3 checkpoint: replays cross push<->pull switches, so the
+  // snapshot must carry the direction controller and BFS's
+  // unexplored-edge count for the schedule to repeat exactly.
+  const Graph g = Lollipop();
+  TraversalOptions bfs_clean;
+  bfs_clean.engine.num_workers = 2;
+  bfs_clean.engine.faults = FaultPlan{};
+  bfs_clean.direction.mode = DirectionMode::kAuto;
+  const BfsResult bfs = TlavBfs(g, kTailEnd, bfs_clean);
+  WccOptions wcc_clean;
+  wcc_clean.engine = bfs_clean.engine;
+  wcc_clean.direction = bfs_clean.direction;
+  const WccResult wcc = Wcc(g, wcc_clean);
+  ASSERT_GT(bfs.stats.direction_switches, 0u);
+  ASSERT_GT(wcc.stats.direction_switches, 0u);
+  for (uint32_t every : {0u, 3u}) {
+    for (uint32_t round = 0; round < bfs.stats.supersteps; ++round) {
+      TraversalOptions options = bfs_clean;
+      options.engine.faults =
+          FaultPlan{}.CheckpointEvery(every).FailWorkerAt(0, round);
+      ExpectRecoveredRun(TlavBfs(g, kTailEnd, options), bfs,
+                         &BfsResult::distance, options.engine.faults, 2,
+                         "BFS failure at " + std::to_string(round));
+    }
+    for (uint32_t round = 0; round < wcc.stats.supersteps; ++round) {
+      WccOptions options = wcc_clean;
+      options.engine.faults =
+          FaultPlan{}.CheckpointEvery(every).FailWorkerAt(0, round);
+      ExpectRecoveredRun(Wcc(g, options), wcc, &WccResult::component,
+                         options.engine.faults, 2,
+                         "WCC failure at " + std::to_string(round));
+    }
+  }
+}
+
 TEST(FaultParityTest, CheckpointBytesAreExactOnTheLedger) {
   // Failure at a checkpoint boundary recomputes nothing, so the faulty
   // run's extra cross-worker bytes are exactly the checkpoint ring
-  // charges plus the one restore — the ledger-exactness contract.
+  // charges plus the one restore — the ledger-exactness contract — and
+  // the recovered run keeps the clean run's step schedule.
   Graph g = Path(60);
-  WccOptions clean;
-  clean.engine.num_workers = 2;
-  clean.direction.mode = DirectionMode::kPushOnly;  // same engine both runs
-  ClusterRuntime clean_cluster(ClusterOptions{2, {}});
-  clean.engine.cluster = &clean_cluster;
-  const WccResult clean_result = Wcc(g, clean);
+  for (DirectionMode mode : kParityModes) {
+    WccOptions clean;
+    clean.engine.faults = FaultPlan{};
+    clean.direction.mode = mode;
+    ClusterRuntime clean_cluster(ClusterOptions{2, {}});
+    clean.engine.cluster = &clean_cluster;
+    const WccResult clean_result = Wcc(g, clean);
+    if (mode == DirectionMode::kAuto) {
+      ASSERT_GT(clean_result.stats.pull_supersteps, 0u);
+    }
 
-  WccOptions faulty = clean;
-  ClusterRuntime faulty_cluster(ClusterOptions{2, {}});
-  faulty.engine.cluster = &faulty_cluster;
-  faulty.engine.faults = FaultPlan{}.CheckpointEvery(5).FailWorkerAt(0, 9);
-  const WccResult faulty_result = Wcc(g, faulty);
+    WccOptions faulty = clean;
+    ClusterRuntime faulty_cluster(ClusterOptions{2, {}});
+    faulty.engine.cluster = &faulty_cluster;
+    faulty.engine.faults = FaultPlan{}.CheckpointEvery(5).FailWorkerAt(0, 9);
+    const WccResult faulty_result = Wcc(g, faulty);
 
-  EXPECT_EQ(faulty_result.component, clean_result.component);
-  EXPECT_EQ(faulty_result.stats.recomputed_supersteps, 0u);
-  const uint64_t clean_cross = clean_cluster.ledger().Snapshot().cross_bytes;
-  const uint64_t faulty_cross = faulty_cluster.ledger().Snapshot().cross_bytes;
-  EXPECT_EQ(faulty_cross - clean_cross,
-            faulty_result.stats.checkpoint_bytes +
-                faulty_result.stats.restored_bytes);
+    const std::string what = "mode=" + std::to_string(static_cast<int>(mode));
+    EXPECT_EQ(faulty_result.component, clean_result.component) << what;
+    EXPECT_EQ(faulty_result.stats.failures_recovered, 1u) << what;
+    EXPECT_EQ(faulty_result.stats.recomputed_supersteps, 0u) << what;
+    EXPECT_EQ(faulty_result.stats.supersteps, clean_result.stats.supersteps)
+        << what;
+    EXPECT_EQ(faulty_result.stats.pull_supersteps,
+              clean_result.stats.pull_supersteps)
+        << what;
+    const uint64_t clean_cross = clean_cluster.ledger().Snapshot().cross_bytes;
+    const uint64_t faulty_cross =
+        faulty_cluster.ledger().Snapshot().cross_bytes;
+    EXPECT_EQ(faulty_cross - clean_cross,
+              faulty_result.stats.checkpoint_bytes +
+                  faulty_result.stats.restored_bytes)
+        << what;
+  }
 }
 
 // --- live rebalancing -------------------------------------------------------
@@ -535,6 +670,28 @@ TEST(RebalanceTest, WccRebalanceKeepsComponents) {
   const WccResult r = Wcc(g, config);
   EXPECT_EQ(r.component, baseline.component);
   EXPECT_EQ(r.num_components, baseline.num_components);
+}
+
+TEST(RebalanceTest, BfsRebalanceKeepsDistancesAndSchedule) {
+  const Graph g = Lollipop();
+  TraversalOptions clean;
+  clean.engine.num_workers = 4;
+  clean.engine.faults = FaultPlan{};
+  const BfsResult baseline = TlavBfs(g, kTailEnd, clean);
+
+  TraversalOptions rebalanced = clean;
+  rebalanced.engine.faults =
+      FaultPlan{}.SlowWorker(1, 6.0).Rebalance(RebalanceConfig{});
+  ClusterRuntime cluster(ClusterOptions{4, {}});
+  rebalanced.engine.cluster = &cluster;
+  const BfsResult r = TlavBfs(g, kTailEnd, rebalanced);
+
+  EXPECT_EQ(r.distance, baseline.distance);
+  EXPECT_EQ(r.stats.pull_supersteps, baseline.stats.pull_supersteps);
+  EXPECT_GE(r.stats.rebalances, 1u);
+  EXPECT_GT(r.stats.migrated_vertices, 0u);
+  EXPECT_GT(r.stats.migration_bytes, 0u);
+  EXPECT_GE(cluster.ledger().Snapshot().cross_bytes, r.stats.migration_bytes);
 }
 
 TEST(RebalanceTest, RebalanceComposesWithFailureRecovery) {

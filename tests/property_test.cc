@@ -3,8 +3,6 @@
 
 #include <atomic>
 #include <numeric>
-#include <queue>
-#include <set>
 
 #include <gtest/gtest.h>
 
@@ -12,6 +10,7 @@
 #include "graph/generators.h"
 #include "match/executor.h"
 #include "match/pattern.h"
+#include "serial_reference.h"
 #include "tlag/algos/subgraph_enum.h"
 #include "tlag/algos/triangles.h"
 #include "tlag/bfs_engine.h"
@@ -51,43 +50,9 @@ TEST_P(TlavInvarianceTest, WccAndBfsMatchSerialReferences) {
   Graph g = MakeGraph(kind);
   TlavConfig config;
   config.num_workers = workers;
-
-  // Serial WCC reference via BFS flood fill.
-  std::vector<VertexId> ref(g.NumVertices(), kInvalidVertex);
-  for (VertexId s = 0; s < g.NumVertices(); ++s) {
-    if (ref[s] != kInvalidVertex) continue;
-    std::queue<VertexId> q;
-    q.push(s);
-    ref[s] = s;
-    while (!q.empty()) {
-      VertexId v = q.front();
-      q.pop();
-      g.ForEachOutNeighbor(v, [&](VertexId u) {
-        if (ref[u] == kInvalidVertex) {
-          ref[u] = s;
-          q.push(u);
-        }
-      });
-    }
-  }
-  WccResult wcc = Wcc(g, config);
-  EXPECT_EQ(wcc.component, ref) << GraphName(kind);
-
-  std::vector<uint32_t> bfs_ref(g.NumVertices(), kUnreachable);
-  std::queue<VertexId> q;
-  bfs_ref[0] = 0;
-  q.push(0);
-  while (!q.empty()) {
-    VertexId v = q.front();
-    q.pop();
-    g.ForEachOutNeighbor(v, [&](VertexId u) {
-      if (bfs_ref[u] == kUnreachable) {
-        bfs_ref[u] = bfs_ref[v] + 1;
-        q.push(u);
-      }
-    });
-  }
-  EXPECT_EQ(TlavBfs(g, 0, config).distance, bfs_ref) << GraphName(kind);
+  EXPECT_EQ(Wcc(g, config).component, SerialComponents(g)) << GraphName(kind);
+  EXPECT_EQ(TlavBfs(g, 0, config).distance, SerialBfs(g, 0))
+      << GraphName(kind);
 }
 
 INSTANTIATE_TEST_SUITE_P(
