@@ -3,9 +3,9 @@
 #include <algorithm>
 #include <functional>
 #include <unordered_map>
-#include <unordered_set>
 
 #include "common/logging.h"
+#include "graph/components.h"
 #include "tlav/algos/wcc.h"
 
 namespace gal {
@@ -62,9 +62,7 @@ SvWccResult SvWcc(const Graph& g) {
   }
 
   result.component = std::move(parent);
-  std::unordered_set<VertexId> roots(result.component.begin(),
-                                     result.component.end());
-  result.num_components = static_cast<uint32_t>(roots.size());
+  result.num_components = CountComponents(result.component);
   return result;
 }
 
@@ -105,9 +103,8 @@ BlockWccResult BlockWcc(const Graph& g, uint32_t num_blocks,
   for (VertexId v = 0; v < n; ++v) local_root[v] = find(v);
 
   // Step 2: quotient graph over local components, connected by the
-  // cross-block edges, solved with hash-min on the TLAV engine. The
-  // quotient is tiny, so supersteps track its diameter, not the
-  // original graph's.
+  // cross-block edges, solved with hash-min Wcc(). The quotient is tiny,
+  // so supersteps track its diameter, not the original graph's.
   std::unordered_map<VertexId, VertexId> quotient_id;
   std::vector<VertexId> quotient_rep;
   for (VertexId v = 0; v < n; ++v) {
@@ -133,8 +130,8 @@ BlockWccResult BlockWcc(const Graph& g, uint32_t num_blocks,
       GraphOptions{});
   GAL_CHECK(quotient.ok()) << quotient.status();
 
-  TlavConfig block_config = config;
-  WccResult quotient_wcc = Wcc(quotient.value(), block_config);
+  WccResult quotient_wcc = Wcc(quotient.value(), config);
+  GAL_CHECK_OK(quotient_wcc.status);
   result.block_supersteps = quotient_wcc.stats.supersteps;
   result.block_stats = quotient_wcc.stats;
 

@@ -47,7 +47,9 @@ struct BlockWccResult {
 };
 
 /// `num_blocks` seeds are chosen deterministically; pass the worker
-/// count (or more) for a realistic Blogel configuration.
+/// count (or more) for a realistic Blogel configuration. The quotient
+/// runs Wcc() with `config`, so a config Wcc() rejects (a non-zero
+/// `mirror_degree_threshold`) is a fatal error here.
 BlockWccResult BlockWcc(const Graph& g, uint32_t num_blocks,
                         const TlavConfig& config = {});
 
