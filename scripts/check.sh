@@ -98,9 +98,9 @@ echo
 echo "== fault: elastic cluster runtime (ctest label) =="
 # The quick gate for cluster/fault.h + cluster/checkpoint.h changes:
 # FaultPlan env/seed resolution, checkpoint ring accounting, the
-# recovery session's failure/straggler machinery, and the cross-engine
+# recovery session's failure/straggler machinery, the cross-engine
 # bit-identity sweeps (TLAV PageRank, frontier BFS/SSSP/WCC, dist-GCN,
-# TLAG triangles).
+# TLAG triangles), and the TLAV step barrier's clock/ledger agreement.
 (cd build && ctest -L fault --output-on-failure -j "${JOBS}")
 
 echo
@@ -108,23 +108,27 @@ echo "== tsan: recovery-parity + rebalance suites =="
 # Recovery serializes/restores engine state while host-thread pools run
 # the supersteps, and rebalancing rewrites the partition mid-run — the
 # sweeps rerun under TSan so a rollback racing a worker pool shows up.
-# They cover both TLAV substrates: the message engine (PageRank) and
-# the frontier substrate's BFS/SSSP/WCC recovery in push-only and auto
-# mode, rollbacks across pull steps and straggler migration included.
+# They cover both TLAV engines on their shared BSP runtime: the message
+# engine (PageRank, and TlavEngineTest's programs, checkpoints and
+# recoveries) and the frontier substrate's BFS/SSSP/WCC recovery in
+# push-only and auto mode, rollbacks across pull steps and straggler
+# migration included. BspBarrierTest.* drives the shared step barrier
+# through failures and rebalancing on all four TLAV jobs.
 ./build-tsan/tests/gal_tests \
-    --gtest_filter='FaultParityTest.*:RebalanceTest.*'
+    --gtest_filter='FaultParityTest.*:RebalanceTest.*:TlavEngineTest.*:BspBarrierTest.*'
 
 echo
 echo "== forced fault schedule: parity suites with an injected failure =="
 # The env kill-switch end of the fault substrate: every TLAV job in the
-# reorder/SIMD parity suites, the frontier parity/traversal suites and
-# the TLAV traversal/WCC suites picks up a checkpoint-every-2 schedule
-# with worker 0 failing at superstep 3, and all the bit-identity
-# assertions must still hold — recovery is invisible to results by
-# construction. BFS/SSSP/WCC run on the frontier substrate here, the
-# same engine as their clean runs.
+# reorder/SIMD parity suites, the frontier parity/traversal suites, the
+# TLAV traversal/WCC suites and the message engine's own suites
+# (TlavEngineTest, PageRankTest, BatchedQueriesTest, ClusterExchangeTest)
+# picks up a checkpoint-every-2 schedule with worker 0 failing at
+# superstep 3, and all the bit-identity assertions must still hold —
+# recovery is invisible to results by construction. Both engines take
+# the schedule through the same BSP runtime barrier.
 GAL_CLUSTER_FAULT_CHECKPOINT=2 GAL_CLUSTER_FAULT_FAIL=0@3 ./build/tests/gal_tests \
-    --gtest_filter='GraphReorderTest.*:ReorderSimdParityTest.*:IntersectTest.*:SimdTest.*:CompressedCsrTest.*:Workers/FrontierParityTest.*:FrontierTraversalTest.*:TraversalTest.*:WccTest.*'
+    --gtest_filter='GraphReorderTest.*:ReorderSimdParityTest.*:IntersectTest.*:SimdTest.*:CompressedCsrTest.*:Workers/FrontierParityTest.*:FrontierTraversalTest.*:TraversalTest.*:WccTest.*:TlavEngineTest.*:PageRankTest.*:BatchedQueriesTest.*:ClusterExchangeTest.*'
 
 echo
 echo "check.sh: all green"

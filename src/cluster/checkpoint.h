@@ -166,6 +166,11 @@ struct FaultStats {
 ///   5. RebalanceCandidate(round, per_worker_load) -> engine migrates,
 ///      then CommitMigration books the moved bytes
 ///
+/// The TLAV engines (message engine and frontier traversals) get this
+/// order from their shared BspRuntime (tlav/bsp_runtime.h); dist-GCN and
+/// TLAG triangle counting keep their own round loops and call the hooks
+/// themselves.
+///
 /// The session consumes each failure event once, so a replayed round
 /// does not re-fail; slowdown windows do re-apply on replay (the
 /// straggler is still slow the second time through).

@@ -5,14 +5,12 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
-#include <string>
 #include <thread>
 
 #include "cluster/ledger.h"
 #include "cluster/network.h"
 #include "cluster/virtual_clock.h"
 #include "common/logging.h"
-#include "common/status.h"
 #include "partition/partition.h"
 
 namespace gal {
@@ -91,21 +89,6 @@ inline uint32_t ResolveClusterWorkers(uint32_t requested) {
                              "a positive integer", 4);
   }
   return 4;
-}
-
-/// Strict variant for callers that want malformed GAL_CLUSTER_WORKERS to
-/// be an error instead of a warn-and-default (CLI front ends, tests).
-inline Result<uint32_t> ResolveClusterWorkersStrict(uint32_t requested) {
-  if (requested != 0) return requested;
-  if (const char* env = std::getenv("GAL_CLUSTER_WORKERS")) {
-    uint32_t v = 0;
-    if (!internal::ParsePositiveEnvInt(env, &v)) {
-      return Status::InvalidArgument(std::string("GAL_CLUSTER_WORKERS=\"") +
-                                     env + "\" is not a positive integer");
-    }
-    return v;
-  }
-  return 4u;
 }
 
 struct ClusterOptions {

@@ -28,7 +28,7 @@ namespace gal {
 /// phase — so engine results and stats stay bit-identical at any thread
 /// count.
 ///
-/// Thread safety: Send/AddMirrorWire/NoteMirroredDelivery touch only the
+/// Thread safety: Send/AddWire/NoteMirroredDelivery touch only the
 /// source worker's buffers, so the usual BSP discipline (each simulated
 /// worker driven by one host thread at a time) needs no locks. Flush
 /// delivers destination workers in parallel on the caller's pool;
@@ -38,8 +38,8 @@ namespace gal {
 /// fold sender-side into one slot per (destination worker, destination
 /// vertex); Flush delivers one message per slot and the wire cost counts
 /// slots, not sends. Mirrored sends (Pregel+ hub broadcasts) ride the
-/// per-worker mirror message accounted via AddMirrorWire, so they do not
-/// add per-vertex wire cost.
+/// per-worker mirror message accounted via AddWire, so they do not add
+/// per-vertex wire cost.
 template <typename M>
 class ExchangeChannel {
  public:
@@ -98,9 +98,11 @@ class ExchangeChannel {
     box.lanes[dst_worker].push_back({dst_vertex, message});
   }
 
-  /// Accounts the single wire message a mirror broadcast pays per remote
-  /// worker it touches.
-  void AddMirrorWire(uint32_t src, uint32_t dst_worker) {
+  /// Accounts one wire message from src to dst_worker that carries no
+  /// buffered delivery: the single message a mirror broadcast pays per
+  /// remote worker it touches, or a pull step's remote probe. Flush
+  /// charges it like a send (free when src == dst_worker).
+  void AddWire(uint32_t src, uint32_t dst_worker) {
     ++boxes_[src].wire[dst_worker];
   }
 

@@ -5,7 +5,6 @@
 #include <atomic>
 #include <cmath>
 #include <cstdint>
-#include <map>
 #include <mutex>
 #include <string>
 #include <vector>
@@ -46,37 +45,6 @@ class MaxGauge {
 
  private:
   std::atomic<int64_t> value_;
-};
-
-/// A named bag of counters, convenient for engines that want to report a
-/// dynamic set of statistics. Lookup is by string key; not intended for
-/// per-edge hot paths (use a dedicated Counter member there).
-class MetricRegistry {
- public:
-  void Add(const std::string& name, int64_t delta) {
-    std::lock_guard<std::mutex> lock(mu_);
-    values_[name] += delta;
-  }
-
-  int64_t Get(const std::string& name) const {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto it = values_.find(name);
-    return it == values_.end() ? 0 : it->second;
-  }
-
-  std::map<std::string, int64_t> Snapshot() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return values_;
-  }
-
-  void Reset() {
-    std::lock_guard<std::mutex> lock(mu_);
-    values_.clear();
-  }
-
- private:
-  mutable std::mutex mu_;
-  std::map<std::string, int64_t> values_;
 };
 
 /// Thread-safe sample recorder with quantile readout. Used for per-stage

@@ -7,22 +7,22 @@
 #include "common/status.h"
 #include "frontier/direction.h"
 #include "graph/graph.h"
-#include "tlav/engine.h"
+#include "tlav/bsp_runtime.h"
 
 namespace gal {
 
 /// The frontier substrate's traversal kernels: the one engine under
 /// TlavBfs, TlavSssp and Wcc (tlav/algos/), which validate the request,
 /// translate ids and canonicalize labels around these calls. Each kernel
-/// runs in g's internal id space as level-synchronous two-phase BSP
-/// steps on `config`'s simulated cluster (a non-null `config.cluster` is
-/// charged and dictates the width; else a private runtime with
-/// `config.num_workers` workers), drives `config.faults` through the
-/// shared RecoverySession at every step barrier, and fills `stats` with
-/// TlavStats semantics: per-step work, payload bytes, this run's ledger
-/// and clock deltas, and the fault accounting. Results are bit-identical
-/// across direction schedules, worker counts, host thread counts and
-/// fault schedules.
+/// runs in g's internal id space as level-synchronous BSP steps on the
+/// BspRuntime (tlav/bsp_runtime.h) that TlavEngine also runs on: it
+/// resolves `config`'s simulated cluster and width, drives
+/// `config.faults` at every step barrier, and fills `stats` with
+/// TlavStats semantics (per-step work, payload bytes, this run's ledger
+/// and clock deltas, the fault accounting). Push steps send through an
+/// ExchangeChannel with no combiner. Results are bit-identical across
+/// direction schedules, worker counts, host thread counts and fault
+/// schedules.
 
 /// Rejects the TlavConfig features the substrate does not model: Pregel+
 /// mirroring (`mirror_degree_threshold != 0`) is a TlavEngine feature

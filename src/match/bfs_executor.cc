@@ -115,7 +115,7 @@ BfsMatchResult BfsSubgraphMatch(const Graph& data, const Graph& query,
   result.stats.candidate_total = candidates.TotalSize();
 
   JoinContext ctx{&data, &result.plan, &candidates, &result,
-                  options.match.induced};
+                  options.match.induced, /*scratch=*/{}, /*joined=*/{}};
   const uint32_t k = query.NumVertices();
 
   // Level 0: candidates of the first ordered query vertex.

@@ -4,6 +4,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 
 #include "graph/compressed_csr.h"
 
@@ -163,9 +164,8 @@ Result<ShardWriteSummary> WriteShardedGraph(const Graph& g,
 
   // Manifest: everything needed to answer Degree/ShardOf/MapToOriginal
   // without touching a shard, checksummed as one unit.
-  std::vector<uint8_t> m;
-  m.insert(m.end(), kOocManifestMagic,
-           kOocManifestMagic + sizeof(kOocManifestMagic));
+  std::vector<uint8_t> m(std::begin(kOocManifestMagic),
+                         std::end(kOocManifestMagic));
   AppendU32(m, kOocFormatVersion);
   uint32_t flags = 0;
   if (g.directed()) flags |= kFlagDirected;

@@ -2,96 +2,28 @@
 #define GAL_TLAV_ENGINE_H_
 
 #include <algorithm>
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <memory>
 #include <mutex>
+#include <optional>
 #include <span>
 #include <string>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "cluster/checkpoint.h"
-#include "cluster/cluster.h"
 #include "cluster/exchange.h"
-#include "cluster/fault.h"
 #include "common/logging.h"
-#include "common/metrics.h"
-#include "common/threadpool.h"
-#include "common/timer.h"
 #include "graph/graph.h"
 #include "partition/partition.h"
+#include "tlav/bsp_runtime.h"
 
 namespace gal {
 
 /// How an aggregator folds per-vertex contributions.
 enum class AggregateOp : uint8_t { kSum, kMin, kMax };
-
-/// Per-superstep and cumulative statistics of a TLAV run. The simulated
-/// workers make communication observable: a message is "cross-worker"
-/// when source and destination vertices live on different parts of the
-/// configured partition, which is exactly the traffic a real Pregel
-/// deployment puts on the network. The cross-worker fields are a view
-/// over the ClusterRuntime's TrafficLedger (this run's delta), so TLAV
-/// traffic lands on the same axis as dist-GNN and TLAG traffic.
-struct TlavStats {
-  uint32_t supersteps = 0;
-  uint64_t total_messages = 0;        // logical deliveries
-  uint64_t cross_worker_messages = 0; // wire messages between workers
-  uint64_t total_message_bytes = 0;
-  uint64_t cross_worker_bytes = 0;
-  /// Logical deliveries folded into mirror broadcasts (Pregel+).
-  uint64_t mirrored_deliveries = 0;
-  /// Sum over supersteps of the number of vertices computed; the
-  /// "work" measure behind the O((|V|+|E|) log |V|) bound discussion.
-  uint64_t vertex_activations = 0;
-  uint64_t edge_scans = 0;
-  double wall_seconds = 0.0;
-  /// Modeled cluster seconds of this run from the runtime's
-  /// VirtualClock: Σ over supersteps of max-worker compute +
-  /// cost-model comm (includes recomputed supersteps after an injected
-  /// failure — recovery costs modeled time too).
-  double modeled_seconds = 0.0;
-  // Direction-optimizing traversal accounting. The message engine is
-  // push-only (both stay 0); BFS/WCC runs on the frontier substrate
-  // report how many supersteps gathered over in-edges and how often the
-  // Beamer heuristic flipped direction.
-  uint32_t pull_supersteps = 0;
-  uint32_t direction_switches = 0;
-  // Fault-tolerance accounting, read back from the shared
-  // RecoverySession (cluster/checkpoint.h) this run drove. Work counters
-  // above (messages, activations, edge scans, ledger bytes) include
-  // recomputed supersteps; `supersteps`, `pull_supersteps` and
-  // `per_step` describe the logical schedule, equal to a clean run's.
-  uint32_t checkpoints_taken = 0;
-  uint64_t checkpoint_bytes = 0;
-  uint64_t restored_bytes = 0;
-  uint32_t failures_recovered = 0;
-  uint32_t recomputed_supersteps = 0;
-  // Live rebalancing (straggler mitigation).
-  uint32_t rebalances = 0;
-  uint64_t migrated_vertices = 0;
-  uint64_t migration_bytes = 0;
-
-  struct PerStep {
-    uint64_t active_vertices = 0;
-    uint64_t messages = 0;
-  };
-  std::vector<PerStep> per_step;
-
-  /// Copies one run's RecoverySession accounting into the fields above.
-  void SetFaultStats(const FaultStats& f) {
-    checkpoints_taken = f.checkpoints_taken;
-    checkpoint_bytes = f.checkpoint_bytes;
-    restored_bytes = f.restored_bytes;
-    failures_recovered = f.failures_recovered;
-    recomputed_supersteps = f.recomputed_rounds;
-    rebalances = f.rebalances;
-    migrated_vertices = f.migrated_vertices;
-    migration_bytes = f.migration_bytes;
-  }
-};
 
 template <typename V, typename M>
 class TlavEngine;
@@ -155,83 +87,26 @@ class VertexProgram {
   }
 };
 
-/// Engine configuration.
-struct TlavConfig {
-  uint32_t num_workers = 4;
-  uint32_t max_supersteps = 1000000;
-  /// Simulated per-message network overhead added to sizeof(M) when the
-  /// message crosses workers (envelope: dst id + lengths).
-  uint32_t message_overhead_bytes = 8;
-  /// Pregel+-style mirroring: a vertex whose degree reaches this
-  /// threshold broadcasts to each remote worker once (its "mirror"
-  /// fans the value out locally) instead of once per neighbor
-  /// (0 = off). Only affects SendToAllNeighbors, and only the wire
-  /// accounting — logical deliveries are unchanged. TlavBfs, TlavSssp
-  /// and Wcc run on the frontier substrate and reject a non-zero value.
-  uint32_t mirror_degree_threshold = 0;
-  /// The shared fault-tolerance schedule (cluster/fault.h): checkpoint
-  /// cadence, worker failures, straggler slowdowns, and live
-  /// rebalancing, all driven through one RecoverySession per run. The
-  /// default resolves GAL_CLUSTER_FAULT_* (empty plan when unset).
-  /// Checkpoint/restore/migration traffic is charged to the runtime's
-  /// ledger and clock; results stay bit-identical to the fault-free run
-  /// for order-independent programs (all shipped ones).
-  FaultPlan faults = FaultPlan::FromEnvOrWarn();
-  /// Shared simulated-cluster substrate. When set, the engine adopts its
-  /// worker count, charges cross-worker traffic to its ledger, advances
-  /// its VirtualClock one round per superstep, and installs the job's
-  /// partition on it. When null the engine owns a private runtime with
-  /// `num_workers` workers.
-  ClusterRuntime* cluster = nullptr;
-};
-
 /// A Pregel-style Bulk Synchronous Parallel engine over a simulated
-/// cluster of `num_workers` workers. Vertices are placed by an explicit
-/// VertexPartition so partitioning strategies can be compared under
-/// identical programs. Messages route through the runtime's
-/// ExchangeChannel, whose deterministic (src-worker, seq) delivery order
-/// keeps results and stats bit-identical at any host thread count
-/// (GAL_TASK_THREADS caps the host threads that execute the simulated
-/// workers; it never changes the math).
+/// cluster, running on the shared BspRuntime (tlav/bsp_runtime.h).
+/// Vertices are placed by an explicit VertexPartition so partitioning
+/// strategies can be compared under identical programs. Messages route
+/// through an ExchangeChannel, whose deterministic (src-worker, seq)
+/// delivery order keeps results and stats bit-identical at any host
+/// thread count (GAL_TASK_THREADS caps the host threads that execute the
+/// simulated workers; it never changes the math).
 template <typename V, typename M>
 class TlavEngine {
  public:
-  /// `partition` must cover g's vertices; pass HashPartition(g, workers)
-  /// for the Pregel default.
+  /// `partition` must cover g's vertices with one part per cluster
+  /// worker.
   TlavEngine(const Graph* graph, TlavConfig config, VertexPartition partition)
-      : graph_(graph),
-        config_(AdoptClusterWidth(config)),
-        owned_cluster_(config.cluster == nullptr
-                           ? std::make_unique<ClusterRuntime>(ClusterOptions{
-                                 config_.num_workers, NetworkCostModel{}})
-                           : nullptr),
-        cluster_(config.cluster != nullptr ? config.cluster
-                                           : owned_cluster_.get()),
-        partition_(std::move(partition)),
-        pool_(std::min(config_.num_workers, ResolveTaskThreads(0))),
-        channel_(std::make_unique<ExchangeChannel<M>>(
-            cluster_, config_.message_overhead_bytes)) {
-    GAL_CHECK(partition_.assignment.size() == graph_->NumVertices());
-    GAL_CHECK(partition_.num_parts == config_.num_workers);
-    cluster_->InstallPartition(partition_);
-    const VertexId n = graph_->NumVertices();
-    values_.resize(n);
-    halted_.assign(n, 0);
-    inbox_.resize(n);
-    next_inbox_.resize(n);
-    worker_vertices_.resize(config_.num_workers);
-    for (VertexId v = 0; v < n; ++v) {
-      worker_vertices_[partition_.assignment[v]].push_back(v);
-    }
-    worker_counters_.resize(config_.num_workers);
-  }
+      : TlavEngine(graph, std::move(config),
+                   std::optional<VertexPartition>(std::move(partition))) {}
 
-  /// Convenience: hash partition.
+  /// Convenience: hash partition at the cluster's width.
   TlavEngine(const Graph* graph, TlavConfig config)
-      : TlavEngine(graph, config,
-                   HashPartition(*graph, config.cluster != nullptr
-                                             ? config.cluster->num_workers()
-                                             : config.num_workers)) {}
+      : TlavEngine(graph, std::move(config), std::nullopt) {}
 
   /// Sets every vertex value before the run.
   void InitValues(const std::function<V(VertexId)>& init) {
@@ -251,17 +126,23 @@ class TlavEngine {
   std::vector<V>& mutable_values() { return values_; }
   const Graph& graph() const { return *graph_; }
   const TlavStats& stats() const { return stats_; }
-  ClusterRuntime& cluster() { return *cluster_; }
+  ClusterRuntime& cluster() { return *rt_.cluster(); }
 
  private:
   friend class VertexHandle<V, M>;
 
-  /// A config.cluster runtime dictates the simulated width.
-  static TlavConfig AdoptClusterWidth(TlavConfig config) {
-    if (config.cluster != nullptr) {
-      config.num_workers = config.cluster->num_workers();
-    }
-    return config;
+  TlavEngine(const Graph* graph, TlavConfig config,
+             std::optional<VertexPartition> partition)
+      : graph_(graph),
+        config_(std::move(config)),
+        rt_(*graph, config_, sizeof(M), std::move(partition)),
+        channel_(rt_.cluster(), config_.message_overhead_bytes),
+        decode_scratch_(rt_.workers()) {
+    const VertexId n = graph_->NumVertices();
+    values_.resize(n);
+    halted_.assign(n, 0);
+    inbox_.resize(n);
+    next_inbox_.resize(n);
   }
 
   struct Aggregator {
@@ -278,20 +159,19 @@ class TlavEngine {
     }
   };
 
-  /// Per-worker counters a worker updates without synchronization,
-  /// cache-line separated. `decode_scratch` is the worker's adjacency
-  /// decode buffer for compressed graphs: exactly one VertexHandle is
-  /// live per worker at a time, so the span VertexHandle::Neighbors()
-  /// returns over it stays valid for the duration of a Compute call.
-  struct alignas(64) WorkerCounters {
-    uint64_t edge_scans = 0;
-    std::vector<VertexId> decode_scratch;
+  /// A worker's adjacency decode buffer for compressed graphs,
+  /// cache-line separated. Exactly one VertexHandle is live per worker at
+  /// a time, so the span VertexHandle::Neighbors() returns over it stays
+  /// valid for the duration of a Compute call.
+  struct alignas(64) DecodeScratch {
+    std::vector<VertexId> row;
   };
 
+  /// Counts one logical delivery for the sending worker and buffers it.
   void Send(uint32_t src_worker, VertexId dst, const M& message,
             bool mirrored = false) {
-    channel_->Send(src_worker, partition_.assignment[dst], dst, message,
-                   mirrored);
+    ++rt_.counters(src_worker).messages;
+    channel_.Send(src_worker, rt_.OwnerOf(dst), dst, message, mirrored);
   }
 
   /// SendToAllNeighbors with Pregel+ mirroring for eligible hubs: one
@@ -307,47 +187,45 @@ class TlavEngine {
           src, [&](VertexId u) { Send(src_worker, u, message); });
       return;
     }
-    std::vector<uint8_t> worker_touched(config_.num_workers, 0);
+    std::vector<uint8_t> worker_touched(rt_.workers(), 0);
     graph_->ForEachOutNeighbor(src, [&](VertexId u) {
-      const uint32_t w = partition_.assignment[u];
+      const uint32_t w = rt_.OwnerOf(u);
       if (!worker_touched[w]) {
         worker_touched[w] = 1;
-        channel_->AddMirrorWire(src_worker, w);  // the single mirror message
+        channel_.AddWire(src_worker, w);  // the single mirror message
       } else {
-        channel_->NoteMirroredDelivery(src_worker);
+        channel_.NoteMirroredDelivery(src_worker);
       }
       Send(src_worker, u, message, /*mirrored=*/true);
     });
   }
 
+  bool AllHalted() const {
+    return std::all_of(halted_.begin(), halted_.end(),
+                       [](uint8_t h) { return h != 0; });
+  }
+
   const Graph* graph_;
   TlavConfig config_;
-  std::unique_ptr<ClusterRuntime> owned_cluster_;
-  ClusterRuntime* cluster_;
-  VertexPartition partition_;
-  ThreadPool pool_;
-  std::unique_ptr<ExchangeChannel<M>> channel_;
+  BspRuntime rt_;
+  ExchangeChannel<M> channel_;
 
   std::vector<V> values_;
   std::vector<uint8_t> halted_;
   std::vector<std::vector<M>> inbox_;       // messages for this superstep
   std::vector<std::vector<M>> next_inbox_;  // being filled for next one
-  std::vector<std::vector<VertexId>> worker_vertices_;
-  std::vector<WorkerCounters> worker_counters_;
+  std::vector<DecodeScratch> decode_scratch_;
   std::map<std::string, Aggregator> aggregators_;
   std::mutex aggregator_mu_;
-  uint32_t superstep_ = 0;
   TlavStats stats_;
 
-  /// A consistent cut at the superstep barrier for the shared
-  /// CheckpointStore: vertex values, halt flags, the delivered inbox
-  /// (the in-flight messages of the next superstep), aggregator state,
-  /// and the per-step stats length to truncate back to on rollback.
-  std::vector<uint8_t> SerializeState() const {
+  /// The engine's part of a superstep-barrier snapshot: vertex values,
+  /// halt flags, the delivered inbox (the in-flight messages of the next
+  /// superstep) and aggregator state.
+  void SaveState(BlobWriter& w) const {
     static_assert(std::is_trivially_copyable_v<V> &&
                       std::is_trivially_copyable_v<M>,
                   "TLAV checkpointing snapshots V/M by bytes");
-    BlobWriter w;
     w.Vec(values_);
     w.Vec(halted_);
     w.Pod<uint64_t>(inbox_.size());
@@ -360,12 +238,9 @@ class TlavEngine {
       w.Pod(agg.current);
       w.Pod(agg.previous);
     }
-    w.Pod<uint64_t>(stats_.per_step.size());
-    return std::move(w).Take();
   }
 
-  void RestoreState(const std::vector<uint8_t>& blob) {
-    BlobReader r(blob);
+  void LoadState(BlobReader& r) {
     values_ = r.template Vec<V>();
     halted_ = r.template Vec<uint8_t>();
     const uint64_t boxes = r.template Pod<uint64_t>();
@@ -382,45 +257,15 @@ class TlavEngine {
       agg.previous = r.template Pod<double>();
       aggregators_[name] = agg;
     }
-    stats_.per_step.resize(r.template Pod<uint64_t>());
-    GAL_CHECK(r.exhausted());
-  }
-
-  /// Live rebalancing: sheds migrate_fraction of the straggler's
-  /// vertices via RebalanceAway, reinstalls the partition, and books
-  /// the moved state (value + halt flag + queued inbox messages per
-  /// vertex) through the session. Shipped programs fold messages
-  /// order-independently, so moving a vertex's home mid-run changes
-  /// traffic and timing but never results.
-  void MigrateAway(uint32_t from, RecoverySession& session) {
-    std::vector<VertexId> moved;
-    VertexPartition next =
-        RebalanceAway(*graph_, partition_, from,
-                      config_.faults.rebalance().migrate_fraction, &moved);
-    if (moved.empty()) return;
-    std::vector<uint64_t> dst_bytes(config_.num_workers, 0);
-    for (VertexId v : moved) {
-      dst_bytes[next.assignment[v]] +=
-          sizeof(V) + 1 + inbox_[v].size() * sizeof(M);
-    }
-    std::vector<std::pair<uint32_t, uint64_t>> per_dst;
-    for (uint32_t w = 0; w < config_.num_workers; ++w) {
-      if (dst_bytes[w] > 0) per_dst.emplace_back(w, dst_bytes[w]);
-    }
-    partition_ = std::move(next);
-    cluster_->InstallPartition(partition_);
-    for (std::vector<VertexId>& list : worker_vertices_) list.clear();
-    for (VertexId v = 0; v < graph_->NumVertices(); ++v) {
-      worker_vertices_[partition_.assignment[v]].push_back(v);
-    }
-    session.CommitMigration(from, per_dst, moved.size());
+    for (std::vector<M>& box : next_inbox_) box.clear();
+    channel_.Clear();
   }
 };
 
 // --- implementation --------------------------------------------------------
 
 template <typename V, typename M>
-uint32_t VertexHandle<V, M>::superstep() const { return engine_->superstep_; }
+uint32_t VertexHandle<V, M>::superstep() const { return engine_->rt_.step(); }
 
 template <typename V, typename M>
 VertexId VertexHandle<V, M>::num_vertices() const {
@@ -429,12 +274,12 @@ VertexId VertexHandle<V, M>::num_vertices() const {
 
 template <typename V, typename M>
 std::span<const VertexId> VertexHandle<V, M>::Neighbors() const {
-  auto& counters = engine_->worker_counters_[worker_];
-  counters.edge_scans += engine_->graph_->Degree(id_);
+  engine_->rt_.counters(worker_).edges += engine_->graph_->Degree(id_);
   // Raw layout: a direct span into the CSR. Compressed: decoded into
   // this worker's scratch, valid until the worker's next Neighbors()
   // call (i.e. for the rest of this Compute invocation).
-  return engine_->graph_->NeighborsInto(id_, counters.decode_scratch);
+  return engine_->graph_->NeighborsInto(id_,
+                                        engine_->decode_scratch_[worker_].row);
 }
 
 template <typename V, typename M>
@@ -449,8 +294,7 @@ void VertexHandle<V, M>::SendTo(VertexId target, const M& message) {
 
 template <typename V, typename M>
 void VertexHandle<V, M>::SendToAllNeighbors(const M& message) {
-  engine_->worker_counters_[worker_].edge_scans +=
-      engine_->graph_->Degree(id_);
+  engine_->rt_.counters(worker_).edges += engine_->graph_->Degree(id_);
   engine_->Broadcast(worker_, id_, message);
 }
 
@@ -475,9 +319,6 @@ double VertexHandle<V, M>::GetAggregate(const std::string& name) const {
 
 template <typename V, typename M>
 TlavStats TlavEngine<V, M>::Run(VertexProgram<V, M>& program) {
-  Timer timer;
-  stats_ = TlavStats{};
-  const uint32_t workers = config_.num_workers;
   const bool combining = program.has_combiner();
   typename ExchangeChannel<M>::Combiner combiner;
   if (combining) {
@@ -485,69 +326,50 @@ TlavStats TlavEngine<V, M>::Run(VertexProgram<V, M>& program) {
       return program.Combine(a, b);
     };
   }
-  channel_->Begin(std::move(combiner));
-  const TrafficSnapshot ledger_start = cluster_->ledger().Snapshot();
-  const size_t clock_start = cluster_->clock().rounds();
-  std::vector<double> compute_seconds(workers, 0.0);
+  channel_.Begin(std::move(combiner));
+  // A migrating vertex ships its value, halt flag and queued inbox.
+  rt_.Start(&stats_,
+            {[this](BlobWriter& w) { SaveState(w); },
+             [this](BlobReader& r) { LoadState(r); },
+             [this](VertexId v) -> uint64_t {
+               return sizeof(V) + 1 + inbox_[v].size() * sizeof(M);
+             }});
 
-  // The shared fault-tolerance driver: checkpoints, injected failures,
-  // straggler slowdowns, and rebalancing all flow through this session
-  // against the runtime's ledger and clock.
-  RecoverySession session(cluster_, config_.faults);
-  if (session.WantsInitialCheckpoint()) {
-    session.Commit(RecoverySession::kInitialRound, SerializeState());
-  }
-  std::vector<double> worker_load(workers, 0.0);
-
-  uint64_t pending_messages = 0;
-  superstep_ = 0;
-  while (superstep_ < config_.max_supersteps) {
+  while (rt_.step() < config_.max_supersteps) {
     // Compute phase: each simulated worker processes its own vertices
     // (host threads pick up whole workers, so outbox lanes stay
     // single-writer).
-    std::atomic<uint64_t> active_count{0};
-    pool_.ParallelFor(workers, [&](size_t w) {
-      Timer worker_timer;
-      uint64_t active = 0;
-      for (VertexId v : worker_vertices_[w]) {
-        const bool has_messages = !inbox_[v].empty();
-        if (halted_[v] && !has_messages) continue;
+    rt_.ForEachWorker([&](uint32_t w) {
+      uint64_t& active = rt_.counters(w).active;
+      for (VertexId v : rt_.OwnedVertices(w)) {
+        if (halted_[v] && inbox_[v].empty()) continue;
         halted_[v] = 0;
-        VertexHandle<V, M> handle(this, static_cast<uint32_t>(w), v,
-                                  &values_[v]);
+        VertexHandle<V, M> handle(this, w, v, &values_[v]);
         program.Compute(handle, std::span<const M>(inbox_[v]));
         inbox_[v].clear();
         ++active;
       }
-      active_count.fetch_add(active);
-      compute_seconds[w] = worker_timer.ElapsedSeconds();
     });
-    // Straggler injection: scheduled slowdown factors scale the modeled
-    // per-worker compute before the round is priced.
-    session.ScaleCompute(superstep_, std::span<double>(compute_seconds));
 
-    // Message delivery phase (the BSP barrier): the exchange channel
-    // charges the step's wire traffic to the cluster ledger and routes
-    // every lane to its destination worker's inboxes, with
-    // receiver-side combining when the program has a combiner.
-    const auto totals = channel_->Flush(
-        &pool_, [&](uint32_t /*dst_worker*/, VertexId v, M&& m) {
-          std::vector<M>& box = next_inbox_[v];
-          if (combining && !box.empty()) {
-            // Receiver-side combining collapses the per-source slots.
-            box[0] = program.Combine(box[0], m);
-          } else {
-            box.push_back(std::move(m));
-          }
-        });
-    const uint64_t step_messages = totals.logical_messages;
-    stats_.mirrored_deliveries += totals.mirrored;
+    // Message delivery: the exchange channel charges the step's wire
+    // traffic to the cluster ledger and routes every lane to its
+    // destination worker's inboxes, with receiver-side combining when
+    // the program has a combiner.
+    stats_.mirrored_deliveries +=
+        channel_
+            .Flush(&rt_.pool(),
+                   [&](uint32_t /*dst_worker*/, VertexId v, M&& m) {
+                     std::vector<M>& box = next_inbox_[v];
+                     if (combining && !box.empty()) {
+                       // Receiver-side combining collapses the
+                       // per-source slots.
+                       box[0] = program.Combine(box[0], m);
+                     } else {
+                       box.push_back(std::move(m));
+                     }
+                   })
+            .mirrored;
     std::swap(inbox_, next_inbox_);
-
-    // The modeled cluster round: slowest worker + this step's wire time.
-    cluster_->clock().AdvanceRound(
-        std::span<const double>(compute_seconds), totals.cross_bytes,
-        totals.cross_messages);
 
     // Aggregator barrier.
     for (auto& [name, agg] : aggregators_) {
@@ -555,80 +377,19 @@ TlavStats TlavEngine<V, M>::Run(VertexProgram<V, M>& program) {
       agg.current = agg.initial;
     }
 
-    // Stats.
-    stats_.vertex_activations += active_count.load();
-    stats_.total_messages += step_messages;
-    stats_.total_message_bytes += step_messages * sizeof(M);
-    for (WorkerCounters& counters : worker_counters_) {
-      stats_.edge_scans += counters.edge_scans;
-      counters.edge_scans = 0;
+    if (!rt_.EndStep()) continue;  // rolled back: replay from the checkpoint
+    const TlavStats::PerStep& step = stats_.per_step.back();
+    if (step.messages == 0 && (step.active_vertices == 0 || AllHalted())) {
+      break;
     }
-    stats_.per_step.push_back({active_count.load(), step_messages});
-
-    // --- shared checkpoint / recovery / rebalance hooks ---------------
-    // The snapshot lands at the superstep barrier: values, halt flags,
-    // and the just-delivered inbox (the in-flight messages of the next
-    // superstep). Its bytes ride the ledger, its transfer time the clock.
-    if (session.ShouldCheckpoint(superstep_)) {
-      session.Commit(superstep_, SerializeState());
-    }
-    uint32_t resume_superstep = 0;
-    if (const std::vector<uint8_t>* blob =
-            session.OnFailure(superstep_, &resume_superstep)) {
-      RestoreState(*blob);
-      for (auto& box : next_inbox_) box.clear();
-      channel_->Clear();
-      superstep_ = resume_superstep;
-      continue;  // replay from the superstep after the checkpoint
-    }
-    if (config_.faults.rebalance().enabled) {
-      // Deterministic load signal: owned vertices, scaled inside the
-      // session by each worker's scheduled slowdown.
-      for (uint32_t w = 0; w < workers; ++w) {
-        worker_load[w] = static_cast<double>(worker_vertices_[w].size());
-      }
-      const uint32_t straggler = session.RebalanceCandidate(
-          superstep_, std::span<const double>(worker_load));
-      if (straggler != RecoverySession::kNoWorker) {
-        MigrateAway(straggler, session);
-      }
-    }
-
-    pending_messages = step_messages;
-    if (active_count.load() == 0 && pending_messages == 0) break;
-    if (pending_messages == 0) {
-      // Check whether everything halted this step.
-      bool all_halted = true;
-      for (uint8_t h : halted_) {
-        if (!h) {
-          all_halted = false;
-          break;
-        }
-      }
-      if (all_halted) {
-        ++superstep_;
-        break;
-      }
-    }
-    ++superstep_;
   }
 
-  stats_.supersteps = superstep_ + (superstep_ < config_.max_supersteps ? 1 : 0);
   // Trim: the final bookkeeping step with zero activity is not a superstep.
   while (!stats_.per_step.empty() && stats_.per_step.back().active_vertices == 0 &&
          stats_.per_step.back().messages == 0) {
     stats_.per_step.pop_back();
   }
-  stats_.supersteps = static_cast<uint32_t>(stats_.per_step.size());
-  stats_.wall_seconds = timer.ElapsedSeconds();
-  // Cross-worker traffic is read back from the ledger: TlavStats is a
-  // view over this run's ledger delta.
-  const TrafficSnapshot ledger_end = cluster_->ledger().Snapshot();
-  stats_.cross_worker_messages =
-      ledger_end.cross_messages - ledger_start.cross_messages;
-  stats_.cross_worker_bytes = ledger_end.cross_bytes - ledger_start.cross_bytes;
-  stats_.modeled_seconds = cluster_->clock().SecondsSince(clock_start);
-  stats_.SetFaultStats(session.stats());
+  rt_.Finish();
   return stats_;
 }
 

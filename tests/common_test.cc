@@ -231,18 +231,6 @@ TEST(MetricsTest, MaxGaugeTracksMaximum) {
   EXPECT_EQ(g.Get(), 9);
 }
 
-TEST(MetricsTest, RegistryAccumulatesByName) {
-  MetricRegistry reg;
-  reg.Add("messages", 10);
-  reg.Add("messages", 5);
-  reg.Add("bytes", 100);
-  EXPECT_EQ(reg.Get("messages"), 15);
-  EXPECT_EQ(reg.Get("bytes"), 100);
-  EXPECT_EQ(reg.Get("absent"), 0);
-  auto snap = reg.Snapshot();
-  EXPECT_EQ(snap.size(), 2u);
-}
-
 TEST(MetricsTest, HistogramQuantilesAndMax) {
   Histogram h;
   for (int i = 1; i <= 100; ++i) h.Observe(static_cast<double>(i));

@@ -167,29 +167,6 @@ TEST_F(FaultEnvTest, SeedFillsInUnspecifiedEvents) {
   EXPECT_EQ(mixed->slowdowns().size(), 1u);
 }
 
-TEST_F(FaultEnvTest, ResolveClusterWorkersStrict) {
-  ASSERT_EQ(setenv("GAL_CLUSTER_WORKERS", "6", 1), 0);
-  Result<uint32_t> six = ResolveClusterWorkersStrict(0);
-  ASSERT_TRUE(six.ok());
-  EXPECT_EQ(six.value(), 6u);
-
-  ASSERT_EQ(setenv("GAL_CLUSTER_WORKERS", "12abc", 1), 0);
-  Result<uint32_t> bad = ResolveClusterWorkersStrict(0);
-  ASSERT_FALSE(bad.ok());
-  EXPECT_NE(bad.status().message().find("GAL_CLUSTER_WORKERS"),
-            std::string::npos);
-
-  // Explicit request short-circuits the env entirely.
-  Result<uint32_t> explicit_width = ResolveClusterWorkersStrict(3);
-  ASSERT_TRUE(explicit_width.ok());
-  EXPECT_EQ(explicit_width.value(), 3u);
-
-  ASSERT_EQ(unsetenv("GAL_CLUSTER_WORKERS"), 0);
-  Result<uint32_t> fallback = ResolveClusterWorkersStrict(0);
-  ASSERT_TRUE(fallback.ok());
-  EXPECT_EQ(fallback.value(), 4u);
-}
-
 // --- CheckpointStore --------------------------------------------------------
 
 TEST(CheckpointStoreTest, RingChargeIsExactAndOnTheClock) {
@@ -598,8 +575,36 @@ TEST(FaultParityTest, CheckpointBytesAreExactOnTheLedger) {
   // Failure at a checkpoint boundary recomputes nothing, so the faulty
   // run's extra cross-worker bytes are exactly the checkpoint ring
   // charges plus the one restore — the ledger-exactness contract — and
-  // the recovered run keeps the clean run's step schedule.
+  // the recovered run keeps the clean run's step schedule. Both TLAV
+  // engines share one barrier, so PageRank (message engine) and WCC
+  // (frontier substrate) are held to it alike.
   Graph g = Path(60);
+  for (uint32_t workers : {2u, 4u}) {
+    PageRankOptions clean;
+    clean.engine.faults = FaultPlan{};
+    ClusterRuntime clean_cluster(ClusterOptions{workers, {}});
+    clean.engine.cluster = &clean_cluster;
+    const PageRankResult clean_result = PageRank(g, clean);
+
+    PageRankOptions faulty = clean;
+    ClusterRuntime faulty_cluster(ClusterOptions{workers, {}});
+    faulty.engine.cluster = &faulty_cluster;
+    faulty.engine.faults = FaultPlan{}.CheckpointEvery(5).FailWorkerAt(0, 9);
+    const PageRankResult faulty_result = PageRank(g, faulty);
+
+    const std::string what = "PageRank W=" + std::to_string(workers);
+    EXPECT_EQ(faulty_result.ranks, clean_result.ranks) << what;
+    EXPECT_EQ(faulty_result.stats.failures_recovered, 1u) << what;
+    EXPECT_EQ(faulty_result.stats.recomputed_supersteps, 0u) << what;
+    EXPECT_EQ(faulty_result.stats.supersteps, clean_result.stats.supersteps)
+        << what;
+    EXPECT_GT(faulty_result.stats.checkpoint_bytes, 0u) << what;
+    EXPECT_EQ(faulty_cluster.ledger().Snapshot().cross_bytes -
+                  clean_cluster.ledger().Snapshot().cross_bytes,
+              faulty_result.stats.checkpoint_bytes +
+                  faulty_result.stats.restored_bytes)
+        << what;
+  }
   for (DirectionMode mode : kParityModes) {
     WccOptions clean;
     clean.engine.faults = FaultPlan{};
@@ -633,6 +638,79 @@ TEST(FaultParityTest, CheckpointBytesAreExactOnTheLedger) {
               faulty_result.stats.checkpoint_bytes +
                   faulty_result.stats.restored_bytes)
         << what;
+  }
+}
+
+// --- the shared BSP barrier --------------------------------------------------
+// Both TLAV engines run on one BspRuntime (tlav/bsp_runtime.h). Its step
+// barrier prices each clock round from the ledger's cross-worker delta
+// since the previous barrier, and every checkpoint, restore and
+// migration books its own round. So a job's clock rounds add up to
+// exactly its ledger traffic, and their count is its schedule.
+
+TEST(BspBarrierTest, ClockRoundsMatchTheLedgerAndTheSchedule) {
+  const Graph g = Lollipop();
+  const std::vector<FaultPlan> plans = {
+      FaultPlan{},
+      FaultPlan{}.CheckpointEvery(2).FailWorkerAt(0, 2),
+      FaultPlan{}
+          .CheckpointEvery(2)
+          .FailWorkerAt(1, 2)
+          .SlowWorker(0, 8.0)
+          .Rebalance(RebalanceConfig{})};
+  for (uint32_t workers : {2u, 4u}) {
+    for (size_t p = 0; p < plans.size(); ++p) {
+      ClusterRuntime cluster(ClusterOptions{workers, {}});
+      TlavConfig config;
+      config.cluster = &cluster;
+      config.faults = plans[p];
+      // Runs one job on the shared cluster and checks its clock rounds
+      // against its ledger delta and its stats.
+      auto check = [&](const std::string& job, auto run) {
+        const TrafficSnapshot before = cluster.ledger().Snapshot();
+        const size_t mark = cluster.clock().rounds();
+        const TlavStats stats = run();
+        const TrafficSnapshot after = cluster.ledger().Snapshot();
+        const std::vector<ClusterRound> rounds =
+            cluster.clock().RoundsSince(mark);
+        uint64_t bytes = 0, messages = 0;
+        for (const ClusterRound& r : rounds) {
+          bytes += r.comm_bytes;
+          messages += r.comm_messages;
+        }
+        const std::string what = job + " W=" + std::to_string(workers) +
+                                 " plan=" + std::to_string(p);
+        EXPECT_EQ(bytes, after.cross_bytes - before.cross_bytes) << what;
+        EXPECT_EQ(messages, after.cross_messages - before.cross_messages)
+            << what;
+        EXPECT_EQ(rounds.size(),
+                  stats.supersteps + stats.recomputed_supersteps +
+                      stats.checkpoints_taken + stats.failures_recovered +
+                      stats.rebalances)
+            << what;
+        if (p > 0) {
+          EXPECT_EQ(stats.failures_recovered, 1u) << what;
+        }
+        if (p == 2) {
+          EXPECT_GE(stats.rebalances, 1u) << what;
+        }
+      };
+      check("PageRank", [&] {
+        PageRankOptions options;
+        options.engine = config;
+        return PageRank(g, options).stats;
+      });
+      check("WCC", [&] {
+        WccOptions options;
+        options.engine = config;
+        options.direction.mode = DirectionMode::kAuto;
+        return Wcc(g, options).stats;
+      });
+      TraversalOptions traversal;
+      traversal.engine = config;
+      check("BFS", [&] { return TlavBfs(g, kTailEnd, traversal).stats; });
+      check("SSSP", [&] { return TlavSssp(g, kTailEnd, traversal).stats; });
+    }
   }
 }
 

@@ -418,7 +418,9 @@ TEST(SimdTest, KillSwitchAndIsaReporting) {
   EXPECT_STREQ(simd::ActiveIsa(), "scalar");
   simd::SetEnabled(true);
   EXPECT_EQ(simd::Enabled(), simd::Available());  // capped by Available
-  if (simd::Available()) EXPECT_STREQ(simd::ActiveIsa(), "avx2");
+  if (simd::Available()) {
+    EXPECT_STREQ(simd::ActiveIsa(), "avx2");
+  }
   simd::SetEnabled(prev);
 }
 
