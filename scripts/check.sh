@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
 # Tier-1 verification plus a ThreadSanitizer pass over the concurrent
-# machinery (pipeline executor, thread pool, task engine). Run from
-# anywhere; builds land in build/ and build-tsan/.
+# machinery (pipeline executor, thread pool, task engine) and an
+# AddressSanitizer + UndefinedBehaviorSanitizer pass over the whole
+# suite. Run from anywhere; builds land in build/, build-tsan/ and
+# build-asan/.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -42,6 +44,21 @@ cmake --build build-tsan --target gal_tests -j "${JOBS}"
 # the shared state TSan watches there.
 ./build-tsan/tests/gal_tests \
     --gtest_filter='PipelineTest.*:ThreadPoolTest.*:TaskEngineTest.*:WorkDequeTest.*:MatchDeterminismTest.*:KernelContextTest.*:KernelParityTest.*:TensorTest.*:MatrixTest.*:SparseTest.*:CoreBudgetTest.*:TrafficLedgerTest.*:VirtualClockTest.*:ClusterRuntimeTest.*:ExchangeChannelTest.*:ClusterExchangeTest.*:FrontierBitmapTest.*:SlidingQueueTest.*:VertexFrontierTest.*:Workers/FrontierParityTest.*:FrontierTraversalTest.*:GraphReorderTest.*:ReorderSimdParityTest.*:IntersectTest.*:SimdTest.*:CompressedCsrTest.*:DistGcnTest.OverlapReducesSimulatedTime:DistGcnTest.ReportExposesTracesAndOverlapOccupancy:DistGcnTest.CommChannelsRelieveCommBoundOverlap'
+
+echo
+echo "== asan+ubsan: every test but the wall-clock ones =="
+# Out-of-bounds reads, use-after-free, leaks and undefined behavior
+# anywhere the suite reaches; a UBSan report aborts the run. The
+# wall-clock tests (the `timing` ctest label in tests/CMakeLists.txt)
+# assert speedup ratios that sanitizer overhead distorts, so they are
+# excluded by name here.
+WALL_CLOCK_TESTS='PipelineTest.OverlapBeatsSerial:KernelScalingTest.*:MatchScalingTest.*:ReorderSimdScalingTest.*'
+cmake -B build-asan -S . \
+    -DCMAKE_BUILD_TYPE=RelWithDebInfo \
+    -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=undefined -fno-omit-frame-pointer -D_GLIBCXX_ASSERTIONS" \
+    -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=address,undefined"
+cmake --build build-asan --target gal_tests -j "${JOBS}"
+./build-asan/tests/gal_tests --gtest_filter="-${WALL_CLOCK_TESTS}"
 
 echo
 echo "== ooc: out-of-core shard substrate (ctest label) =="
@@ -100,7 +117,8 @@ echo "== fault: elastic cluster runtime (ctest label) =="
 # FaultPlan env/seed resolution, checkpoint ring accounting, the
 # recovery session's failure/straggler machinery, the cross-engine
 # bit-identity sweeps (TLAV PageRank, frontier BFS/SSSP/WCC, dist-GCN,
-# TLAG triangles), and the TLAV step barrier's clock/ledger agreement.
+# TLAG triangles), and the round barrier's clock/ledger agreement on
+# every engine.
 (cd build && ctest -L fault --output-on-failure -j "${JOBS}")
 
 echo
@@ -112,10 +130,11 @@ echo "== tsan: recovery-parity + rebalance suites =="
 # engine (PageRank, and TlavEngineTest's programs, checkpoints and
 # recoveries) and the frontier substrate's BFS/SSSP/WCC recovery in
 # push-only and auto mode, rollbacks across pull steps and straggler
-# migration included. BspBarrierTest.* drives the shared step barrier
-# through failures and rebalancing on all four TLAV jobs.
+# migration included. RoundBarrierTest.* drives the one round barrier
+# through failures and rebalancing on the four TLAV jobs, triangle
+# counting and dist-GCN training.
 ./build-tsan/tests/gal_tests \
-    --gtest_filter='FaultParityTest.*:RebalanceTest.*:TlavEngineTest.*:BspBarrierTest.*'
+    --gtest_filter='FaultParityTest.*:RebalanceTest.*:TlavEngineTest.*:RoundBarrierTest.*'
 
 echo
 echo "== forced fault schedule: parity suites with an injected failure =="

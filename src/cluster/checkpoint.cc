@@ -1,7 +1,5 @@
 #include "cluster/checkpoint.h"
 
-#include <algorithm>
-
 namespace gal {
 
 void CheckpointStore::ChargeRing(uint64_t bytes, bool reverse) {
@@ -23,8 +21,11 @@ void CheckpointStore::ChargeRing(uint64_t bytes, bool reverse) {
     }
   }
   // Snapshot/restore time is its own clock round of pure transfer: no
-  // compute, `bytes` over `workers` messages.
-  cluster_->clock().AdvanceRound(0.0, bytes, workers);
+  // compute, `bytes` over `workers` messages. A single worker's ring is
+  // local, so its round costs nothing on the wire.
+  const bool on_wire = workers > 1;
+  cluster_->clock().AdvanceRound(0.0, on_wire ? bytes : 0,
+                                 on_wire ? workers : 0);
 }
 
 void CheckpointStore::Save(uint32_t round, std::vector<uint8_t> blob) {
@@ -142,8 +143,7 @@ void RecoverySession::CommitMigration(
     total_bytes += bytes;
   }
   // Migration is its own clock round of pure transfer time.
-  cluster_->clock().AdvanceRound(
-      0.0, total_bytes, std::max<uint64_t>(per_dst_bytes.size(), 1));
+  cluster_->clock().AdvanceRound(0.0, total_bytes, per_dst_bytes.size());
   ++migrations_done_;
   ++stats_.rebalances;
   stats_.migrated_vertices += vertices_moved;

@@ -102,12 +102,12 @@ class BlobReader {
 
 /// Holds the latest engine-state snapshot and charges its movement: a
 /// Save books the blob's bytes to the TrafficLedger on a ring of worker
-/// pairs (worker w ships its state share to w+1 mod W; at W=1 the charge
-/// is local — checkpointing to yourself is off the wire but still data
-/// touched) and advances the VirtualClock one round of pure transfer
-/// time. Restore charges the read-back the same way. Engines never pay
-/// for snapshots they don't take: an empty FaultPlan means no store
-/// traffic at all.
+/// pairs (worker w ships its state share to w+1 mod W) and advances the
+/// VirtualClock one round of pure transfer time. At W=1 the charge is
+/// local — checkpointing to yourself is off the wire but still data
+/// touched — and its round has no wire time. Restore charges the
+/// read-back the same way. Engines never pay for snapshots they don't
+/// take: an empty FaultPlan means no store traffic at all.
 class CheckpointStore {
  public:
   /// Sentinel round of the pre-round-0 snapshot (the initial state a
@@ -155,22 +155,10 @@ struct FaultStats {
   uint64_t migration_bytes = 0;
 };
 
-/// One engine run's view of a FaultPlan: the shared checkpoint /
-/// failure-recovery / straggler-mitigation driver all three engine
-/// families call at their round barrier, in this order:
-///
-///   1. ScaleCompute(round, per_worker_seconds)   straggler injection
-///   2. (engine flushes messages, advances its own clock round)
-///   3. if ShouldCheckpoint(round): Commit(round, Serialize())
-///   4. if OnFailure(round, &resume): restore blob, resume at `resume`
-///   5. RebalanceCandidate(round, per_worker_load) -> engine migrates,
-///      then CommitMigration books the moved bytes
-///
-/// The TLAV engines (message engine and frontier traversals) get this
-/// order from their shared BspRuntime (tlav/bsp_runtime.h); dist-GCN and
-/// TLAG triangle counting keep their own round loops and call the hooks
-/// themselves.
-///
+/// One engine run's view of a FaultPlan: the checkpoint /
+/// failure-recovery / straggler-mitigation driver. Its one caller is
+/// the RoundBarrier (cluster/round_barrier.h) every engine family ends
+/// its rounds on, which calls the hooks in the order documented there.
 /// The session consumes each failure event once, so a replayed round
 /// does not re-fail; slowdown windows do re-apply on replay (the
 /// straggler is still slow the second time through).
@@ -181,10 +169,7 @@ class RecoverySession {
 
   RecoverySession(ClusterRuntime* cluster, FaultPlan plan);
 
-  const FaultPlan& plan() const { return plan_; }
-  bool active() const { return !plan_.empty(); }
-
-  /// True when the engine must snapshot its pristine state before round
+  /// True when the run must snapshot its pristine state before round
   /// 0 (any live failure schedule: recovery needs somewhere to roll back
   /// to even if the failure lands before the first interval checkpoint).
   bool WantsInitialCheckpoint() const {
@@ -213,10 +198,10 @@ class RecoverySession {
                                         uint32_t* resume_round);
 
   /// Sustained-straggler detector over a deterministic per-worker load
-  /// signal (engines pass e.g. owned-vertex counts; the session scales
-  /// by the round's slowdown factors). Returns the worker to shed load
-  /// from, or kNoWorker. Purely observational — the engine performs the
-  /// migration and reports it via CommitMigration.
+  /// signal (the barrier passes vertex counts per part; the session
+  /// scales by the round's slowdown factors). Returns the worker to shed
+  /// load from, or kNoWorker. Purely observational — the engine performs
+  /// the migration and the barrier reports it via CommitMigration.
   uint32_t RebalanceCandidate(uint32_t round,
                               std::span<const double> per_worker_load);
 

@@ -26,13 +26,9 @@ double VirtualClock::AdvanceRound(double max_compute_seconds,
           ? 0.0
           : cost_.TransferSeconds(comm_bytes, comm_messages);
   round.round_seconds = round.compute_seconds + round.comm_seconds;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    rounds_.push_back(round);
-    seconds_ += round.round_seconds;
-  }
-  compute_hist_.Observe(round.compute_seconds);
-  comm_hist_.Observe(round.comm_seconds);
+  std::lock_guard<std::mutex> lock(mu_);
+  rounds_.push_back(round);
+  seconds_ += round.round_seconds;
   return round.round_seconds;
 }
 
@@ -66,8 +62,6 @@ void VirtualClock::Reset() {
   std::lock_guard<std::mutex> lock(mu_);
   rounds_.clear();
   seconds_ = 0.0;
-  compute_hist_.Reset();
-  comm_hist_.Reset();
 }
 
 }  // namespace gal

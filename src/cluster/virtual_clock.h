@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "cluster/network.h"
-#include "common/metrics.h"
 
 namespace gal {
 
@@ -30,8 +29,7 @@ struct ClusterRound {
 /// for a fixed traffic trace regardless of host core count. Rounds are
 /// recorded so callers can replay them through the modeled pipeline
 /// executor (compute/comm overlap what-ifs; see ModelClusterOverlap in
-/// dist/pipeline.h). Per-round compute and comm spans feed the PR-1
-/// Histogram facility for p50/p95/max readout.
+/// dist/pipeline.h).
 ///
 /// Thread-safe; one clock may be shared by several engines run in
 /// sequence (benches do), each attributing its own rounds via marks from
@@ -55,13 +53,6 @@ class VirtualClock {
   /// Copy of rounds [first_round, rounds()) — the replay trace.
   std::vector<ClusterRound> RoundsSince(size_t first_round) const;
 
-  StageTimingStat ComputeTimings() const {
-    return StageTimingStat::FromHistogram("cluster_compute", compute_hist_);
-  }
-  StageTimingStat CommTimings() const {
-    return StageTimingStat::FromHistogram("cluster_comm", comm_hist_);
-  }
-
   const NetworkCostModel& cost_model() const { return cost_; }
 
   void Reset();
@@ -71,8 +62,6 @@ class VirtualClock {
   mutable std::mutex mu_;
   std::vector<ClusterRound> rounds_;
   double seconds_ = 0.0;
-  Histogram compute_hist_;
-  Histogram comm_hist_;
 };
 
 }  // namespace gal

@@ -3,11 +3,9 @@
 #include <algorithm>
 #include <cmath>
 #include <memory>
-#include <span>
-#include <sstream>
 #include <unordered_set>
 
-#include "cluster/checkpoint.h"
+#include "cluster/round_barrier.h"
 #include "common/logging.h"
 #include "common/metrics.h"
 #include "common/timer.h"
@@ -47,18 +45,6 @@ const char* QuantizationName(Quantization scheme) {
     case Quantization::kInt4: return "int4";
   }
   return "?";
-}
-
-std::string DistGcnReport::Summary() const {
-  std::ostringstream os;
-  os << "acc=" << final_test_accuracy << " comm=" << comm_bytes
-     << "B halo_rows=" << halo_rows_exchanged << " skipped="
-     << broadcasts_skipped << " sim_epoch_s=" << simulated_epoch_seconds
-     << " modeled_overlap_s=" << modeled_overlap_epoch_seconds
-     << " modeled_overlap=" << modeled_overlap_speedup << "x ("
-     << (overlap_bottleneck_stage == 0 ? "compute" : "comm")
-     << "-bound)";
-  return os.str();
 }
 
 VertexPartition MakePartition(const Graph& g, PartitionScheme scheme,
@@ -152,20 +138,24 @@ DistGcnReport TrainDistGcn(const NodeClassificationDataset& dataset,
   const uint32_t num_workers = cluster->num_workers();
   const NetworkCostModel cost = cluster->cost_model();
   TrafficLedger& ledger = cluster->ledger();
-  const TrafficSnapshot run_start = ledger.Snapshot();
-  const size_t clock_start = cluster->clock().rounds();
 
+  // Halo volume, adjacency split, cluster placement and edge cut follow
+  // `parts`, at the start and after every migration.
   VertexPartition parts = MakePartition(g, config.partition, num_workers,
                                         dataset.TrainVertices());
-  report.edge_cut = EvaluatePartition(g, parts).edge_cut;
-  std::vector<std::vector<VertexId>> halos = ComputeHalos(g, parts);
   uint64_t halo_rows_per_exchange = 0;
-  for (const auto& h : halos) halo_rows_per_exchange += h.size();
-
   SparseMatrix adj_local;
   SparseMatrix adj_remote;
-  SplitAdjacency(g, parts, AdjNorm::kSymmetric, &adj_local, &adj_remote);
-  cluster->InstallPartition(parts);
+  auto place = [&] {
+    halo_rows_per_exchange = 0;
+    for (const auto& h : ComputeHalos(g, parts)) {
+      halo_rows_per_exchange += h.size();
+    }
+    SplitAdjacency(g, parts, AdjNorm::kSymmetric, &adj_local, &adj_remote);
+    cluster->InstallPartition(parts);
+    report.edge_cut = EvaluatePartition(g, parts).edge_cut;
+  };
+  place();
 
   GcnConfig model_config;
   model_config.dims = {dataset.features.cols(), config.hidden_dim,
@@ -209,8 +199,7 @@ DistGcnReport TrainDistGcn(const NodeClassificationDataset& dataset,
     m.data() = std::move(data);
     return m;
   };
-  auto serialize_state = [&]() {
-    BlobWriter w;
+  auto save_state = [&](BlobWriter& w) {
     for (const Matrix* p : model.Parameters()) write_matrix(w, *p);
     w.Pod<uint64_t>(opt.step_count());
     w.Pod<uint64_t>(opt.first_moments().size());
@@ -225,10 +214,8 @@ DistGcnReport TrainDistGcn(const NodeClassificationDataset& dataset,
     };
     write_channels(forward_channels);
     write_channels(backward_channels);
-    return std::move(w).Take();
   };
-  auto restore_state = [&](const std::vector<uint8_t>& blob) {
-    BlobReader r(blob);
+  auto load_state = [&](BlobReader& r) {
     for (Matrix* p : model.Parameters()) *p = read_matrix(r);
     const uint64_t t = r.Pod<uint64_t>();
     const uint64_t moments = r.Pod<uint64_t>();
@@ -246,7 +233,6 @@ DistGcnReport TrainDistGcn(const NodeClassificationDataset& dataset,
     };
     read_channels(forward_channels);
     read_channels(backward_channels);
-    GAL_CHECK(r.exhausted()) << "trailing bytes in dist-GCN checkpoint";
   };
 
   // Charges one cluster-wide halo exchange of `mat` to the ledger.
@@ -346,28 +332,41 @@ DistGcnReport TrainDistGcn(const NodeClassificationDataset& dataset,
   // report.kernel_timings covers exactly this run.
   KernelContext& kernel_ctx = KernelContext::Get();
   kernel_ctx.ResetKernelStats();
-  // Each epoch is one VirtualClock round: the data-parallel compute
-  // share plus the ledger's cross-worker traffic delta. The clock's
-  // recorded rounds are replayed through the modeled pipeline executor
-  // (ModelClusterOverlap) after the loop and also kept on the report as
-  // traces for benches.
-  TrafficSnapshot prev = run_start;
-  // The fault-tolerance driver (cluster/checkpoint.h). Rebalancing is
-  // applied only when migrating vertices cannot change the math: under
-  // staleness, lossy wires, EC residuals, or P3's dimension split, the
-  // set of values crossing the wire depends on the partition, so a
-  // migration would perturb training — those configs keep their
+  // Each epoch is one round on the shared RoundBarrier: the data-parallel
+  // compute share and the ledger's cross-worker delta on the clock, then
+  // checkpoint, failure and rebalance. The clock's recorded rounds are
+  // replayed through the modeled pipeline executor (ModelClusterOverlap)
+  // after training and also kept on the report as traces for benches.
+  RoundBarrier barrier(cluster, config.faults);
+  // Data-parallel compute: each worker handles ~1/W of the rows.
+  auto add_compute = [&](const Timer& timer) {
+    const double share = timer.ElapsedSeconds() / num_workers;
+    for (uint32_t w = 0; w < num_workers; ++w) barrier.AddCompute(w, share);
+  };
+  RoundBarrier::Hooks hooks{save_state, load_state, nullptr, nullptr};
+  // Rebalancing applies only when migrating vertices cannot change the
+  // math: under staleness, lossy wires, EC residuals, or P3's dimension
+  // split, the set of values crossing the wire depends on the partition,
+  // so a migration would perturb training — those configs keep their
   // partition and rely on checkpoints alone.
-  RecoverySession session(cluster, config.faults);
-  const bool can_rebalance = config.sync == SyncMode::kBsp &&
-                             config.quantization == Quantization::kNone &&
-                             !config.error_compensation &&
-                             !config.p3_feature_split;
-  if (session.WantsInitialCheckpoint()) {
-    session.Commit(RecoverySession::kInitialRound, serialize_state());
-    prev = ledger.Snapshot();
+  if (config.sync == SyncMode::kBsp &&
+      config.quantization == Quantization::kNone &&
+      !config.error_compensation && !config.p3_feature_split) {
+    hooks.migrate = [&](uint32_t from, double fraction) {
+      std::vector<VertexId> moved;
+      parts = RebalanceAway(g, parts, from, fraction, &moved);
+      place();
+      return moved;
+    };
+    // Moved state on the wire: each vertex's raw feature row ships to
+    // its new owner (embeddings are recomputed, not shipped).
+    const uint64_t row_bytes =
+        static_cast<uint64_t>(dataset.features.cols()) * sizeof(float);
+    hooks.vertex_bytes = [row_bytes](VertexId) { return row_bytes; };
   }
-  while (epoch < config.epochs) {
+  barrier.Start(std::move(hooks));
+  // `epoch` follows the barrier, which rewinds it on a rollback.
+  while ((epoch = barrier.round()) < config.epochs) {
     Timer compute_timer;
     Matrix logits = [&] {
       ScopedSpan span(&forward_hist);
@@ -383,87 +382,20 @@ DistGcnReport TrainDistGcn(const NodeClassificationDataset& dataset,
       ScopedSpan span(&step_hist);
       opt.Step(grads);
     }
-    // Data-parallel compute: each worker handles ~1/W of the rows.
-    // Scheduled stragglers stretch their worker's share before the
-    // round hits the clock (the span-form AdvanceRound takes the max).
-    const double epoch_compute =
-        compute_timer.ElapsedSeconds() / std::max(1u, num_workers);
-    std::vector<double> worker_compute(num_workers, epoch_compute);
-    session.ScaleCompute(epoch, std::span<double>(worker_compute));
+    add_compute(compute_timer);
 
     SoftmaxXentResult test =
         SoftmaxCrossEntropy(logits, dataset.labels, dataset.test_mask);
     report.epoch_loss.push_back(train.loss);
     report.epoch_test_accuracy.push_back(
         test.total ? static_cast<double>(test.correct) / test.total : 0.0);
-
-    const TrafficSnapshot snap = ledger.Snapshot();
-    const uint64_t epoch_bytes = snap.cross_bytes - prev.cross_bytes;
-    const uint64_t epoch_msgs = snap.cross_messages - prev.cross_messages;
-    prev = snap;
-    // One BSP round on the shared clock. Messages floor at 1 so an
-    // epoch always pays at least one latency envelope, matching the
-    // pre-cluster accounting.
-    cluster->clock().AdvanceRound(std::span<const double>(worker_compute),
-                                  epoch_bytes,
-                                  std::max<uint64_t>(epoch_msgs, 1));
-
-    // Checkpoint / failure / rebalance barrier. The session charges its
-    // own ledger bytes and clock rounds, so `prev` re-snapshots after
-    // any commit or restore — checkpoint traffic must not leak into the
-    // next epoch's halo-exchange delta.
-    if (session.ShouldCheckpoint(epoch)) {
-      session.Commit(epoch, serialize_state());
-      prev = ledger.Snapshot();
+    if (!barrier.EndRound()) {
+      report.epoch_loss.resize(barrier.round());
+      report.epoch_test_accuracy.resize(barrier.round());
     }
-    uint32_t resume_epoch = 0;
-    if (const std::vector<uint8_t>* blob =
-            session.OnFailure(epoch, &resume_epoch)) {
-      restore_state(*blob);
-      report.epoch_loss.resize(resume_epoch);
-      report.epoch_test_accuracy.resize(resume_epoch);
-      epoch = resume_epoch;
-      prev = ledger.Snapshot();
-      continue;
-    }
-    if (can_rebalance && config.faults.rebalance().enabled &&
-        num_workers > 1) {
-      std::vector<double> worker_load(num_workers, 0.0);
-      for (VertexId v = 0; v < g.NumVertices(); ++v) {
-        worker_load[parts.assignment[v]] += 1.0;
-      }
-      const uint32_t straggler = session.RebalanceCandidate(
-          epoch, std::span<const double>(worker_load));
-      if (straggler != RecoverySession::kNoWorker) {
-        std::vector<VertexId> moved;
-        parts = RebalanceAway(g, parts, straggler,
-                              config.faults.rebalance().migrate_fraction,
-                              &moved);
-        // Moved state on the wire: each vertex's raw feature row ships
-        // to its new owner (embeddings are recomputed, not shipped).
-        const uint64_t row_bytes =
-            static_cast<uint64_t>(dataset.features.cols()) * sizeof(float);
-        std::vector<uint64_t> dst_bytes(num_workers, 0);
-        for (VertexId v : moved) dst_bytes[parts.assignment[v]] += row_bytes;
-        std::vector<std::pair<uint32_t, uint64_t>> per_dst;
-        for (uint32_t w = 0; w < num_workers; ++w) {
-          if (dst_bytes[w] > 0) per_dst.emplace_back(w, dst_bytes[w]);
-        }
-        session.CommitMigration(straggler, per_dst, moved.size());
-        halos = ComputeHalos(g, parts);
-        halo_rows_per_exchange = 0;
-        for (const auto& h : halos) halo_rows_per_exchange += h.size();
-        SplitAdjacency(g, parts, AdjNorm::kSymmetric, &adj_local,
-                       &adj_remote);
-        cluster->InstallPartition(parts);
-        report.edge_cut = EvaluatePartition(g, parts).edge_cut;
-        prev = ledger.Snapshot();
-      }
-    }
-    ++epoch;
   }
 
-  const FaultStats& fault_stats = session.stats();
+  const FaultStats& fault_stats = barrier.fault_stats();
   report.checkpoints_taken = fault_stats.checkpoints_taken;
   report.checkpoint_bytes = fault_stats.checkpoint_bytes;
   report.restored_bytes = fault_stats.restored_bytes;
@@ -479,12 +411,24 @@ DistGcnReport TrainDistGcn(const NodeClassificationDataset& dataset,
   };
   report.kernel_timings = kernel_ctx.KernelStats();
 
+  // The final evaluation exchanges halos like an epoch's forward pass,
+  // so it is one more clock round, but no checkpoint, failure or
+  // rebalance point.
+  Timer eval_timer;
+  Matrix logits = model.Forward(dataset.features, aggregate);
+  add_compute(eval_timer);
+  barrier.PriceRound();
+  SoftmaxXentResult test =
+      SoftmaxCrossEntropy(logits, dataset.labels, dataset.test_mask);
+  report.final_test_accuracy =
+      test.total ? static_cast<double>(test.correct) / test.total : 0.0;
+  report.comm_bytes = barrier.Traffic().cross_bytes;
+
   // Everything timing-related below derives from the clock's recorded
   // rounds — the report's traces, totals, and overlap numbers all read
   // one trace, and a caller-shared clock attributes only this job's
-  // rounds (from `clock_start`).
-  const std::vector<ClusterRound> rounds =
-      cluster->clock().RoundsSince(clock_start);
+  // rounds.
+  const std::vector<ClusterRound> rounds = barrier.Rounds();
   for (const ClusterRound& r : rounds) {
     report.compute_seconds += r.compute_seconds;
     report.comm_seconds += r.comm_seconds;
@@ -492,31 +436,22 @@ DistGcnReport TrainDistGcn(const NodeClassificationDataset& dataset,
     report.epoch_comm_bytes.push_back(r.comm_bytes);
     report.epoch_comm_messages.push_back(r.comm_messages);
   }
-  if (!rounds.empty()) {
-    // Epochs flow through the 2-stage compute -> comm modeled pipeline;
-    // the comm stage is a modeled network stage charged NetworkCostModel
-    // time for each round's recorded traffic, on `comm_channels` modeled
-    // executors. The modeled makespan is what a pipelined system
-    // (P3/Dorylus-style overlap) would pay, regardless of this host's
-    // core count.
-    ModeledPipelineResult overlap =
-        ModelClusterOverlap(rounds, cost, std::max(1u, config.comm_channels));
-    report.simulated_epoch_seconds = config.overlap_comm_compute
-                                         ? overlap.pipelined_seconds
-                                         : overlap.serial_seconds;
-    report.modeled_overlap_epoch_seconds = overlap.pipelined_seconds;
-    report.modeled_overlap_speedup = overlap.speedup;
-    report.overlap_bottleneck_stage =
-        static_cast<uint32_t>(overlap.bottleneck_stage);
-    report.overlap_stage_occupancy = overlap.stage_occupancy;
-  }
-
-  Matrix logits = model.Forward(dataset.features, aggregate);
-  SoftmaxXentResult test =
-      SoftmaxCrossEntropy(logits, dataset.labels, dataset.test_mask);
-  report.final_test_accuracy =
-      test.total ? static_cast<double>(test.correct) / test.total : 0.0;
-  report.comm_bytes = ledger.Snapshot().cross_bytes - run_start.cross_bytes;
+  // Epochs flow through the 2-stage compute -> comm modeled pipeline;
+  // the comm stage is a modeled network stage charged NetworkCostModel
+  // time for each round's recorded traffic, on `comm_channels` modeled
+  // executors. The modeled makespan is what a pipelined system
+  // (P3/Dorylus-style overlap) would pay, regardless of this host's
+  // core count.
+  ModeledPipelineResult overlap =
+      ModelClusterOverlap(rounds, cost, std::max(1u, config.comm_channels));
+  report.simulated_epoch_seconds = config.overlap_comm_compute
+                                       ? overlap.pipelined_seconds
+                                       : overlap.serial_seconds;
+  report.modeled_overlap_epoch_seconds = overlap.pipelined_seconds;
+  report.modeled_overlap_speedup = overlap.speedup;
+  report.overlap_bottleneck_stage =
+      static_cast<uint32_t>(overlap.bottleneck_stage);
+  report.overlap_stage_occupancy = overlap.stage_occupancy;
   return report;
 }
 

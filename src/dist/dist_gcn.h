@@ -2,7 +2,6 @@
 #define GAL_DIST_DIST_GCN_H_
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "cluster/cluster.h"
@@ -63,8 +62,9 @@ struct DistGcnConfig {
 
   /// Shared simulated-cluster substrate. When set, the trainer adopts
   /// its worker count and cost model (overriding `num_workers` and
-  /// `network`), charges halo/all-reduce traffic to its ledger, advances
-  /// its VirtualClock one round per epoch, and installs the job's
+  /// `network`), charges halo/all-reduce traffic to its ledger, ends
+  /// each epoch and the final evaluation pass as one round on its
+  /// RoundBarrier (cluster/round_barrier.h), and installs the job's
   /// partition on it. When null the trainer owns a private runtime.
   ClusterRuntime* cluster = nullptr;
 
@@ -105,14 +105,15 @@ struct DistGcnReport {
   double compute_seconds = 0.0;       // measured math time
   double comm_seconds = 0.0;          // modeled wire time
   /// Modeled seconds of the whole run, from the cluster VirtualClock's
-  /// per-epoch rounds replayed through ModelPipelineSchedule: the
-  /// barriered serial total without overlap, the pipelined makespan
-  /// with overlap_comm_compute.
+  /// rounds replayed through ModelPipelineSchedule: the barriered serial
+  /// total without overlap, the pipelined makespan with
+  /// overlap_comm_compute.
   double simulated_epoch_seconds = 0.0;
 
-  /// Per-epoch traces behind the modeled overlap replay, exposed so
+  /// Per-round traces behind the modeled overlap replay, exposed so
   /// benches can re-model alternative schedules (e.g. comm-channel
-  /// sweeps) without retraining.
+  /// sweeps) without retraining: one entry per epoch, one for the final
+  /// evaluation pass, and one per checkpoint, restore or migration.
   std::vector<double> epoch_compute_trace;   // seconds, data-parallel share
   std::vector<uint64_t> epoch_comm_bytes;    // wire volume per epoch
   std::vector<uint64_t> epoch_comm_messages; // wire messages per epoch
@@ -141,8 +142,6 @@ struct DistGcnReport {
   /// busy / (executors * makespan) — how busy each side of the overlap
   /// pipeline stays.
   std::vector<double> overlap_stage_occupancy;
-
-  std::string Summary() const;
 };
 
 /// Trains a 2-layer GCN on the dataset over a simulated `num_workers`

@@ -24,18 +24,19 @@ struct TriangleCountResult {
   /// TaskEngineConfig::cluster is set: every oriented adjacency row a
   /// task intersects is charged to the row's home partition on the
   /// runtime's ledger. `migrated_bytes` is the subset homed off the
-  /// executing worker — what a real cluster would move; the job also
-  /// closes one VirtualClock round (max worker busy + transfer time).
+  /// executing worker — what a real cluster would move. Each of the
+  /// job's rounds (one in a clean run) ends on the RoundBarrier as a
+  /// VirtualClock round of max worker busy + transfer time.
   uint64_t data_touched_bytes = 0;
   uint64_t migrated_bytes = 0;
   double modeled_seconds = 0.0;
 
   /// Fault-tolerance accounting (cluster/checkpoint.h), populated when
   /// the config carries an active FaultPlan and a cluster: the vertex
-  /// tasks run as chunk-rounds with the folded {triangles, ops} totals
-  /// checkpointed between chunks, so an injected worker failure replays
-  /// only the chunks since the last checkpoint and the final counts stay
-  /// bit-identical to the failure-free run.
+  /// tasks run as at most 16 chunk-rounds with the folded {triangles, ops}
+  /// totals checkpointed at the barrier, so an injected worker failure
+  /// replays only the chunks since the last checkpoint and the final
+  /// counts stay bit-identical to the failure-free run.
   uint32_t checkpoints_taken = 0;
   uint64_t checkpoint_bytes = 0;
   uint64_t restored_bytes = 0;

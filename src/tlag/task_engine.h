@@ -90,9 +90,10 @@ struct TaskEngineConfig {
   /// Shared fault-tolerance schedule (cluster/fault.h). The task engine
   /// itself is a single work-stealing pass with no rounds; algorithms
   /// that want checkpoint/recovery (e.g. TaskTriangleCount) slice their
-  /// task list into chunk-rounds and drive a RecoverySession across the
-  /// chunks. Ignored when `cluster` is null — fault injection is a
-  /// property of the simulated cluster, not of host threads.
+  /// task list into chunk-rounds and end each on the cluster's
+  /// RoundBarrier (cluster/round_barrier.h). Ignored when `cluster` is
+  /// null — fault injection is a property of the simulated cluster, not
+  /// of host threads.
   FaultPlan faults = FaultPlan::FromEnvOrWarn();
 };
 

@@ -10,6 +10,7 @@
 #include "cluster/checkpoint.h"
 #include "cluster/cluster.h"
 #include "cluster/fault.h"
+#include "cluster/round_barrier.h"
 #include "common/threadpool.h"
 #include "common/timer.h"
 #include "graph/graph.h"
@@ -118,19 +119,16 @@ struct TlavConfig {
 /// The one bulk-synchronous superstep loop under every TLAV engine: the
 /// Pregel message engine (TlavEngine) and the frontier traversal
 /// kernels (frontier/traversal.h). It resolves the simulated cluster,
-/// places vertices on its workers, times each worker's compute, and owns
-/// the step barrier. An engine brings its step body, the state it
-/// snapshots, and what one vertex weighs when it migrates; its message
-/// exchange charges the cluster ledger during the step (ExchangeChannel,
-/// or direct ledger charges such as a broadcast).
+/// places vertices on its workers, times each worker's compute, and
+/// keeps the per-step stats. An engine brings its step body, the state
+/// it snapshots, and what one vertex weighs when it migrates; its
+/// message exchange charges the cluster ledger during the step
+/// (ExchangeChannel, or direct ledger charges such as a broadcast).
 ///
-/// EndStep() runs the barrier in the RecoverySession hook order
-/// (cluster/checkpoint.h): straggler scaling of the step's compute, one
-/// clock round priced from the ledger's cross-worker delta since the
-/// previous barrier, the step's stats, then checkpoint, failure
-/// rollback, and rebalancing with migration. Checkpoint, restore and
-/// migration charges book their own clock rounds, so each round prices
-/// exactly the ledger traffic it caused.
+/// EndStep() folds the step's counters into the stats and ends the round
+/// on the shared RoundBarrier (cluster/round_barrier.h), which owns the
+/// straggler scaling, the clock round, checkpoint, rollback and
+/// rebalancing; a migration moves vertices with RebalanceAway.
 class BspRuntime {
  public:
   /// Per-worker work counters of the running step; a worker updates
@@ -168,11 +166,11 @@ class BspRuntime {
   }
   StepCounters& counters(uint32_t w) { return counters_[w]; }
   /// 0-based index of the step about to run (rewinds on a rollback).
-  uint32_t step() const { return step_; }
+  uint32_t step() const { return barrier_.round(); }
 
-  /// Begins a run: resets `stats`, installs the partition, opens this
-  /// run's RecoverySession and, when the fault plan schedules a failure,
-  /// snapshots `state` as the pre-step-0 rollback target.
+  /// Begins a run: resets `stats`, installs the partition and starts
+  /// the barrier, which snapshots `state` as the pre-step-0 rollback
+  /// target when the fault plan schedules a failure.
   void Start(TlavStats* stats, State state);
 
   /// Runs fn(w) on every simulated worker (host threads are an
@@ -191,9 +189,7 @@ class BspRuntime {
   void Finish();
 
  private:
-  std::vector<uint8_t> Snapshot() const;
-  void Restore(const std::vector<uint8_t>& blob);
-  void Rebalance();
+  std::vector<VertexId> Migrate(uint32_t from, double fraction);
   void AssignOwnedVertices();
 
   const Graph& g_;
@@ -201,22 +197,16 @@ class BspRuntime {
   ClusterRuntime* cluster_;
   uint32_t workers_;
   uint64_t message_bytes_;
-  FaultPlan faults_;
   VertexPartition partition_;
   ThreadPool pool_;
   std::vector<std::vector<VertexId>> owned_vertices_;
   std::vector<StepCounters> counters_;
-  std::vector<double> compute_seconds_;
+  RoundBarrier barrier_;
 
   // Per-run state, set by Start.
   TlavStats* stats_ = nullptr;
   State state_;
-  std::optional<RecoverySession> session_;
   Timer timer_;
-  TrafficSnapshot ledger_start_;
-  TrafficSnapshot ledger_at_barrier_;
-  size_t clock_start_ = 0;
-  uint32_t step_ = 0;
 };
 
 }  // namespace gal

@@ -377,7 +377,8 @@ TEST(ClusterRuntimeTest, SharedRuntimeAccumulatesAcrossEngines) {
   const TrafficSnapshot after_gcn = runtime.ledger().Snapshot();
   EXPECT_EQ(report.comm_bytes, after_gcn.cross_bytes - after_tri.cross_bytes);
   EXPECT_GT(report.comm_bytes, 0u);
-  EXPECT_EQ(runtime.clock().rounds(), rounds_after_wcc + 1 + gcn.epochs);
+  // One round per epoch, then the final evaluation pass.
+  EXPECT_EQ(runtime.clock().rounds(), rounds_after_wcc + 1 + gcn.epochs + 1);
   EXPECT_GT(report.simulated_epoch_seconds, 0.0);
 
   // The shared clock accumulated every job's rounds.

@@ -617,10 +617,11 @@ TEST(DistGcnTest, ReportExposesTracesAndOverlapOccupancy) {
   config.epochs = 6;
   config.overlap_comm_compute = true;
   DistGcnReport r = TrainDistGcn(ds, config);
-  // Per-epoch traces back the modeled overlap and are re-modelable.
-  ASSERT_EQ(r.epoch_compute_trace.size(), config.epochs);
-  ASSERT_EQ(r.epoch_comm_bytes.size(), config.epochs);
-  ASSERT_EQ(r.epoch_comm_messages.size(), config.epochs);
+  // Per-round traces (every epoch, then the final evaluation pass) back
+  // the modeled overlap and are re-modelable.
+  ASSERT_EQ(r.epoch_compute_trace.size(), config.epochs + 1);
+  ASSERT_EQ(r.epoch_comm_bytes.size(), config.epochs + 1);
+  ASSERT_EQ(r.epoch_comm_messages.size(), config.epochs + 1);
   // {compute, comm} occupancy of the modeled overlap pipeline.
   ASSERT_EQ(r.overlap_stage_occupancy.size(), 2u);
   for (double occ : r.overlap_stage_occupancy) {

@@ -5,9 +5,9 @@
 // failure (or straggler-triggered migration) leaves TLAV PageRank, the
 // frontier substrate's BFS/SSSP/WCC (push-only and direction-optimizing),
 // dist-GCN training, and TLAG triangle counts bit-identical to their
-// failure-free runs at any worker x host-thread combination. The parity
-// and rebalance suites are also run under ThreadSanitizer by
-// scripts/check.sh.
+// failure-free runs at any worker x host-thread combination. The parity,
+// rebalance and round-barrier suites are also run under ThreadSanitizer
+// by scripts/check.sh.
 
 #include <cstdlib>
 #include <span>
@@ -20,6 +20,7 @@
 #include "cluster/checkpoint.h"
 #include "cluster/cluster.h"
 #include "cluster/fault.h"
+#include "cluster/round_barrier.h"
 #include "dist/dist_gcn.h"
 #include "gnn/dataset.h"
 #include "graph/generators.h"
@@ -200,6 +201,14 @@ TEST(CheckpointStoreTest, SingleWorkerCheckpointsAreLocal) {
   TrafficSnapshot snap = cluster.ledger().Snapshot();
   EXPECT_EQ(snap.cross_bytes, 0u);  // w -> w: off the wire
   EXPECT_EQ(snap.local_bytes, 128u);
+  // The save and restore rounds stay on the clock with no wire time.
+  const std::vector<ClusterRound> rounds = cluster.clock().RoundsSince(0);
+  ASSERT_EQ(rounds.size(), 2u);
+  for (const ClusterRound& r : rounds) {
+    EXPECT_EQ(r.comm_bytes, 0u);
+    EXPECT_EQ(r.comm_messages, 0u);
+    EXPECT_EQ(r.comm_seconds, 0.0);
+  }
 }
 
 // --- RecoverySession --------------------------------------------------------
@@ -641,15 +650,72 @@ TEST(FaultParityTest, CheckpointBytesAreExactOnTheLedger) {
   }
 }
 
-// --- the shared BSP barrier --------------------------------------------------
-// Both TLAV engines run on one BspRuntime (tlav/bsp_runtime.h). Its step
-// barrier prices each clock round from the ledger's cross-worker delta
-// since the previous barrier, and every checkpoint, restore and
-// migration books its own round. So a job's clock rounds add up to
-// exactly its ledger traffic, and their count is its schedule.
+// --- the shared round barrier ------------------------------------------------
+// Every engine family ends its rounds on one RoundBarrier
+// (cluster/round_barrier.h): TLAV supersteps, TLAG triangle chunk-rounds
+// and dist-GCN epochs. It prices each clock round from the ledger's
+// cross-worker delta since the previous barrier, and every checkpoint,
+// restore and migration books its own round. So a job's clock rounds
+// add up to exactly its ledger traffic, and their count is its schedule.
 
-TEST(BspBarrierTest, ClockRoundsMatchTheLedgerAndTheSchedule) {
+TEST(RoundBarrierTest, FailureRewindsTheRoundAndRestoresTheState) {
+  ClusterRuntime cluster(ClusterOptions{2, {}});
+  RoundBarrier barrier(&cluster,
+                       FaultPlan{}.CheckpointEvery(2).FailWorkerAt(1, 2));
+  uint64_t state = 0;
+  barrier.Start({[&](BlobWriter& w) { w.Pod(state); },
+                 [&](BlobReader& r) { state = r.Pod<uint64_t>(); }, nullptr,
+                 nullptr});
+  std::vector<uint32_t> executed;
+  uint32_t rollbacks = 0;
+  while (barrier.round() < 4) {
+    executed.push_back(barrier.round());
+    ++state;
+    if (!barrier.EndRound()) ++rollbacks;
+  }
+  // Round 2 fails and replays from the round-1 checkpoint.
+  EXPECT_EQ(executed, (std::vector<uint32_t>{0, 1, 2, 2, 3}));
+  EXPECT_EQ(rollbacks, 1u);
+  EXPECT_EQ(state, 4u);
+  EXPECT_EQ(barrier.fault_stats().recomputed_rounds, 1u);
+  // Five rounds, the initial and two interval checkpoints, one restore.
+  EXPECT_EQ(barrier.Rounds().size(), 9u);
+}
+
+TEST(RoundBarrierTest, PricingRoundIsNoFaultPoint) {
+  ClusterRuntime cluster(ClusterOptions{2, {}});
+  RoundBarrier barrier(&cluster,
+                       FaultPlan{}.CheckpointEvery(1).FailWorkerAt(0, 0));
+  uint64_t state = 7;
+  barrier.Start({[&](BlobWriter& w) { w.Pod(state); },
+                 [&](BlobReader& r) { state = r.Pod<uint64_t>(); }, nullptr,
+                 nullptr});
+  ASSERT_EQ(barrier.fault_stats().checkpoints_taken, 1u);  // pre-round 0
+  const size_t mark = cluster.clock().rounds();
+  state = 8;
+  cluster.ledger().Charge(0, 1, 100);
+  barrier.AddCompute(1, 2.0);
+  barrier.PriceRound();
+  // Round 0 is scheduled to checkpoint and to fail; as a pricing-only
+  // round it does neither, and its clock round holds its own traffic.
+  EXPECT_EQ(barrier.round(), 1u);
+  EXPECT_EQ(state, 8u);
+  EXPECT_EQ(barrier.fault_stats().checkpoints_taken, 1u);
+  EXPECT_EQ(barrier.fault_stats().failures_recovered, 0u);
+  const std::vector<ClusterRound> rounds = cluster.clock().RoundsSince(mark);
+  ASSERT_EQ(rounds.size(), 1u);
+  EXPECT_EQ(rounds[0].compute_seconds, 2.0);
+  EXPECT_EQ(rounds[0].comm_bytes, 100u);
+  EXPECT_EQ(rounds[0].comm_messages, 1u);
+}
+
+TEST(RoundBarrierTest, ClockRoundsMatchTheLedgerAndTheSchedule) {
   const Graph g = Lollipop();
+  const uint64_t triangles = SerialTriangleCount(g).triangles;
+  PlantedDatasetOptions data;
+  data.num_vertices = 200;
+  data.num_classes = 3;
+  const NodeClassificationDataset ds = MakePlantedDataset(data);
   const std::vector<FaultPlan> plans = {
       FaultPlan{},
       FaultPlan{}.CheckpointEvery(2).FailWorkerAt(0, 2),
@@ -658,18 +724,32 @@ TEST(BspBarrierTest, ClockRoundsMatchTheLedgerAndTheSchedule) {
           .FailWorkerAt(1, 2)
           .SlowWorker(0, 8.0)
           .Rebalance(RebalanceConfig{})};
-  for (uint32_t workers : {2u, 4u}) {
+  // A job's logical rounds and its fault accounting.
+  struct Schedule {
+    uint64_t logical_rounds = 0;
+    uint64_t recomputed = 0;
+    uint64_t checkpoints = 0;
+    uint64_t failures = 0;
+    uint64_t rebalances = 0;
+  };
+  auto tlav = [](const TlavStats& s) {
+    return Schedule{s.supersteps, s.recomputed_supersteps,
+                    s.checkpoints_taken, s.failures_recovered, s.rebalances};
+  };
+  for (uint32_t workers : {1u, 2u, 4u}) {
     for (size_t p = 0; p < plans.size(); ++p) {
       ClusterRuntime cluster(ClusterOptions{workers, {}});
       TlavConfig config;
       config.cluster = &cluster;
       config.faults = plans[p];
+      // Plan 2 fails worker 1, which a one-worker cluster does not have.
+      const bool fails = p == 1 || (p == 2 && workers > 1);
       // Runs one job on the shared cluster and checks its clock rounds
-      // against its ledger delta and its stats.
-      auto check = [&](const std::string& job, auto run) {
+      // against its ledger delta and its schedule.
+      auto check = [&](const std::string& job, bool rebalances, auto run) {
         const TrafficSnapshot before = cluster.ledger().Snapshot();
         const size_t mark = cluster.clock().rounds();
-        const TlavStats stats = run();
+        const Schedule s = run();
         const TrafficSnapshot after = cluster.ledger().Snapshot();
         const std::vector<ClusterRound> rounds =
             cluster.clock().RoundsSince(mark);
@@ -683,33 +763,58 @@ TEST(BspBarrierTest, ClockRoundsMatchTheLedgerAndTheSchedule) {
         EXPECT_EQ(bytes, after.cross_bytes - before.cross_bytes) << what;
         EXPECT_EQ(messages, after.cross_messages - before.cross_messages)
             << what;
-        EXPECT_EQ(rounds.size(),
-                  stats.supersteps + stats.recomputed_supersteps +
-                      stats.checkpoints_taken + stats.failures_recovered +
-                      stats.rebalances)
+        EXPECT_EQ(rounds.size(), s.logical_rounds + s.recomputed +
+                                     s.checkpoints + s.failures +
+                                     s.rebalances)
             << what;
-        if (p > 0) {
-          EXPECT_EQ(stats.failures_recovered, 1u) << what;
-        }
-        if (p == 2) {
-          EXPECT_GE(stats.rebalances, 1u) << what;
+        EXPECT_EQ(s.failures, fails ? 1u : 0u) << what;
+        if (!rebalances) {
+          EXPECT_EQ(s.rebalances, 0u) << what;
+        } else if (p == 2 && workers > 1) {
+          EXPECT_GE(s.rebalances, 1u) << what;
         }
       };
-      check("PageRank", [&] {
+      check("PageRank", true, [&] {
         PageRankOptions options;
         options.engine = config;
-        return PageRank(g, options).stats;
+        return tlav(PageRank(g, options).stats);
       });
-      check("WCC", [&] {
+      check("WCC", true, [&] {
         WccOptions options;
         options.engine = config;
         options.direction.mode = DirectionMode::kAuto;
-        return Wcc(g, options).stats;
+        return tlav(Wcc(g, options).stats);
       });
       TraversalOptions traversal;
       traversal.engine = config;
-      check("BFS", [&] { return TlavBfs(g, kTailEnd, traversal).stats; });
-      check("SSSP", [&] { return TlavSssp(g, kTailEnd, traversal).stats; });
+      check("BFS", true,
+            [&] { return tlav(TlavBfs(g, kTailEnd, traversal).stats); });
+      check("SSSP", true,
+            [&] { return tlav(TlavSssp(g, kTailEnd, traversal).stats); });
+      check("Triangles", false, [&] {
+        TaskEngineConfig options;
+        options.num_threads = 2;
+        options.cluster = &cluster;
+        options.faults = plans[p];
+        const TriangleCountResult r = TaskTriangleCount(g, options);
+        EXPECT_EQ(r.triangles, triangles);
+        // A fault plan slices the 324 vertices into 16 chunk-rounds of
+        // 21; a clean run is one round.
+        return Schedule{plans[p].empty() ? 1u : 16u, r.recomputed_rounds,
+                        r.checkpoints_taken, r.failures_recovered, 0};
+      });
+      check("GCN", true, [&] {
+        DistGcnConfig options;
+        options.cluster = &cluster;
+        options.epochs = 8;
+        options.hidden_dim = 8;
+        options.faults = plans[p];
+        const DistGcnReport r = TrainDistGcn(ds, options);
+        // Every epoch, then the final evaluation pass.
+        return Schedule{options.epochs + 1u, r.recomputed_epochs,
+                        r.checkpoints_taken, r.failures_recovered,
+                        r.rebalances};
+      });
     }
   }
 }

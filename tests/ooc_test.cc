@@ -31,6 +31,14 @@ std::string TempBase(const std::string& name) {
   return (std::filesystem::temp_directory_path() / name).string();
 }
 
+/// A fixture's shard files, one set per test case: ctest runs the cases
+/// of one fixture as concurrent processes, which must not share files.
+std::string FixtureBase(const std::string& name) {
+  return TempBase(
+      name + "_" +
+      ::testing::UnitTest::GetInstance()->current_test_info()->name());
+}
+
 /// Clears the OOC env knobs for the duration of a test that asserts
 /// exact shard/cache behavior, restoring whatever was set on exit.
 /// Parity tests deliberately do NOT use this: they must keep passing
@@ -253,7 +261,7 @@ TEST_F(ShardedGraphTest, RawAndCompressedInputsWriteIdenticalFiles) {
 class OocBadFileTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    base_ = TempBase("gal_ooc_badfile");
+    base_ = FixtureBase("gal_ooc_badfile");
     g_ = ErdosRenyi(80, 0.06, 21);
     ShardWriterOptions wopt;
     wopt.target_shard_bytes = 128;
@@ -357,7 +365,7 @@ TEST_F(OocBadFileTest, EnvForcedTinyBudgetClampsUpAndOpens) {
 class ShardCacheTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    base_ = TempBase("gal_ooc_cache");
+    base_ = FixtureBase("gal_ooc_cache");
     g_ = Cycle(12);
     ShardWriterOptions wopt;
     wopt.target_shard_bytes = 6;
