@@ -8,6 +8,8 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 JOBS="${JOBS:-$(nproc)}"
+# The matcher suites the kill-switch reruns add to the parity suites.
+MATCH_TESTS='MatchTest.*:BfsMatchTest.*:MatchDeterminismTest.*:MatchSweepTest.*:MatchSearchTreeTest.*'
 
 echo "== tier-1: build + full test suite =="
 cmake -B build -S .
@@ -16,8 +18,13 @@ cmake --build build -j "${JOBS}"
 
 echo
 echo "== tsan: pipeline / threadpool / task-engine / tensor-kernel tests =="
+# Both sanitizer builds treat compiler warnings as errors: the
+# instrumented optimizer reaches paths the plain build does not (GCC
+# 12's -Wmaybe-uninitialized among them), and those builds must stay as
+# warning-clean as the plain one.
 cmake -B build-tsan -S . \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo \
+    -DCMAKE_COMPILE_WARNING_AS_ERROR=ON \
     -DCMAKE_CXX_FLAGS="-fsanitize=thread" \
     -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=thread"
 cmake --build build-tsan --target gal_tests -j "${JOBS}"
@@ -27,8 +34,10 @@ cmake --build build-tsan --target gal_tests -j "${JOBS}"
 # end-to-end under TSan. WorkDequeTest.* races owner pops against
 # concurrent thieves on the Chase–Lev deque, TaskEngineTest.* covers the
 # lock-free engine (incl. the deep-spawn stress and the eventcount
-# parking lot), and MatchDeterminismTest.* drives the DFS matcher's
-# adaptive prefix splitting at 8 threads. The cluster suites cover the
+# parking lot), MatchDeterminismTest.* drives the DFS matcher's
+# adaptive prefix splitting and its per-thread search state at 8
+# threads, and MatchSweepTest.* runs both matchers at 4 threads against
+# the serial reference on awkward shapes. The cluster suites cover the
 # simulated-cluster substrate: TrafficLedgerTest.ConcurrentChargesAreExact
 # hammers the sharded ledger counters from 8 threads (the data race the
 # old SimulatedNetwork had), and ClusterExchangeTest.* runs the TLAV
@@ -43,7 +52,7 @@ cmake --build build-tsan --target gal_tests -j "${JOBS}"
 # tallies, the per-worker decode scratch, and the SIMD dispatch flag are
 # the shared state TSan watches there.
 ./build-tsan/tests/gal_tests \
-    --gtest_filter='PipelineTest.*:ThreadPoolTest.*:TaskEngineTest.*:WorkDequeTest.*:MatchDeterminismTest.*:KernelContextTest.*:KernelParityTest.*:TensorTest.*:MatrixTest.*:SparseTest.*:CoreBudgetTest.*:TrafficLedgerTest.*:VirtualClockTest.*:ClusterRuntimeTest.*:ExchangeChannelTest.*:ClusterExchangeTest.*:FrontierBitmapTest.*:SlidingQueueTest.*:VertexFrontierTest.*:Workers/FrontierParityTest.*:FrontierTraversalTest.*:GraphReorderTest.*:ReorderSimdParityTest.*:IntersectTest.*:SimdTest.*:CompressedCsrTest.*:DistGcnTest.OverlapReducesSimulatedTime:DistGcnTest.ReportExposesTracesAndOverlapOccupancy:DistGcnTest.CommChannelsRelieveCommBoundOverlap'
+    --gtest_filter='PipelineTest.*:ThreadPoolTest.*:TaskEngineTest.*:WorkDequeTest.*:MatchDeterminismTest.*:MatchSweepTest.*:KernelContextTest.*:KernelParityTest.*:TensorTest.*:MatrixTest.*:SparseTest.*:CoreBudgetTest.*:TrafficLedgerTest.*:VirtualClockTest.*:ClusterRuntimeTest.*:ExchangeChannelTest.*:ClusterExchangeTest.*:FrontierBitmapTest.*:SlidingQueueTest.*:VertexFrontierTest.*:Workers/FrontierParityTest.*:FrontierTraversalTest.*:GraphReorderTest.*:ReorderSimdParityTest.*:IntersectTest.*:SimdTest.*:CompressedCsrTest.*:DistGcnTest.OverlapReducesSimulatedTime:DistGcnTest.ReportExposesTracesAndOverlapOccupancy:DistGcnTest.CommChannelsRelieveCommBoundOverlap'
 
 echo
 echo "== asan+ubsan: every test but the wall-clock ones =="
@@ -55,6 +64,7 @@ echo "== asan+ubsan: every test but the wall-clock ones =="
 WALL_CLOCK_TESTS='PipelineTest.OverlapBeatsSerial:KernelScalingTest.*:MatchScalingTest.*:ReorderSimdScalingTest.*'
 cmake -B build-asan -S . \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo \
+    -DCMAKE_COMPILE_WARNING_AS_ERROR=ON \
     -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=undefined -fno-omit-frame-pointer -D_GLIBCXX_ASSERTIONS" \
     -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=address,undefined"
 cmake --build build-asan --target gal_tests -j "${JOBS}"
@@ -89,20 +99,23 @@ GAL_OOC_BUDGET_BYTES=1 GAL_OOC_SHARD_BYTES=512 ./build/tests/gal_tests \
     --gtest_filter='OocParityTest.*'
 
 echo
-echo "== tsan + forced compression: parity suites with GAL_GRAPH_COMPRESSION=1 =="
+echo "== tsan + forced compression: parity and matcher suites with GAL_GRAPH_COMPRESSION=1 =="
 # Forces every FromEdges in the parity suites onto the delta-varint
 # layout, so the streaming decode paths (cursors, per-worker scratch)
-# run under TSan with reference and fast runs both compressed.
+# run under TSan with reference and fast runs both compressed. The
+# matcher suites decode the candidate join's rows into per-thread
+# buffers at every search depth.
 GAL_GRAPH_COMPRESSION=1 ./build-tsan/tests/gal_tests \
-    --gtest_filter='GraphReorderTest.*:ReorderSimdParityTest.*:IntersectTest.*:SimdTest.*:CompressedCsrTest.*'
+    --gtest_filter="GraphReorderTest.*:ReorderSimdParityTest.*:IntersectTest.*:SimdTest.*:CompressedCsrTest.*:${MATCH_TESTS}"
 
 echo
-echo "== scalar fallback: parity suites with GAL_SIMD=0 =="
+echo "== scalar fallback: parity and matcher suites with GAL_SIMD=0 =="
 # The kill switch must leave every result bit-identical — this run is
 # what keeps the scalar fallback honest on AVX2 hosts (and is the only
-# configuration non-AVX2 hosts ever execute).
+# configuration non-AVX2 hosts ever execute). The matcher suites take
+# the candidate join's scalar-merge path here.
 GAL_SIMD=0 ./build/tests/gal_tests \
-    --gtest_filter='GraphReorderTest.*:ReorderSimdParityTest.*:IntersectTest.*:SimdTest.*:CompressedCsrTest.*'
+    --gtest_filter="GraphReorderTest.*:ReorderSimdParityTest.*:IntersectTest.*:SimdTest.*:CompressedCsrTest.*:${MATCH_TESTS}"
 
 echo
 echo "== scalar fallback + forced compression: GAL_SIMD=0 GAL_GRAPH_COMPRESSION=1 =="

@@ -41,17 +41,6 @@ inline bool ParsePositiveEnvDouble(const char* text, double* out) {
   return true;
 }
 
-/// One process-wide warning per env variable; repeated resolutions of
-/// the same malformed value stay quiet.
-template <typename T>
-inline void WarnOnceBadEnv(std::atomic<bool>& warned, const char* var,
-                           const char* value, const char* expected,
-                           const T& fallback) {
-  if (warned.exchange(true)) return;
-  GAL_LOG(Warning) << var << "=\"" << value << "\" is not " << expected
-                   << "; using " << fallback;
-}
-
 }  // namespace internal
 
 /// Worker-thread count for engines that execute simulated workers on

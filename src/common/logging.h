@@ -1,11 +1,13 @@
 #ifndef GAL_COMMON_LOGGING_H_
 #define GAL_COMMON_LOGGING_H_
 
+#include <atomic>
 #include <cstdlib>
 #include <iostream>
 #include <mutex>
 #include <sstream>
 #include <string>
+#include <string_view>
 
 namespace gal {
 
@@ -62,6 +64,48 @@ class FatalLogMessage {
 #define GAL_LOG(level)                                             \
   ::gal::internal_logging::LogMessage(::gal::LogLevel::k##level, \
                                       __FILE__, __LINE__)
+
+namespace gal::internal {
+
+/// One process-wide warning per env variable; repeated resolutions of
+/// the same malformed value stay quiet. The policy of every lenient
+/// `GAL_*` knob: a value that does not parse warns once and the knob
+/// keeps its default.
+template <typename T>
+inline void WarnOnceBadEnv(std::atomic<bool>& warned, const char* var,
+                           const char* value, const char* expected,
+                           const T& fallback) {
+  if (warned.exchange(true)) return;
+  GAL_LOG(Warning) << var << "=\"" << value << "\" is not " << expected
+                   << "; using " << fallback;
+}
+
+/// The spellings of an on/off env switch, matched against the whole
+/// value.
+inline constexpr const char* kEnvSwitchSpellings =
+    "one of 1/on/true/yes/0/off/false/no";
+
+/// Full-string parse of an on/off switch: "1", "on", "true" and "yes"
+/// set *on to true; "0", "off", "false" and "no" set it to false. Any
+/// other text, prefixes and typos such as "of" included, returns false
+/// and leaves *on alone.
+inline bool ParseEnvSwitch(std::string_view text, bool* on) {
+  for (std::string_view s : {"1", "on", "true", "yes"}) {
+    if (text == s) {
+      *on = true;
+      return true;
+    }
+  }
+  for (std::string_view s : {"0", "off", "false", "no"}) {
+    if (text == s) {
+      *on = false;
+      return true;
+    }
+  }
+  return false;
+}
+
+}  // namespace gal::internal
 
 /// Crashes with a message when an invariant is violated. Active in all
 /// build modes: a database-style engine should fail loudly, not corrupt.

@@ -3,6 +3,8 @@
 #include <atomic>
 #include <cstdlib>
 
+#include "common/logging.h"
+
 namespace gal::simd {
 
 #if GAL_SIMD_HAVE_AVX2
@@ -27,11 +29,8 @@ bool CompiledAndSupported() {
 }
 
 std::atomic<bool>& EnabledFlag() {
-  static std::atomic<bool> flag([] {
-    const char* env = std::getenv("GAL_SIMD");
-    const bool killed = env != nullptr && env[0] == '0';
-    return CompiledAndSupported() && !killed;
-  }());
+  static std::atomic<bool> flag(CompiledAndSupported() &&
+                                EnvAllows(std::getenv("GAL_SIMD")));
   return flag;
 }
 
@@ -72,6 +71,16 @@ size_t ScalarIntersectInto(const uint32_t* a, size_t na, const uint32_t* b,
 }  // namespace
 
 bool Available() { return CompiledAndSupported(); }
+
+bool EnvAllows(const char* value) {
+  if (value == nullptr || *value == '\0') return true;
+  bool on = true;
+  if (internal::ParseEnvSwitch(value, &on)) return on;
+  static std::atomic<bool> warned{false};
+  internal::WarnOnceBadEnv(warned, "GAL_SIMD", value,
+                           internal::kEnvSwitchSpellings, "on");
+  return true;
+}
 
 bool Enabled() { return EnabledFlag().load(std::memory_order_relaxed); }
 

@@ -26,6 +26,13 @@ bool Available();
 /// GAL_SIMD=0, not switched off via SetEnabled).
 bool Enabled();
 
+/// Reads a GAL_SIMD value (the kill switch is read once per process;
+/// this is its parser). Unset, empty or an on spelling ("1", "on",
+/// "true", "yes") allows vector kernels; an off spelling ("0", "off",
+/// "false", "no") kills them. Anything else warns once and keeps the
+/// default, on.
+bool EnvAllows(const char* value);
+
 /// Switches vector kernels on/off at runtime (capped by Available).
 /// Returns the previous setting. Thread-safe.
 bool SetEnabled(bool enabled);

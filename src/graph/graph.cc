@@ -1,9 +1,11 @@
 #include "graph/graph.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cstdlib>
-#include <cstring>
 #include <sstream>
+#include <string>
+#include <string_view>
 #include <unordered_map>
 
 #include "common/logging.h"
@@ -11,15 +13,28 @@
 
 namespace gal {
 
-CompressionMode ResolveCompressionMode(CompressionMode requested) {
-  const char* env = std::getenv("GAL_GRAPH_COMPRESSION");
-  if (env == nullptr || *env == '\0') return requested;
-  if (std::strcmp(env, "0") == 0 || std::strcmp(env, "none") == 0 ||
-      std::strcmp(env, "off") == 0) {
-    return CompressionMode::kNone;
+CompressionMode ResolveCompressionMode(CompressionMode requested,
+                                       const char* env_value) {
+  if (env_value == nullptr || *env_value == '\0') return requested;
+  const std::string_view text = env_value;
+  bool on = false;
+  if (text == "delta-varint" || text == "none") {
+    on = text == "delta-varint";
+  } else if (!internal::ParseEnvSwitch(text, &on)) {
+    static std::atomic<bool> warned{false};
+    internal::WarnOnceBadEnv(
+        warned, "GAL_GRAPH_COMPRESSION", env_value,
+        (std::string("delta-varint, none or ") + internal::kEnvSwitchSpellings)
+            .c_str(),
+        "the build option");
+    return requested;
   }
-  // Any other value ("1", "delta-varint", ...) forces compression on.
-  return CompressionMode::kDeltaVarint;
+  return on ? CompressionMode::kDeltaVarint : CompressionMode::kNone;
+}
+
+CompressionMode ResolveCompressionMode(CompressionMode requested) {
+  return ResolveCompressionMode(requested,
+                                std::getenv("GAL_GRAPH_COMPRESSION"));
 }
 
 Result<Graph> Graph::FromEdges(VertexId num_vertices, std::vector<Edge> edges,
@@ -52,6 +67,10 @@ Result<Graph> Graph::FromEdges(VertexId num_vertices, std::vector<Edge> edges,
   }
 
   Graph g;
+  g.repeated_neighbors_ =
+      !options.dedup &&
+      std::adjacent_find(directed_edges.begin(), directed_edges.end()) !=
+          directed_edges.end();
   if (options.reorder != ReorderMode::kNone && num_vertices > 0) {
     std::vector<uint32_t> degree(num_vertices, 0);
     for (const Edge& e : directed_edges) ++degree[e.src];

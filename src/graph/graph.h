@@ -83,8 +83,8 @@ struct GraphOptions {
   ReorderMode reorder = ReorderMode::kNone;
   /// Adjacency compression applied at build time (see CompressionMode).
   /// The `GAL_GRAPH_COMPRESSION` environment variable, when set,
-  /// overrides this for every FromEdges call: "1"/"delta-varint" forces
-  /// kDeltaVarint, "0"/"none" forces kNone.
+  /// overrides this for every FromEdges call (see
+  /// ResolveCompressionMode).
   CompressionMode compression = CompressionMode::kNone;
 };
 
@@ -92,6 +92,14 @@ struct GraphOptions {
 /// env override if set (consulted at every FromEdges call, like
 /// GAL_SIMD's kill switch), else `requested`.
 CompressionMode ResolveCompressionMode(CompressionMode requested);
+
+/// The override's parser, given the variable's value (null when unset).
+/// "delta-varint" or an on spelling ("1", "on", "true", "yes") forces
+/// kDeltaVarint; "none" or an off spelling ("0", "off", "false", "no")
+/// forces kNone. Unset or empty keeps `requested`, and so does any
+/// other value, after one warning per process.
+CompressionMode ResolveCompressionMode(CompressionMode requested,
+                                       const char* env_value);
 
 /// An immutable graph in Compressed Sparse Row form with sorted adjacency
 /// lists, the shared substrate for every engine in the framework:
@@ -231,6 +239,11 @@ class Graph {
   /// True iff edge u->v exists (binary search over sorted adjacency).
   bool HasEdge(VertexId u, VertexId v) const;
 
+  /// True iff some row lists a neighbor more than once (a `dedup =
+  /// false` build whose input repeats an edge). Otherwise every row is
+  /// strictly ascending, the form graph/intersect.h's kernels take.
+  bool HasRepeatedNeighbors() const { return repeated_neighbors_; }
+
   uint32_t MaxDegree() const;
 
   /// Vertex labels; empty if the graph is unlabeled.
@@ -341,6 +354,7 @@ class Graph {
   VertexId num_vertices_ = 0;
   EdgeId num_edges_ = 0;
   bool directed_ = false;
+  bool repeated_neighbors_ = false;
   std::vector<EdgeId> offsets_;    // size num_vertices_ + 1
   std::vector<VertexId> targets_;  // sorted per-vertex
   std::vector<Label> labels_;      // empty or size num_vertices_

@@ -3,81 +3,34 @@
 #include <algorithm>
 
 #include "common/timer.h"
-#include "graph/intersect.h"
+#include "match/join.h"
 
 namespace gal {
 namespace {
 
 struct JoinContext {
-  const Graph* data;
   const MatchPlan* plan;
-  const CandidateSets* candidates;
+  const CandidateJoin* join;
   BfsMatchResult* result;
-  bool induced = false;
-  // Reused across ExtendPartial calls: decode rows for the adaptive
-  // intersection plus the cand ∩ N(anchor) result. The executor is
-  // serial, and `joined` is fully consumed before any nested extension,
-  // so one of each is enough.
-  NeighborScratch scratch;
-  std::vector<VertexId> joined;
+  // The executor is serial and each ExtendPartial call consumes the
+  // join scratch before returning, so one is enough.
+  JoinScratch scratch;
 };
 
 uint64_t PartialBytes(size_t depth) {
   return depth * sizeof(VertexId) + sizeof(std::vector<VertexId>);
 }
 
-bool RestrictionsOk(const MatchPlan& plan,
-                    const std::vector<VertexId>& mapped, uint32_t position,
-                    VertexId v) {
-  for (const auto& [lo, hi] : plan.order_restrictions) {
-    const uint32_t later = std::max(lo, hi);
-    if (later != position) continue;
-    const VertexId earlier_v = mapped[std::min(lo, hi)];
-    if (later == hi ? !(earlier_v < v) : !(v < earlier_v)) return false;
-  }
-  return true;
-}
-
-/// Emits the valid extensions of `partial` at `position`.
+/// Replaces `out` with the valid extensions of `partial` at `position`.
 void ExtendPartial(JoinContext& ctx,
                    const std::vector<VertexId>& partial, uint32_t position,
                    std::vector<VertexId>& out) {
-  out.clear();
-  const std::vector<uint32_t>& backward =
-      ctx.plan->backward_neighbors[position];
-  const std::vector<VertexId>& cand =
-      ctx.candidates->candidates[ctx.plan->order[position]];
-  auto accept = [&](VertexId v) {
-    ctx.result->stats.search_nodes++;
-    if (std::find(partial.begin(), partial.end(), v) != partial.end()) return;
-    if (!RestrictionsOk(*ctx.plan, partial, position, v)) return;
-    if (ctx.induced) {
-      for (uint32_t j : ctx.plan->backward_nonneighbors[position]) {
-        if (ctx.data->HasEdge(partial[j], v)) return;
-      }
-    }
-    out.push_back(v);
-  };
-  if (backward.empty()) {
-    for (VertexId v : cand) accept(v);
-    return;
-  }
-  // cand ∩ N(anchor) through the shared adaptive intersection (merge or
-  // gallop by skew) instead of per-neighbor binary_search. Members come
-  // out ascending, so accept() sees the same vertices in the same order
-  // and search_nodes stays bit-identical.
-  const VertexId anchor = partial[backward[0]];
-  IntersectInto(cand, *ctx.data, anchor, ctx.joined, ctx.scratch);
-  for (VertexId v : ctx.joined) {
-    bool joins = true;
-    for (size_t b = 1; b < backward.size(); ++b) {
-      if (!ctx.data->HasEdge(partial[backward[b]], v)) {
-        joins = false;
-        break;
-      }
-    }
-    if (joins) accept(v);
-  }
+  // Every local candidate is one search node, as in the DFS executor.
+  ctx.join->LocalCandidates(position, partial, out, ctx.scratch);
+  ctx.result->stats.search_nodes += out.size();
+  std::erase_if(out, [&](VertexId v) {
+    return !ctx.join->Admits(position, partial, v);
+  });
 }
 
 /// DFS completion of one partial match (hybrid fallback).
@@ -114,8 +67,9 @@ BfsMatchResult BfsSubgraphMatch(const Graph& data, const Graph& query,
                           options.match.symmetry_breaking);
   result.stats.candidate_total = candidates.TotalSize();
 
-  JoinContext ctx{&data, &result.plan, &candidates, &result,
-                  options.match.induced, /*scratch=*/{}, /*joined=*/{}};
+  const CandidateJoin join(data, result.plan, candidates,
+                           options.match.induced);
+  JoinContext ctx{&result.plan, &join, &result, /*scratch=*/{}};
   const uint32_t k = query.NumVertices();
 
   // Level 0: candidates of the first ordered query vertex.

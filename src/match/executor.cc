@@ -5,21 +5,20 @@
 #include <mutex>
 
 #include "common/timer.h"
-#include "graph/intersect.h"
+#include "match/join.h"
 
 namespace gal {
 namespace {
 
 struct SearchShared {
-  const Graph* data;
   const MatchPlan* plan;
-  const CandidateSets* candidates;
+  const CandidateJoin* join;
   uint64_t limit;
   bool collect;
-  bool induced;
   uint32_t split_depth;
+  /// Matches found so far, kept only when `limit` != 0: the early stop
+  /// is the one reader that needs a global count.
   std::atomic<uint64_t> matches{0};
-  std::atomic<uint64_t> search_nodes{0};
   std::mutex out_mu;
   std::vector<std::vector<VertexId>> collected;
 
@@ -28,15 +27,23 @@ struct SearchShared {
   }
 };
 
-/// Per-thread DFS state: the partial mapping (by plan position).
-struct SearchState {
+/// One engine thread's DFS state, reused by every task the thread runs
+/// (a task runs to completion before its thread takes the next one).
+/// Cache-line aligned so the tallies of neighboring threads never share
+/// a line.
+struct alignas(64) SearchState {
+  explicit SearchState(uint32_t k) : mapped(k, kInvalidVertex), local_at(k) {}
+
+  /// The partial mapping, by plan position.
   std::vector<VertexId> mapped;
-  // cand ∩ N(anchor) per plan position. The loop over it spans the
-  // recursive extend calls, so each depth owns its buffer; the decode
-  // scratch is fully consumed inside IntersectInto (no recursion there),
-  // so one per state suffices.
-  std::vector<std::vector<VertexId>> joined_at;
-  NeighborScratch scratch;
+  /// Local candidates per plan position. The loop over them spans the
+  /// recursive extend calls, so each depth owns its buffer; the join
+  /// scratch is consumed inside one LocalCandidates call, so one
+  /// suffices.
+  std::vector<std::vector<VertexId>> local_at;
+  JoinScratch scratch;
+  uint64_t search_nodes = 0;
+  uint64_t matches = 0;
 };
 
 /// A shippable unit of search: the mapped plan-position prefix, with the
@@ -47,23 +54,6 @@ using PrefixTask = std::vector<VertexId>;
 
 using MatchContext = TaskEngine<PrefixTask>::Context;
 
-bool RestrictionsOk(const SearchShared& shared, const SearchState& state,
-                    uint32_t position, VertexId v) {
-  for (const auto& [lo, hi] : shared.plan->order_restrictions) {
-    const uint32_t later = std::max(lo, hi);
-    if (later != position) continue;
-    const uint32_t earlier = std::min(lo, hi);
-    const VertexId earlier_v = state.mapped[earlier];
-    // Restriction is (lo < hi) in *mapped data vertex* order.
-    if (later == hi) {
-      if (!(earlier_v < v)) return false;
-    } else {
-      if (!(v < earlier_v)) return false;
-    }
-  }
-  return true;
-}
-
 void Backtrack(SearchShared& shared, SearchState& state, uint32_t position,
                MatchContext& ctx);
 
@@ -72,17 +62,8 @@ void Backtrack(SearchShared& shared, SearchState& state, uint32_t position,
 /// a stolen prefix task — identically in both cases.
 void TryVertex(SearchShared& shared, SearchState& state, uint32_t position,
                VertexId v, MatchContext& ctx) {
-  shared.search_nodes.fetch_add(1, std::memory_order_relaxed);
-  // Injectivity.
-  for (uint32_t j = 0; j < position; ++j) {
-    if (state.mapped[j] == v) return;
-  }
-  if (!RestrictionsOk(shared, state, position, v)) return;
-  if (shared.induced) {
-    for (uint32_t j : shared.plan->backward_nonneighbors[position]) {
-      if (shared.data->HasEdge(state.mapped[j], v)) return;
-    }
-  }
+  ++state.search_nodes;
+  if (!shared.join->Admits(position, state.mapped, v)) return;
   state.mapped[position] = v;
   Backtrack(shared, state, position + 1, ctx);
 }
@@ -90,22 +71,19 @@ void TryVertex(SearchShared& shared, SearchState& state, uint32_t position,
 void Backtrack(SearchShared& shared, SearchState& state, uint32_t position,
                MatchContext& ctx) {
   if (shared.LimitReached()) return;
-  const MatchPlan& plan = *shared.plan;
-  const Graph& data = *shared.data;
-  const uint32_t k = static_cast<uint32_t>(plan.order.size());
+  const uint32_t k = static_cast<uint32_t>(shared.plan->order.size());
 
   if (position == k) {
-    shared.matches.fetch_add(1, std::memory_order_relaxed);
+    ++state.matches;
+    if (shared.limit != 0) {
+      shared.matches.fetch_add(1, std::memory_order_relaxed);
+    }
     if (shared.collect) {
       std::lock_guard<std::mutex> lock(shared.out_mu);
       shared.collected.push_back(state.mapped);
     }
     return;
   }
-
-  const std::vector<uint32_t>& backward = plan.backward_neighbors[position];
-  const std::vector<VertexId>& cand =
-      shared.candidates->candidates[plan.order[position]];
 
   // Adaptive prefix splitting (the STMatch/T-DFS mechanism): at shallow
   // positions, when thieves are parked hungry, ship the extension as an
@@ -114,43 +92,21 @@ void Backtrack(SearchShared& shared, SearchState& state, uint32_t position,
   // serializing one. Never split the leaf position: the spawn would
   // cost more than the remaining work.
   const bool may_split = position <= shared.split_depth && position + 1 < k;
-  auto extend = [&](VertexId v) {
+  // The join yields each local candidate once, ascending, so the loop
+  // visits the same vertices in the same order at any thread count and
+  // search_nodes stays deterministic.
+  std::vector<VertexId>& local = state.local_at[position];
+  shared.join->LocalCandidates(position, state.mapped, local, state.scratch);
+  for (VertexId v : local) {
+    if (shared.LimitReached()) return;
     if (may_split && ctx.StealPressure()) {
       PrefixTask child(state.mapped.begin(),
                        state.mapped.begin() + position);
       child.push_back(v);
       ctx.Spawn(std::move(child));
-      return;
+      continue;
     }
     TryVertex(shared, state, position, v, ctx);
-  };
-
-  if (backward.empty()) {
-    for (VertexId v : cand) {
-      if (shared.LimitReached()) return;
-      extend(v);
-    }
-    return;
-  }
-
-  // Local candidates: cand ∩ N(anchor) via the shared adaptive
-  // intersection (merge or gallop by skew) instead of scanning every
-  // anchor neighbor through binary_search. Members arrive ascending, so
-  // extend() fires on the same vertices in the same order and
-  // search_nodes stays deterministic.
-  const VertexId anchor = state.mapped[backward[0]];
-  std::vector<VertexId>& joined = state.joined_at[position];
-  IntersectInto(cand, data, anchor, joined, state.scratch);
-  for (VertexId v : joined) {
-    if (shared.LimitReached()) return;
-    bool joins = true;
-    for (size_t b = 1; b < backward.size(); ++b) {
-      if (!data.HasEdge(state.mapped[backward[b]], v)) {
-        joins = false;
-        break;
-      }
-    }
-    if (joins) extend(v);
   }
 }
 
@@ -167,14 +123,13 @@ MatchResult SubgraphMatch(const Graph& data, const Graph& query,
   }
   result.plan = BuildPlan(query, candidates, options.order,
                           options.symmetry_breaking);
+  const CandidateJoin join(data, result.plan, candidates, options.induced);
 
   SearchShared shared;
-  shared.data = &data;
   shared.plan = &result.plan;
-  shared.candidates = &candidates;
+  shared.join = &join;
   shared.limit = options.limit;
   shared.collect = collect;
-  shared.induced = options.induced;
   shared.split_depth = options.split_depth;
 
   // Root tasks: one per candidate of the first ordered query vertex,
@@ -186,23 +141,25 @@ MatchResult SubgraphMatch(const Graph& data, const Graph& query,
   }
 
   TaskEngine<PrefixTask> engine(options.engine);
-  const uint32_t k = query.NumVertices();
+  std::vector<SearchState> states(engine.num_threads(),
+                                  SearchState(query.NumVertices()));
   TaskEngineStats task_stats = engine.Run(
-      std::move(roots), [&shared, k](PrefixTask& prefix, MatchContext& ctx) {
+      std::move(roots),
+      [&shared, &states](PrefixTask& prefix, MatchContext& ctx) {
         if (shared.LimitReached()) return;
-        SearchState state;
-        state.mapped.assign(k, kInvalidVertex);
-        state.joined_at.resize(k);
+        SearchState& state = states[ctx.thread_id()];
         const uint32_t position = static_cast<uint32_t>(prefix.size()) - 1;
-        for (uint32_t j = 0; j < position; ++j) state.mapped[j] = prefix[j];
+        std::copy(prefix.begin(), prefix.end() - 1, state.mapped.begin());
         TryVertex(shared, state, position, prefix[position], ctx);
       });
 
-  result.stats.matches = shared.matches.load();
+  for (const SearchState& state : states) {
+    result.stats.matches += state.matches;
+    result.stats.search_nodes += state.search_nodes;
+  }
   if (options.limit != 0) {
     result.stats.matches = std::min(result.stats.matches, options.limit);
   }
-  result.stats.search_nodes = shared.search_nodes.load();
   result.stats.candidate_total = candidates.TotalSize();
   result.stats.task_stats = task_stats;
   result.stats.wall_seconds = timer.ElapsedSeconds();

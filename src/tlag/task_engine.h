@@ -179,6 +179,9 @@ class TaskEngine {
     }
   }
 
+  /// The resolved worker-thread count; Context::thread_id() is below it.
+  uint32_t num_threads() const { return config_.num_threads; }
+
   /// Runs all `initial_tasks` (distributed per config) plus everything
   /// they spawn; returns when no task remains anywhere.
   TaskEngineStats Run(std::vector<T> initial_tasks, const ProcessFn& process) {

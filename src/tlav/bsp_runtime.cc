@@ -9,7 +9,7 @@ namespace gal {
 
 BspRuntime::BspRuntime(const Graph& g, const TlavConfig& config,
                        uint64_t message_bytes,
-                       std::optional<VertexPartition> partition)
+                       VertexPartition partition)
     : g_(g),
       owned_cluster_(config.cluster == nullptr
                          ? std::make_unique<ClusterRuntime>(ClusterOptions{
@@ -20,8 +20,8 @@ BspRuntime::BspRuntime(const Graph& g, const TlavConfig& config,
                                          : owned_cluster_.get()),
       workers_(cluster_->num_workers()),
       message_bytes_(message_bytes),
-      partition_(partition.has_value() ? std::move(*partition)
-                                       : HashPartition(g, workers_)),
+      partition_(partition.assignment.empty() ? HashPartition(g, workers_)
+                                              : std::move(partition)),
       pool_(std::min(workers_, ResolveTaskThreads(0))),
       owned_vertices_(workers_),
       counters_(workers_),

@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <optional>
 #include <vector>
 
 #include "cluster/checkpoint.h"
@@ -151,11 +150,11 @@ class BspRuntime {
 
   /// Resolves the cluster (config.cluster, else a private one of
   /// config.num_workers workers) and places g's vertices by `partition`,
-  /// or by HashPartition at the cluster's width when none is given.
-  /// `message_bytes` is sizeof one logical message: what a send adds to
-  /// TlavStats::total_message_bytes.
+  /// or by HashPartition at the cluster's width when it is empty (no
+  /// assignment). `message_bytes` is sizeof one logical message: what a
+  /// send adds to TlavStats::total_message_bytes.
   BspRuntime(const Graph& g, const TlavConfig& config, uint64_t message_bytes,
-             std::optional<VertexPartition> partition = std::nullopt);
+             VertexPartition partition = {});
 
   ClusterRuntime* cluster() const { return cluster_; }
   uint32_t workers() const { return workers_; }

@@ -6,7 +6,6 @@
 #include <functional>
 #include <map>
 #include <mutex>
-#include <optional>
 #include <span>
 #include <string>
 #include <type_traits>
@@ -99,14 +98,21 @@ template <typename V, typename M>
 class TlavEngine {
  public:
   /// `partition` must cover g's vertices with one part per cluster
-  /// worker.
-  TlavEngine(const Graph* graph, TlavConfig config, VertexPartition partition)
-      : TlavEngine(graph, std::move(config),
-                   std::optional<VertexPartition>(std::move(partition))) {}
-
-  /// Convenience: hash partition at the cluster's width.
-  TlavEngine(const Graph* graph, TlavConfig config)
-      : TlavEngine(graph, std::move(config), std::nullopt) {}
+  /// worker; left empty (the default), vertices are hash-partitioned at
+  /// the cluster's width.
+  TlavEngine(const Graph* graph, TlavConfig config,
+             VertexPartition partition = {})
+      : graph_(graph),
+        config_(std::move(config)),
+        rt_(*graph, config_, sizeof(M), std::move(partition)),
+        channel_(rt_.cluster(), config_.message_overhead_bytes),
+        decode_scratch_(rt_.workers()) {
+    const VertexId n = graph_->NumVertices();
+    values_.resize(n);
+    halted_.assign(n, 0);
+    inbox_.resize(n);
+    next_inbox_.resize(n);
+  }
 
   /// Sets every vertex value before the run.
   void InitValues(const std::function<V(VertexId)>& init) {
@@ -130,20 +136,6 @@ class TlavEngine {
 
  private:
   friend class VertexHandle<V, M>;
-
-  TlavEngine(const Graph* graph, TlavConfig config,
-             std::optional<VertexPartition> partition)
-      : graph_(graph),
-        config_(std::move(config)),
-        rt_(*graph, config_, sizeof(M), std::move(partition)),
-        channel_(rt_.cluster(), config_.message_overhead_bytes),
-        decode_scratch_(rt_.workers()) {
-    const VertexId n = graph_->NumVertices();
-    values_.resize(n);
-    halted_.assign(n, 0);
-    inbox_.resize(n);
-    next_inbox_.resize(n);
-  }
 
   struct Aggregator {
     AggregateOp op;

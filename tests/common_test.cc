@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/logging.h"
 #include "common/metrics.h"
 #include "common/rng.h"
 #include "common/status.h"
@@ -212,6 +213,25 @@ TEST(ThreadPoolTest, TasksCanSubmitTasks) {
 
 // ---------------------------------------------------------------------------
 // Metrics
+
+TEST(EnvSwitchTest, MatchesWholeSpellingsOnly) {
+  bool on = false;
+  for (const char* text : {"1", "on", "true", "yes"}) {
+    on = false;
+    EXPECT_TRUE(internal::ParseEnvSwitch(text, &on)) << text;
+    EXPECT_TRUE(on) << text;
+  }
+  for (const char* text : {"0", "off", "false", "no"}) {
+    on = true;
+    EXPECT_TRUE(internal::ParseEnvSwitch(text, &on)) << text;
+    EXPECT_FALSE(on) << text;
+  }
+  for (const char* text : {"", "of", "o", "offf", "10", " 1", "On", "y"}) {
+    on = true;
+    EXPECT_FALSE(internal::ParseEnvSwitch(text, &on)) << text;
+    EXPECT_TRUE(on) << "left alone: " << text;
+  }
+}
 
 TEST(MetricsTest, CounterAccumulatesConcurrently) {
   Counter c;

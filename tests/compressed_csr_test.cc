@@ -221,6 +221,27 @@ TEST(CompressedCsrTest, EnvOverrideForcesAndDisablesCompression) {
   EXPECT_TRUE(unforced.IsCompressed());
 }
 
+// The override's parser on strings: the whole value must be a listed
+// spelling; a typo such as "of" keeps the build option (after one
+// warning) instead of forcing compression on.
+TEST(CompressedCsrTest, EnvOverrideIsParsedWhole) {
+  constexpr CompressionMode kRaw = CompressionMode::kNone;
+  constexpr CompressionMode kPacked = CompressionMode::kDeltaVarint;
+  for (const char* on : {"1", "on", "true", "yes", "delta-varint"}) {
+    EXPECT_EQ(ResolveCompressionMode(kRaw, on), kPacked) << on;
+  }
+  for (const char* off : {"0", "off", "false", "no", "none"}) {
+    EXPECT_EQ(ResolveCompressionMode(kPacked, off), kRaw) << off;
+  }
+  for (CompressionMode requested : {kRaw, kPacked}) {
+    EXPECT_EQ(ResolveCompressionMode(requested, nullptr), requested);
+    EXPECT_EQ(ResolveCompressionMode(requested, ""), requested);
+    for (const char* bad : {"of", "nonee", "2", "delta", "ON", "1 "}) {
+      EXPECT_EQ(ResolveCompressionMode(requested, bad), requested) << bad;
+    }
+  }
+}
+
 // --- InducedSubgraph contract under reordering -------------------------------
 
 TEST(CompressedCsrTest, InducedSubgraphTakesOriginalIdsOnReorderedParent) {

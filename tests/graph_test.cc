@@ -60,6 +60,23 @@ TEST(GraphTest, DuplicatesCollapsedByDefault) {
   EXPECT_EQ(g.NumEdges(), 1u);
 }
 
+TEST(GraphTest, RepeatedNeighborsAreFlagged) {
+  GraphOptions multi;
+  multi.dedup = false;
+  const std::vector<Edge> repeated = {{0, 1}, {1, 2}, {0, 1}};
+  EXPECT_TRUE(Graph::FromEdges(3, repeated, multi)->HasRepeatedNeighbors());
+  EXPECT_FALSE(Graph::FromEdges(3, repeated)->HasRepeatedNeighbors());
+  EXPECT_FALSE(
+      Graph::FromEdges(3, {{0, 1}, {1, 2}}, multi)->HasRepeatedNeighbors());
+  // An undirected self-loop is stored once per direction.
+  multi.remove_self_loops = false;
+  EXPECT_TRUE(Graph::FromEdges(2, {{1, 1}}, multi)->HasRepeatedNeighbors());
+  multi.remove_self_loops = true;
+  multi.compression = CompressionMode::kDeltaVarint;
+  multi.reorder = ReorderMode::kDegreeDesc;
+  EXPECT_TRUE(Graph::FromEdges(3, repeated, multi)->HasRepeatedNeighbors());
+}
+
 TEST(GraphTest, NeighborsAreSorted) {
   Graph g = MustBuild(5, {{2, 4}, {2, 0}, {2, 3}, {2, 1}});
   std::vector<VertexId> row;

@@ -424,6 +424,23 @@ TEST(SimdTest, KillSwitchAndIsaReporting) {
   simd::SetEnabled(prev);
 }
 
+// GAL_SIMD is read once per process, so its parser is tested on strings.
+// A value off the fixed list keeps SIMD on (after one warning) instead
+// of being read by its first character.
+TEST(SimdTest, EnvValueIsParsedWhole) {
+  for (const char* on : {"1", "on", "true", "yes"}) {
+    EXPECT_TRUE(simd::EnvAllows(on)) << on;
+  }
+  for (const char* off : {"0", "off", "false", "no"}) {
+    EXPECT_FALSE(simd::EnvAllows(off)) << off;
+  }
+  EXPECT_TRUE(simd::EnvAllows(nullptr));
+  EXPECT_TRUE(simd::EnvAllows(""));
+  for (const char* bad : {"of", "00", "0x", "1 ", "OFF", "disable"}) {
+    EXPECT_TRUE(simd::EnvAllows(bad)) << bad;
+  }
+}
+
 TEST(SimdTest, AxpyBitIdenticalToScalarLoop) {
   Rng rng(47);
   for (size_t n : {size_t{0}, size_t{1}, size_t{7}, size_t{8}, size_t{9},

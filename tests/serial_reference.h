@@ -1,6 +1,7 @@
 // Plain serial references the engine suites compare against: queue BFS,
-// binary-heap Dijkstra under SyntheticEdgeWeight, and flood-fill
-// components. Each walks g's out-neighbors in its own id space.
+// binary-heap Dijkstra under SyntheticEdgeWeight, flood-fill components
+// and brute-force subgraph-match counting. Each walks g's out-neighbors
+// in its own id space.
 
 #ifndef GAL_TESTS_SERIAL_REFERENCE_H_
 #define GAL_TESTS_SERIAL_REFERENCE_H_
@@ -9,6 +10,7 @@
 #include <functional>
 #include <limits>
 #include <queue>
+#include <set>
 #include <utility>
 #include <vector>
 
@@ -78,6 +80,86 @@ inline std::vector<VertexId> SerialComponents(const Graph& g) {
     }
   }
   return comp;
+}
+
+/// Number of injective maps f from query vertices to data vertices such
+/// that every query edge {a, b} is a data edge {f(a), f(b)} and, when
+/// both graphs are labeled, labels agree; with `induced`, query
+/// non-edges must map to data non-edges too. Every automorphic image
+/// counts, so SerialMatchCount(q, q, false) = |Aut(q)|. Self-loops and
+/// repeated edges collapse into std::set adjacency; nothing here comes
+/// from src/match/ or graph/intersect.h.
+inline uint64_t SerialMatchCount(const Graph& data, const Graph& query,
+                                 bool induced) {
+  auto adjacency = [](const Graph& g) {
+    std::vector<std::set<VertexId>> adj(g.NumVertices());
+    for (VertexId v = 0; v < g.NumVertices(); ++v) {
+      g.ForEachOutNeighbor(v, [&](VertexId u) { adj[v].insert(u); });
+    }
+    return adj;
+  };
+  const std::vector<std::set<VertexId>> d = adjacency(data);
+  const std::vector<std::set<VertexId>> q = adjacency(query);
+  const VertexId k = query.NumVertices();
+  const bool labeled = data.IsLabeled() && query.IsLabeled();
+
+  // Query vertices in BFS order from 0 (per component), so every vertex
+  // after a component's first has an earlier neighbor whose image's
+  // adjacency bounds its images.
+  std::vector<VertexId> order;
+  std::vector<bool> seen(k, false);
+  for (VertexId s = 0; s < k; ++s) {
+    if (seen[s]) continue;
+    seen[s] = true;
+    order.push_back(s);
+    for (size_t i = order.size() - 1; i < order.size(); ++i) {
+      for (VertexId w : q[order[i]]) {
+        if (!seen[w]) {
+          seen[w] = true;
+          order.push_back(w);
+        }
+      }
+    }
+  }
+
+  std::vector<VertexId> image(k, kInvalidVertex);
+  std::vector<bool> used(data.NumVertices(), false);
+  std::function<uint64_t(size_t)> extend = [&](size_t i) -> uint64_t {
+    if (i == order.size()) return 1;
+    const VertexId u = order[i];
+    auto fits = [&](VertexId v) {
+      if (used[v]) return false;
+      if (labeled && data.LabelOf(v) != query.LabelOf(u)) return false;
+      for (size_t j = 0; j < i; ++j) {
+        const VertexId w = order[j];
+        const bool query_edge = q[u].count(w) > 0;
+        const bool data_edge = d[v].count(image[w]) > 0;
+        if (query_edge && !data_edge) return false;
+        if (induced && !query_edge && data_edge) return false;
+      }
+      return true;
+    };
+    VertexId anchor = kInvalidVertex;
+    for (size_t j = 0; j < i && anchor == kInvalidVertex; ++j) {
+      if (q[u].count(order[j]) > 0) anchor = image[order[j]];
+    }
+    std::vector<VertexId> pool;
+    if (anchor != kInvalidVertex) {
+      pool.assign(d[anchor].begin(), d[anchor].end());
+    } else {
+      for (VertexId v = 0; v < data.NumVertices(); ++v) pool.push_back(v);
+    }
+    uint64_t count = 0;
+    for (VertexId v : pool) {
+      if (!fits(v)) continue;
+      image[u] = v;
+      used[v] = true;
+      count += extend(i + 1);
+      used[v] = false;
+    }
+    return count;
+  };
+  return extend(0);
 }
 
 }  // namespace gal
