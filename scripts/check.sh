@@ -50,7 +50,9 @@ cmake --build build-tsan --target gal_tests -j "${JOBS}"
 # CompressedCsrTest) sweep thread and worker counts over the reordered
 # and compressed layouts and vector kernels — the per-worker triangle
 # tallies, the per-worker decode scratch, and the SIMD dispatch flag are
-# the shared state TSan watches there.
+# the shared state TSan watches there. SparseTest.* includes the
+# two-source gathers dist-GCN runs under staleness, lossy codecs and EC,
+# at one and four kernel threads.
 ./build-tsan/tests/gal_tests \
     --gtest_filter='PipelineTest.*:ThreadPoolTest.*:TaskEngineTest.*:WorkDequeTest.*:MatchDeterminismTest.*:MatchSweepTest.*:KernelContextTest.*:KernelParityTest.*:TensorTest.*:MatrixTest.*:SparseTest.*:CoreBudgetTest.*:TrafficLedgerTest.*:VirtualClockTest.*:ClusterRuntimeTest.*:ExchangeChannelTest.*:ClusterExchangeTest.*:FrontierBitmapTest.*:SlidingQueueTest.*:VertexFrontierTest.*:Workers/FrontierParityTest.*:FrontierTraversalTest.*:GraphReorderTest.*:ReorderSimdParityTest.*:IntersectTest.*:SimdTest.*:CompressedCsrTest.*:DistGcnTest.OverlapReducesSimulatedTime:DistGcnTest.ReportExposesTracesAndOverlapOccupancy:DistGcnTest.CommChannelsRelieveCommBoundOverlap'
 
@@ -158,9 +160,13 @@ echo "== forced fault schedule: parity suites with an injected failure =="
 # picks up a checkpoint-every-2 schedule with worker 0 failing at
 # superstep 3, and all the bit-identity assertions must still hold —
 # recovery is invisible to results by construction. Both engines take
-# the schedule through the same BSP runtime barrier.
+# the schedule through the same BSP runtime barrier. The three dist-GCN
+# cases leave DistGcnConfig::faults at the environment's plan, so every
+# run they compare recovers from the failure while they assert that BSP
+# training equals the centralized trainer at every worker count,
+# partitioner and P3 split.
 GAL_CLUSTER_FAULT_CHECKPOINT=2 GAL_CLUSTER_FAULT_FAIL=0@3 ./build/tests/gal_tests \
-    --gtest_filter='GraphReorderTest.*:ReorderSimdParityTest.*:IntersectTest.*:SimdTest.*:CompressedCsrTest.*:Workers/FrontierParityTest.*:FrontierTraversalTest.*:TraversalTest.*:WccTest.*:TlavEngineTest.*:PageRankTest.*:BatchedQueriesTest.*:ClusterExchangeTest.*'
+    --gtest_filter='GraphReorderTest.*:ReorderSimdParityTest.*:IntersectTest.*:SimdTest.*:CompressedCsrTest.*:Workers/FrontierParityTest.*:FrontierTraversalTest.*:TraversalTest.*:WccTest.*:TlavEngineTest.*:PageRankTest.*:BatchedQueriesTest.*:ClusterExchangeTest.*:DistGcnTest.WorkerCountDoesNotChangeTheMathUnderBsp:DistGcnTest.P3SplitChangesLayer0Traffic:DistGcnTest.BspEqualsTheCentralizedTrainerAtEveryPlacement'
 
 echo
 echo "check.sh: all green"

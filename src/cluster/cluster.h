@@ -2,9 +2,7 @@
 #define GAL_CLUSTER_CLUSTER_H_
 
 #include <atomic>
-#include <cmath>
 #include <cstdint>
-#include <cstdlib>
 #include <thread>
 
 #include "cluster/ledger.h"
@@ -14,34 +12,6 @@
 #include "partition/partition.h"
 
 namespace gal {
-namespace internal {
-
-/// Strict full-string parse of a positive integer: "12abc", "", "-3" and
-/// "0" are all malformed (the old atoi-based resolution silently
-/// accepted prefixes and fell through on garbage).
-inline bool ParsePositiveEnvInt(const char* text, uint32_t* out) {
-  if (text == nullptr || *text == '\0') return false;
-  char* end = nullptr;
-  const long v = std::strtol(text, &end, 10);
-  if (*end != '\0' || v <= 0 || v > static_cast<long>(UINT32_MAX)) {
-    return false;
-  }
-  *out = static_cast<uint32_t>(v);
-  return true;
-}
-
-/// Strict full-string parse of a positive finite number: "15x", "abc",
-/// "" and "-2" are malformed (atof would read "15x" as 15 and "abc" as 0).
-inline bool ParsePositiveEnvDouble(const char* text, double* out) {
-  if (text == nullptr || *text == '\0') return false;
-  char* end = nullptr;
-  const double v = std::strtod(text, &end);
-  if (*end != '\0' || !(v > 0.0) || !std::isfinite(v)) return false;
-  *out = v;
-  return true;
-}
-
-}  // namespace internal
 
 /// Worker-thread count for engines that execute simulated workers on
 /// host threads: an explicit request wins, else the GAL_TASK_THREADS
@@ -51,15 +21,9 @@ inline bool ParsePositiveEnvDouble(const char* text, double* out) {
 inline uint32_t ResolveTaskThreads(uint32_t requested) {
   if (requested != 0) return requested;
   const unsigned hw = std::thread::hardware_concurrency();
-  const uint32_t fallback = hw == 0 ? 1 : hw;
-  if (const char* env = std::getenv("GAL_TASK_THREADS")) {
-    uint32_t v = 0;
-    if (internal::ParsePositiveEnvInt(env, &v)) return v;
-    static std::atomic<bool> warned{false};
-    internal::WarnOnceBadEnv(warned, "GAL_TASK_THREADS", env,
-                             "a positive integer", fallback);
-  }
-  return fallback;
+  static std::atomic<bool> warned{false};
+  return internal::PositiveEnvIntOr("GAL_TASK_THREADS", warned,
+                                    hw == 0 ? 1 : hw);
 }
 
 /// Simulated-cluster width: an explicit request wins, else the
@@ -70,14 +34,8 @@ inline uint32_t ResolveTaskThreads(uint32_t requested) {
 /// once and falls through to the default.
 inline uint32_t ResolveClusterWorkers(uint32_t requested) {
   if (requested != 0) return requested;
-  if (const char* env = std::getenv("GAL_CLUSTER_WORKERS")) {
-    uint32_t v = 0;
-    if (internal::ParsePositiveEnvInt(env, &v)) return v;
-    static std::atomic<bool> warned{false};
-    internal::WarnOnceBadEnv(warned, "GAL_CLUSTER_WORKERS", env,
-                             "a positive integer", 4);
-  }
-  return 4;
+  static std::atomic<bool> warned{false};
+  return internal::PositiveEnvIntOr("GAL_CLUSTER_WORKERS", warned, 4);
 }
 
 struct ClusterOptions {

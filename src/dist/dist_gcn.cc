@@ -84,30 +84,6 @@ std::vector<std::vector<VertexId>> ComputeHalos(const Graph& g,
 
 namespace {
 
-/// Splits the normalized adjacency into intra-worker and cross-worker
-/// entry sets, so aggregation can mix fresh local rows with
-/// policy-transformed remote rows.
-void SplitAdjacency(const Graph& g, const VertexPartition& parts,
-                    AdjNorm norm, SparseMatrix* local, SparseMatrix* remote) {
-  const uint32_t n = g.NumVertices();
-  SparseMatrix full = NormalizedAdjacency(g, norm);
-  std::vector<std::tuple<uint32_t, uint32_t, float>> local_t;
-  std::vector<std::tuple<uint32_t, uint32_t, float>> remote_t;
-  for (uint32_t r = 0; r < n; ++r) {
-    const auto idx = full.RowIndices(r);
-    const auto val = full.RowValues(r);
-    for (size_t e = 0; e < idx.size(); ++e) {
-      if (parts.assignment[r] == parts.assignment[idx[e]]) {
-        local_t.emplace_back(r, idx[e], val[e]);
-      } else {
-        remote_t.emplace_back(r, idx[e], val[e]);
-      }
-    }
-  }
-  *local = SparseMatrix::FromTriplets(n, n, std::move(local_t));
-  *remote = SparseMatrix::FromTriplets(n, n, std::move(remote_t));
-}
-
 /// Per-(layer, direction) stale store + codec state. (Not to be confused
 /// with the cluster ExchangeChannel<M>, which moves typed BSP messages —
 /// this is the *staleness* side of a halo exchange: the receiver-view
@@ -139,19 +115,17 @@ DistGcnReport TrainDistGcn(const NodeClassificationDataset& dataset,
   const NetworkCostModel cost = cluster->cost_model();
   TrafficLedger& ledger = cluster->ledger();
 
-  // Halo volume, adjacency split, cluster placement and edge cut follow
-  // `parts`, at the start and after every migration.
+  // Halo volume, cluster placement and edge cut follow `parts`, at the
+  // start and after every migration; the operator does not.
+  const SparseMatrix adj = NormalizedAdjacency(g, AdjNorm::kSymmetric);
   VertexPartition parts = MakePartition(g, config.partition, num_workers,
                                         dataset.TrainVertices());
   uint64_t halo_rows_per_exchange = 0;
-  SparseMatrix adj_local;
-  SparseMatrix adj_remote;
   auto place = [&] {
     halo_rows_per_exchange = 0;
     for (const auto& h : ComputeHalos(g, parts)) {
       halo_rows_per_exchange += h.size();
     }
-    SplitAdjacency(g, parts, AdjNorm::kSymmetric, &adj_local, &adj_remote);
     cluster->InstallPartition(parts);
     report.edge_cut = EvaluatePartition(g, parts).edge_cut;
   };
@@ -290,6 +264,13 @@ DistGcnReport TrainDistGcn(const NodeClassificationDataset& dataset,
     return &ch.stale;
   };
 
+  // BSP on a lossless wire: every received row equals its sender's
+  // fresh row, so aggregation is the centralized Â·H at any placement.
+  // Every other mode aggregates what a worker really holds: its own
+  // fresh rows and the received (stale, quantized or compensated) halo.
+  const bool lossless = config.sync == SyncMode::kBsp &&
+                        config.quantization == Quantization::kNone &&
+                        !config.error_compensation;
   AggregateFn aggregate = [&](const Matrix& h, uint32_t layer,
                               bool backward) -> Matrix {
     StaleChannel& ch =
@@ -298,7 +279,7 @@ DistGcnReport TrainDistGcn(const NodeClassificationDataset& dataset,
       // P3 hybrid parallelism: features are dimension-partitioned, so no
       // raw-feature halo exchange happens at all; instead each worker
       // produces a partial (|V| x hidden) aggregate that is all-reduced.
-      // The math is identical (Σ_w Â H[:,w] W[w,:] = Â H W); only the
+      // Every worker reads fresh features, so the math is Â·H; only the
       // traffic differs.
       const uint64_t partial_bytes = static_cast<uint64_t>(g.NumVertices()) *
                                      config.hidden_dim * sizeof(float);
@@ -309,18 +290,14 @@ DistGcnReport TrainDistGcn(const NodeClassificationDataset& dataset,
                           std::max(1u, num_workers));
       }
       ++report.broadcasts_sent;
-      Matrix out = adj_local.Multiply(h);
-      out.AddScaled(adj_remote.Multiply(h), 1.0f);  // exact: Σ partials
-      return out;
+      return adj.Multiply(h);
     }
-    Matrix* remote_view = exchange(ch, h);
-    Matrix out = backward ? adj_local.TransposeMultiply(h)
-                          : adj_local.Multiply(h);
-    Matrix remote_part = backward
-                             ? adj_remote.TransposeMultiply(*remote_view)
-                             : adj_remote.Multiply(*remote_view);
-    out.AddScaled(remote_part, 1.0f);
-    return out;
+    const Matrix& received = *exchange(ch, h);
+    if (lossless) {
+      return backward ? adj.TransposeMultiply(h) : adj.Multiply(h);
+    }
+    return backward ? adj.TransposeMultiply(h, received, parts.assignment)
+                    : adj.Multiply(h, received, parts.assignment);
   };
 
   // Per-epoch span histograms: the GNN "stages" of one training step.
@@ -344,14 +321,12 @@ DistGcnReport TrainDistGcn(const NodeClassificationDataset& dataset,
     for (uint32_t w = 0; w < num_workers; ++w) barrier.AddCompute(w, share);
   };
   RoundBarrier::Hooks hooks{save_state, load_state, nullptr, nullptr};
-  // Rebalancing applies only when migrating vertices cannot change the
-  // math: under staleness, lossy wires, EC residuals, or P3's dimension
-  // split, the set of values crossing the wire depends on the partition,
-  // so a migration would perturb training — those configs keep their
-  // partition and rely on checkpoints alone.
-  if (config.sync == SyncMode::kBsp &&
-      config.quantization == Quantization::kNone &&
-      !config.error_compensation && !config.p3_feature_split) {
+  // Rebalancing applies only where migrating vertices cannot change the
+  // math: on a lossless BSP wire (P3 included) training does not depend
+  // on placement. Under staleness, lossy codecs or EC the partition
+  // decides which rows a worker reads stale or lossy, so those configs
+  // keep their partition and rely on checkpoints alone.
+  if (lossless) {
     hooks.migrate = [&](uint32_t from, double fraction) {
       std::vector<VertexId> moved;
       parts = RebalanceAway(g, parts, from, fraction, &moved);

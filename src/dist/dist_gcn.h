@@ -75,8 +75,10 @@ struct DistGcnConfig {
   /// checkpoint/restore bytes on the ledger and their transfer time on
   /// the clock. Training is epoch-deterministic, so a recovered run's
   /// losses and accuracy are bit-identical to the failure-free run.
-  /// Rebalancing applies only under semantics-preserving configs (BSP +
-  /// fp32, no EC/P3) — see DESIGN.md.
+  /// BSP on a lossless wire (fp32, no EC; P3 or not) computes the
+  /// centralized model bit-for-bit at any worker count, partitioner or
+  /// migration, so only those runs rebalance; staleness, lossy codecs
+  /// and EC keep their partition — see DESIGN.md.
   FaultPlan faults = FaultPlan::FromEnvOrWarn();
 };
 

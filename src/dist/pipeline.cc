@@ -1,8 +1,8 @@
 #include "dist/pipeline.h"
 
 #include <algorithm>
+#include <atomic>
 #include <condition_variable>
-#include <cstdlib>
 #include <deque>
 #include <mutex>
 #include <sstream>
@@ -18,12 +18,8 @@ namespace gal {
 
 uint32_t ResolveStageExecutors(uint32_t configured) {
   if (configured > 0) return configured;
-  if (const char* env = std::getenv("GAL_STAGE_EXECUTORS")) {
-    char* end = nullptr;
-    const unsigned long v = std::strtoul(env, &end, 10);
-    if (end != env && *end == '\0' && v > 0) return static_cast<uint32_t>(v);
-  }
-  return 1;
+  static std::atomic<bool> warned{false};
+  return internal::PositiveEnvIntOr("GAL_STAGE_EXECUTORS", warned, 1);
 }
 
 ModeledStageSpec ModeledNetworkStage(const std::string& name,

@@ -35,7 +35,8 @@ struct PipelineStage {
 };
 
 /// Resolved executor count for one stage: `configured` if positive, else
-/// the GAL_STAGE_EXECUTORS env override if positive, else 1.
+/// the GAL_STAGE_EXECUTORS env override if positive, else 1 (a malformed
+/// value warns once).
 uint32_t ResolveStageExecutors(uint32_t configured);
 
 /// One stage of the *modeled* pipeline: a per-batch busy-time row plus

@@ -4,7 +4,7 @@
 #include <cstdlib>
 #include <cstring>
 
-#include "cluster/cluster.h"
+#include "common/logging.h"
 
 namespace gal {
 namespace {

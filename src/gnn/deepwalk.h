@@ -44,8 +44,9 @@ DeepWalkResult DeepWalkEmbeddings(const Graph& g,
 
 /// Second-order (node2vec) random-walk corpus on the TLAV engine:
 /// walkers carry their previous vertex and choose the next one with the
-/// p/q-biased distribution. p = q = 1 reduces to RandomWalkCorpus's
-/// distribution.
+/// p/q-biased distribution. p = q = 1 is DeepWalk's uniform first-order
+/// walk. corpus[w] is walk w, seeded at vertex w / walks_per_vertex; a
+/// walk that reaches a dead end stops there.
 struct BiasedWalkResult {
   std::vector<std::vector<VertexId>> corpus;
   TlavStats stats;

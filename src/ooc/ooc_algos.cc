@@ -220,16 +220,20 @@ OocTriangleResult OocTriangleCount(const ShardedGraph& g,
   };
   std::vector<Scratch> scratch(threads);
 
-  // Orientation keeps (deg(u), u) > (deg(v), v) — identical filter to
-  // OrientByDegree, evaluated on RAM-resident degrees, so every
-  // IntersectCount below sees the same operands as the in-memory run.
-  auto orient_into = [&g](const PinnedShard& pin, VertexId v,
-                          std::vector<VertexId>& out) {
-    out.clear();
+  // Appends v's oriented row to `out`: neighbors u with (deg(u), u) >
+  // (deg(v), v), once each — identical filter to OrientByDegree,
+  // evaluated on RAM-resident degrees, so every IntersectCount below
+  // sees the same operands as the in-memory run.
+  auto append_oriented = [&g](const PinnedShard& pin, VertexId v,
+                              std::vector<VertexId>& out) {
+    const size_t start = out.size();
     const uint32_t dv = g.Degree(v);
     pin.ForEachOutNeighbor(v, [&](VertexId u) {
       const uint32_t du = g.Degree(u);
-      if (du > dv || (du == dv && u > v)) out.push_back(u);
+      if ((du > dv || (du == dv && u > v)) &&
+          (out.size() == start || out.back() != u)) {
+        out.push_back(u);
+      }
     });
   };
 
@@ -247,11 +251,7 @@ OocTriangleResult OocTriangleCount(const ShardedGraph& g,
         {
           PinnedShard pin = g.Pin(s);
           for (VertexId v = begin; v < info.end; ++v) {
-            const uint32_t dv = g.Degree(v);
-            pin.ForEachOutNeighbor(v, [&](VertexId u) {
-              const uint32_t du = g.Degree(u);
-              if (du > dv || (du == dv && u > v)) sc.rows.push_back(u);
-            });
+            append_oriented(pin, v, sc.rows);
             sc.row_start[v - begin + 1] =
                 static_cast<uint32_t>(sc.rows.size());
           }
@@ -265,7 +265,8 @@ OocTriangleResult OocTriangleCount(const ShardedGraph& g,
           for (VertexId u : ov) {
             {
               PinnedShard upin = g.Pin(g.ShardOf(u));
-              orient_into(upin, u, sc.target);
+              sc.target.clear();
+              append_oriented(upin, u, sc.target);
             }
             sc.triangles += IntersectCount(
                 ov, {sc.target.data(), sc.target.size()}, &sc.ops);

@@ -1,11 +1,13 @@
 #include "ooc/sharded_graph.h"
 
+#include <atomic>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
 
+#include "common/logging.h"
 #include "graph/compressed_csr.h"
 
 namespace gal {
@@ -51,12 +53,18 @@ class ByteReader {
   bool ok_ = true;
 };
 
-uint64_t EnvBytes(const char* name, bool* present) {
-  *present = false;
+/// Reads a byte-count knob into *bytes: true when `name` holds a whole
+/// non-negative integer. Any other value ("64M", "1e6", "-1", "abc")
+/// warns once per variable and returns false, so the caller keeps
+/// `requested`.
+bool EnvBytes(const char* name, std::atomic<bool>& warned, uint64_t requested,
+              uint64_t* bytes) {
   const char* value = std::getenv(name);
-  if (value == nullptr || value[0] == '\0') return 0;
-  *present = true;
-  return std::strtoull(value, nullptr, 10);
+  if (value == nullptr) return false;
+  if (internal::ParseEnvUint64(value, bytes)) return true;
+  internal::WarnOnceBadEnv(warned, name, value, "a non-negative integer",
+                           requested);
+  return false;
 }
 
 /// Whether every adjacency row is strictly ascending (no repeated
@@ -81,16 +89,20 @@ bool RowsStrictlyAscending(const Graph& g) {
 }  // namespace
 
 uint64_t ResolveOocShardBytes(uint64_t requested) {
-  bool present = false;
-  const uint64_t env = EnvBytes("GAL_OOC_SHARD_BYTES", &present);
-  uint64_t bytes = present && env > 0 ? env : requested;
+  static std::atomic<bool> warned{false};
+  uint64_t env = 0;
+  const bool present =
+      EnvBytes("GAL_OOC_SHARD_BYTES", warned, requested, &env);
+  const uint64_t bytes = present && env > 0 ? env : requested;
   return bytes == 0 ? 1 : bytes;
 }
 
 uint64_t ResolveOocBudgetBytes(uint64_t requested, uint64_t min_feasible,
                                bool* env_forced) {
-  bool present = false;
-  const uint64_t env = EnvBytes("GAL_OOC_BUDGET_BYTES", &present);
+  static std::atomic<bool> warned{false};
+  uint64_t env = 0;
+  const bool present =
+      EnvBytes("GAL_OOC_BUDGET_BYTES", warned, requested, &env);
   if (env_forced != nullptr) *env_forced = present;
   if (!present) return requested;
   if (env == 0) return 0;  // "0" = unlimited, like an unset budget option

@@ -41,7 +41,9 @@ struct OocOptions {
 };
 
 /// Resolves the effective writer shard size / open budget against the
-/// environment (exposed for tests).
+/// environment (exposed for tests). A knob must hold a whole
+/// non-negative integer; any other value warns once and keeps
+/// `requested`.
 uint64_t ResolveOocShardBytes(uint64_t requested);
 uint64_t ResolveOocBudgetBytes(uint64_t requested, uint64_t min_feasible,
                                bool* env_forced = nullptr);

@@ -1,7 +1,7 @@
 #include "tensor/kernel_context.h"
 
 #include <algorithm>
-#include <cstdlib>
+#include <atomic>
 #include <thread>
 
 #include "common/logging.h"
@@ -23,12 +23,10 @@ KernelContext& KernelContext::Get() {
 KernelContext::KernelContext() { SetNumThreads(0); }
 
 size_t KernelContext::DefaultNumThreads() {
-  if (const char* env = std::getenv("GAL_KERNEL_THREADS")) {
-    char* end = nullptr;
-    const unsigned long v = std::strtoul(env, &end, 10);
-    if (end != env && *end == '\0' && v > 0) return static_cast<size_t>(v);
-  }
-  return std::max(1u, std::thread::hardware_concurrency());
+  static std::atomic<bool> warned{false};
+  return internal::PositiveEnvIntOr(
+      "GAL_KERNEL_THREADS", warned,
+      std::max(1u, std::thread::hardware_concurrency()));
 }
 
 void KernelContext::SetNumThreads(size_t n) {

@@ -21,8 +21,9 @@ namespace gal {
 /// count.
 ///
 /// Thread count resolution: `GAL_KERNEL_THREADS` env override if set to
-/// a positive integer, else `hardware_concurrency`. With one thread no
-/// pool is spawned and every kernel runs inline (serial fallback).
+/// a positive integer, else `hardware_concurrency` (a malformed value
+/// warns once). With one thread no pool is spawned and every kernel
+/// runs inline (serial fallback).
 class KernelContext {
  public:
   /// The singleton; first call resolves the thread-count policy and

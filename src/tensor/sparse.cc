@@ -30,6 +30,27 @@ std::vector<uint32_t> NnzBalancedRowBounds(
   return bounds;
 }
 
+/// Row sources of the gather: one dense matrix, or the fresh/received
+/// pair chosen per entry by whether its row and column share an owner.
+auto OneSource(const Matrix& dense) {
+  return [&dense](uint32_t, uint32_t c) { return dense.row(c); };
+}
+auto TwoSource(const Matrix& local, const Matrix& remote,
+               std::span<const uint32_t> owner) {
+  return [&local, &remote, owner](uint32_t r, uint32_t c) {
+    return owner[r] == owner[c] ? local.row(c) : remote.row(c);
+  };
+}
+
+void CheckTwoSource(const SparseMatrix& m, const Matrix& local,
+                    const Matrix& remote, std::span<const uint32_t> owner) {
+  GAL_CHECK(m.rows() == m.cols() && owner.size() == m.rows() &&
+            local.rows() == m.rows() && remote.rows() == local.rows() &&
+            remote.cols() == local.cols())
+      << m.ShapeString() << " over " << local.ShapeString() << " / "
+      << remote.ShapeString() << " with " << owner.size() << " owners";
+}
+
 }  // namespace
 
 struct SparseMatrix::TransposeCache {
@@ -75,30 +96,39 @@ std::string SparseMatrix::ShapeString() const {
   return os.str();
 }
 
-Matrix SparseMatrix::Multiply(const Matrix& dense) const {
-  GAL_CHECK(cols_ == dense.rows())
-      << ShapeString() << " * " << dense.ShapeString();
-  Matrix out(rows_, dense.cols());
-  if (rows_ == 0 || dense.cols() == 0 || nnz() == 0) return out;
+template <typename Source>
+Matrix SparseMatrix::Gather(uint32_t out_cols, const Source& source) const {
+  Matrix out(rows_, out_cols);
+  if (rows_ == 0 || out_cols == 0 || nnz() == 0) return out;
   KernelContext& ctx = KernelContext::Get();
   ScopedSpan span(ctx.spmm_hist());
-  const size_t shards = std::min<size_t>(
-      rows_, ctx.ShardCountFor(nnz() * dense.cols()));
+  const size_t shards =
+      std::min<size_t>(rows_, ctx.ShardCountFor(nnz() * out_cols));
   const std::vector<uint32_t> bounds =
       NnzBalancedRowBounds(offsets_, rows_, shards);
   ctx.RunShards(shards, [&](size_t s) {
-    // Each output row is reduced by exactly one shard in edge order, so
-    // the result is bit-identical at any thread count.
     for (uint32_t r = bounds[s]; r < bounds[s + 1]; ++r) {
       float* or_ = out.row(r);
       for (uint64_t e = offsets_[r]; e < offsets_[r + 1]; ++e) {
         // axpy row gather; per-lane multiply-then-add keeps the result
         // bit-identical to the scalar loop.
-        simd::AxpyF32(or_, dense.row(cols_idx_[e]), values_[e], dense.cols());
+        simd::AxpyF32(or_, source(r, cols_idx_[e]), values_[e], out_cols);
       }
     }
   });
   return out;
+}
+
+Matrix SparseMatrix::Multiply(const Matrix& dense) const {
+  GAL_CHECK(cols_ == dense.rows())
+      << ShapeString() << " * " << dense.ShapeString();
+  return Gather(dense.cols(), OneSource(dense));
+}
+
+Matrix SparseMatrix::Multiply(const Matrix& local, const Matrix& remote,
+                              std::span<const uint32_t> owner) const {
+  CheckTwoSource(*this, local, remote, owner);
+  return Gather(local.cols(), TwoSource(local, remote, owner));
 }
 
 const SparseMatrix& SparseMatrix::Transposed() const {
@@ -130,29 +160,20 @@ const SparseMatrix& SparseMatrix::Transposed() const {
 Matrix SparseMatrix::TransposeMultiply(const Matrix& dense) const {
   GAL_CHECK(rows_ == dense.rows())
       << ShapeString() << "^T * " << dense.ShapeString();
-  if (cols_ == 0 || dense.cols() == 0 || nnz() == 0) {
-    return Matrix(cols_, dense.cols());
-  }
+  if (nnz() == 0) return Matrix(cols_, dense.cols());
   // Gather over the cached transposed CSR: race-free under row sharding,
   // unlike scattering along this matrix's own rows.
-  const SparseMatrix& t = Transposed();
-  Matrix out(t.rows_, dense.cols());
-  KernelContext& ctx = KernelContext::Get();
-  ScopedSpan span(ctx.spmm_hist());
-  const size_t shards = std::min<size_t>(
-      t.rows_, ctx.ShardCountFor(t.nnz() * dense.cols()));
-  const std::vector<uint32_t> bounds =
-      NnzBalancedRowBounds(t.offsets_, t.rows_, shards);
-  ctx.RunShards(shards, [&](size_t s) {
-    for (uint32_t r = bounds[s]; r < bounds[s + 1]; ++r) {
-      float* or_ = out.row(r);
-      for (uint64_t e = t.offsets_[r]; e < t.offsets_[r + 1]; ++e) {
-        simd::AxpyF32(or_, dense.row(t.cols_idx_[e]), t.values_[e],
-                      dense.cols());
-      }
-    }
-  });
-  return out;
+  return Transposed().Gather(dense.cols(), OneSource(dense));
+}
+
+Matrix SparseMatrix::TransposeMultiply(const Matrix& local,
+                                       const Matrix& remote,
+                                       std::span<const uint32_t> owner) const {
+  CheckTwoSource(*this, local, remote, owner);
+  if (nnz() == 0) return Matrix(cols_, local.cols());
+  // The owner test is symmetric, so the transpose's entry (c, r) picks
+  // the same source as this matrix's entry (r, c).
+  return Transposed().Gather(local.cols(), TwoSource(local, remote, owner));
 }
 
 SparseMatrix NormalizedAdjacency(const Graph& g, AdjNorm norm) {

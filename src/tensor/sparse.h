@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <vector>
 
 #include "graph/graph.h"
@@ -41,6 +42,17 @@ class SparseMatrix {
   /// is race-free and bit-identical to the serial scatter.
   Matrix TransposeMultiply(const Matrix& dense) const;
 
+  /// Two-source forms for a square operator over vertices placed by
+  /// `owner`: entry (r, c) reads row c of `local` when owner[r] ==
+  /// owner[c], else row c of `remote` — a worker's own fresh rows next
+  /// to the received copies of its halo. Each output row still sums in
+  /// CSR order, so when `remote` equals `local` the result is
+  /// bit-identical to the one-source form under every `owner`.
+  Matrix Multiply(const Matrix& local, const Matrix& remote,
+                  std::span<const uint32_t> owner) const;
+  Matrix TransposeMultiply(const Matrix& local, const Matrix& remote,
+                           std::span<const uint32_t> owner) const;
+
   /// Row access (column indices + values, parallel arrays).
   std::span<const uint32_t> RowIndices(uint32_t r) const {
     GAL_DCHECK(r < rows_);
@@ -59,6 +71,13 @@ class SparseMatrix {
   struct TransposeCache;
 
   const SparseMatrix& Transposed() const;
+
+  /// The one CSR row gather under every Multiply form: output row r
+  /// sums values_[e] * source(r, cols_idx_[e]) over its entries in CSR
+  /// order. Rows are sharded by nnz and each is reduced by exactly one
+  /// shard, so the result is bit-identical at any thread count.
+  template <typename Source>
+  Matrix Gather(uint32_t out_cols, const Source& source) const;
 
   uint32_t rows_;
   uint32_t cols_;

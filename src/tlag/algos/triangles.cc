@@ -15,17 +15,23 @@ namespace gal {
 namespace {
 
 /// Builds the degree-oriented adjacency: for each v, neighbors u with
-/// (deg(u), u) > (deg(v), v), kept sorted by id. Orientation makes every
-/// triangle counted exactly once and bounds out-degrees by O(sqrt(|E|))
-/// on arbitrary graphs.
+/// (deg(u), u) > (deg(v), v), kept sorted by id and once each. Orientation
+/// makes every triangle counted exactly once and bounds out-degrees by
+/// O(sqrt(|E|)) on arbitrary graphs; rows are sorted, so a parallel edge
+/// repeats the neighbor just kept and is skipped, and a multigraph counts
+/// its distinct triangles.
 std::vector<std::vector<VertexId>> OrientByDegree(const Graph& g) {
   const VertexId n = g.NumVertices();
   std::vector<std::vector<VertexId>> out(n);
   for (VertexId v = 0; v < n; ++v) {
     const uint32_t dv = g.Degree(v);
+    std::vector<VertexId>& row = out[v];
     g.ForEachOutNeighbor(v, [&](VertexId u) {
       const uint32_t du = g.Degree(u);
-      if (du > dv || (du == dv && u > v)) out[v].push_back(u);
+      if ((du > dv || (du == dv && u > v)) &&
+          (row.empty() || row.back() != u)) {
+        row.push_back(u);
+      }
     });
   }
   return out;

@@ -11,7 +11,8 @@ namespace gal {
 /// Intersection-based triangle counting — the "one machine beats 1636"
 /// side of the survey's §1 anecdote. Work is Σ_v d+(v)² intersections
 /// over a degree-oriented graph with *zero* messages, versus the TLAV
-/// formulation's one message per wedge.
+/// formulation's one message per wedge. A multigraph (a `dedup = false`
+/// build) counts its distinct triangles.
 struct TriangleCountResult {
   uint64_t triangles = 0;
   /// Adjacency elements touched by the merge intersections; the unit to

@@ -1,4 +1,5 @@
 #include <atomic>
+#include <cstdint>
 #include <set>
 #include <vector>
 
@@ -230,6 +231,28 @@ TEST(EnvSwitchTest, MatchesWholeSpellingsOnly) {
     on = true;
     EXPECT_FALSE(internal::ParseEnvSwitch(text, &on)) << text;
     EXPECT_TRUE(on) << "left alone: " << text;
+  }
+}
+
+TEST(EnvNumberTest, ParsesWholeIntegersOnly) {
+  uint64_t bytes = 7;
+  EXPECT_TRUE(internal::ParseEnvUint64("0", &bytes));
+  EXPECT_EQ(bytes, 0u);
+  EXPECT_TRUE(internal::ParseEnvUint64("18446744073709551615", &bytes));
+  EXPECT_EQ(bytes, UINT64_MAX);
+  for (const char* text : {"", "abc", "-1", "+1", " 1", "64M", "1e6",
+                           "18446744073709551616"}) {
+    bytes = 7;
+    EXPECT_FALSE(internal::ParseEnvUint64(text, &bytes)) << text;
+    EXPECT_EQ(bytes, 7u) << "left alone: " << text;
+  }
+  uint32_t count = 7;
+  EXPECT_TRUE(internal::ParsePositiveEnvInt("4294967295", &count));
+  EXPECT_EQ(count, UINT32_MAX);
+  for (const char* text : {"0", "4294967296", "two", "3x", "-3", ""}) {
+    count = 7;
+    EXPECT_FALSE(internal::ParsePositiveEnvInt(text, &count)) << text;
+    EXPECT_EQ(count, 7u) << "left alone: " << text;
   }
 }
 

@@ -4,6 +4,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <mutex>
+#include <string>
 #include <thread>
 
 #include <gtest/gtest.h>
@@ -15,6 +16,8 @@
 #include "dist/quantization.h"
 #include "gnn/dataset.h"
 #include "graph/generators.h"
+#include "nn/gcn.h"
+#include "tensor/sparse.h"
 
 namespace gal {
 namespace {
@@ -421,8 +424,19 @@ TEST(PipelineTest, ResolveStageExecutorsHonorsEnvDefault) {
   setenv("GAL_STAGE_EXECUTORS", "4", 1);
   EXPECT_EQ(ResolveStageExecutors(0), 4u);
   EXPECT_EQ(ResolveStageExecutors(2), 2u);
-  setenv("GAL_STAGE_EXECUTORS", "garbage", 1);
-  EXPECT_EQ(ResolveStageExecutors(0), 1u);
+  // A malformed value keeps the default and warns once.
+  testing::internal::CaptureStderr();
+  for (const char* bad : {"garbage", "two", "0", "4x"}) {
+    setenv("GAL_STAGE_EXECUTORS", bad, 1);
+    EXPECT_EQ(ResolveStageExecutors(0), 1u) << bad;
+  }
+  const std::string log = testing::internal::GetCapturedStderr();
+  EXPECT_NE(log.find("GAL_STAGE_EXECUTORS=\"garbage\""), std::string::npos)
+      << log;
+  EXPECT_EQ(
+      log.find("GAL_STAGE_EXECUTORS", log.find("GAL_STAGE_EXECUTORS") + 1),
+      std::string::npos)
+      << log;
   unsetenv("GAL_STAGE_EXECUTORS");
   EXPECT_EQ(ResolveStageExecutors(0), 1u);
 }
@@ -451,6 +465,14 @@ NodeClassificationDataset SmallDataset() {
   opt.num_classes = 3;
   opt.noise = 1.5;
   return MakePlantedDataset(opt);
+}
+
+// The whole learning curve, bit for bit.
+void ExpectSameTraining(const DistGcnReport& want, const DistGcnReport& got,
+                        const std::string& what) {
+  EXPECT_EQ(got.epoch_loss, want.epoch_loss) << what;
+  EXPECT_EQ(got.epoch_test_accuracy, want.epoch_test_accuracy) << what;
+  EXPECT_EQ(got.final_test_accuracy, want.final_test_accuracy) << what;
 }
 
 TEST(DistGcnTest, BspMatchesAccuracyOfCentralized) {
@@ -563,8 +585,8 @@ TEST(DistGcnTest, P3SplitChangesLayer0Traffic) {
   p3.p3_feature_split = true;
   DistGcnReport rb = TrainDistGcn(ds, base);
   DistGcnReport rp = TrainDistGcn(ds, p3);
-  // Identical math => same learning curve.
-  EXPECT_NEAR(rb.epoch_loss.back(), rp.epoch_loss.back(), 1e-5);
+  // Identical math => the same learning curve, bit for bit.
+  ExpectSameTraining(rb, rp, "P3");
   // Fat raw features dominate the halo traffic; P3 avoids shipping them.
   EXPECT_LT(rp.comm_bytes, rb.comm_bytes);
 }
@@ -591,8 +613,52 @@ TEST(DistGcnTest, WorkerCountDoesNotChangeTheMathUnderBsp) {
   four.num_workers = 4;
   DistGcnReport a = TrainDistGcn(ds, one);
   DistGcnReport b = TrainDistGcn(ds, four);
-  for (size_t e = 0; e < a.epoch_loss.size(); ++e) {
-    EXPECT_NEAR(a.epoch_loss[e], b.epoch_loss[e], 1e-6) << "epoch " << e;
+  ExpectSameTraining(a, b, "W=4");
+}
+
+TEST(DistGcnTest, BspEqualsTheCentralizedTrainerAtEveryPlacement) {
+  // The centralized reference: the same GCN, Adam, dims, seed and lr
+  // under the exact in-memory aggregator. BSP on a lossless wire must
+  // reproduce it epoch by epoch at every worker count and partitioner,
+  // with and without P3's layer-0 feature split.
+  NodeClassificationDataset ds = SmallDataset();
+  DistGcnConfig config;
+  config.epochs = 6;
+  config.hidden_dim = 8;
+  GcnConfig model_config;
+  model_config.dims = {ds.features.cols(), config.hidden_dim,
+                       ds.num_classes};
+  model_config.seed = config.seed;
+  GcnModel model(model_config);
+  const SparseMatrix adj = NormalizedAdjacency(ds.graph, AdjNorm::kSymmetric);
+  TrainConfig train;
+  train.epochs = config.epochs;
+  train.lr = config.lr;
+  const TrainReport ref =
+      TrainNodeClassifier(model, ds.features, ds.labels, ds.train_mask,
+                          ds.test_mask, ExactAggregator(&adj), train);
+  DistGcnReport centralized;
+  for (const EpochMetrics& m : ref.epochs) {
+    centralized.epoch_loss.push_back(m.loss);
+    centralized.epoch_test_accuracy.push_back(m.test_accuracy);
+  }
+  centralized.final_test_accuracy = ref.final_test_accuracy;
+
+  for (uint32_t workers : {1u, 2u, 4u}) {
+    for (PartitionScheme scheme :
+         {PartitionScheme::kHash, PartitionScheme::kRange,
+          PartitionScheme::kLdg, PartitionScheme::kMultilevel,
+          PartitionScheme::kBfsVoronoi}) {
+      for (bool p3 : {false, true}) {
+        config.num_workers = workers;
+        config.partition = scheme;
+        config.p3_feature_split = p3;
+        ExpectSameTraining(centralized, TrainDistGcn(ds, config),
+                           std::string(PartitionSchemeName(scheme)) +
+                               " W=" + std::to_string(workers) +
+                               (p3 ? " P3" : ""));
+      }
+    }
   }
 }
 
@@ -651,7 +717,7 @@ TEST(DistGcnTest, CommChannelsRelieveCommBoundOverlap) {
   DistGcnReport b = TrainDistGcn(ds, twochan);
   EXPECT_EQ(a.overlap_bottleneck_stage, 1u);  // comm
   // The math is unchanged — only the modeled schedule differs.
-  EXPECT_NEAR(a.final_test_accuracy, b.final_test_accuracy, 1e-12);
+  EXPECT_EQ(a.final_test_accuracy, b.final_test_accuracy);
   EXPECT_LT(b.modeled_overlap_epoch_seconds,
             a.modeled_overlap_epoch_seconds);
 }

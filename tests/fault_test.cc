@@ -474,12 +474,22 @@ TEST(FaultParityTest, DistGcnRecoveryIsBitIdentical) {
   data.num_classes = 3;
   NodeClassificationDataset ds = MakePlantedDataset(data);
 
+  // BSP on a lossless wire is placement-independent, so every W's clean
+  // curve is W=1's too.
+  DistGcnReport one_worker;
   for (uint32_t workers : {1u, 2u, 4u}) {
     DistGcnConfig clean;
     clean.num_workers = workers;
     clean.epochs = 8;
     clean.faults = FaultPlan{};
     const DistGcnReport clean_report = TrainDistGcn(ds, clean);
+    if (workers == 1) one_worker = clean_report;
+    EXPECT_EQ(clean_report.epoch_loss, one_worker.epoch_loss)
+        << "W=" << workers;
+    EXPECT_EQ(clean_report.epoch_test_accuracy,
+              one_worker.epoch_test_accuracy);
+    EXPECT_EQ(clean_report.final_test_accuracy,
+              one_worker.final_test_accuracy);
 
     DistGcnConfig faulty = clean;
     faulty.faults = FaultPlan{}.CheckpointEvery(3).FailWorkerAt(0, 4);
@@ -897,30 +907,32 @@ TEST(RebalanceTest, RebalanceComposesWithFailureRecovery) {
 }
 
 TEST(RebalanceTest, DistGcnRebalancePreservesTraining) {
-  // Unlike the TLAV engines (integer folds, bit-exact under any
-  // partition), dist-GCN's local/remote adjacency split changes float
-  // summation order when vertices migrate, so a rebalanced run matches
-  // the clean one in math, not in ULPs: training quality is asserted
-  // with a tolerance, while the migration accounting is exact.
+  // Every row sums in the one-worker CSR order whatever the partition,
+  // so on a lossless BSP wire a migration leaves the curve bit-identical,
+  // with and without P3's layer-0 feature split.
   PlantedDatasetOptions data;
   data.num_vertices = 300;
   data.num_classes = 3;
   NodeClassificationDataset ds = MakePlantedDataset(data);
 
-  DistGcnConfig clean;
-  clean.num_workers = 4;
-  clean.epochs = 10;
-  clean.faults = FaultPlan{};
-  const DistGcnReport clean_report = TrainDistGcn(ds, clean);
+  for (bool p3 : {false, true}) {
+    DistGcnConfig clean;
+    clean.num_workers = 4;
+    clean.epochs = 10;
+    clean.p3_feature_split = p3;
+    clean.faults = FaultPlan{};
+    const DistGcnReport clean_report = TrainDistGcn(ds, clean);
 
-  DistGcnConfig rebalanced = clean;
-  rebalanced.faults =
-      FaultPlan{}.SlowWorker(0, 8.0).Rebalance(RebalanceConfig{});
-  const DistGcnReport r = TrainDistGcn(ds, rebalanced);
-  ASSERT_EQ(r.epoch_loss.size(), clean_report.epoch_loss.size());
-  EXPECT_NEAR(r.final_test_accuracy, clean_report.final_test_accuracy, 0.1);
-  EXPECT_GE(r.rebalances, 1u);
-  EXPECT_GT(r.migration_bytes, 0u);
+    DistGcnConfig rebalanced = clean;
+    rebalanced.faults =
+        FaultPlan{}.SlowWorker(0, 8.0).Rebalance(RebalanceConfig{});
+    const DistGcnReport r = TrainDistGcn(ds, rebalanced);
+    EXPECT_EQ(r.epoch_loss, clean_report.epoch_loss) << "p3=" << p3;
+    EXPECT_EQ(r.epoch_test_accuracy, clean_report.epoch_test_accuracy);
+    EXPECT_EQ(r.final_test_accuracy, clean_report.final_test_accuracy);
+    EXPECT_GE(r.rebalances, 1u);
+    EXPECT_GT(r.migration_bytes, 0u);
+  }
 }
 
 }  // namespace

@@ -204,14 +204,29 @@ TEST(SageTest, SamplingReducesGatheredBytes) {
 // --- DeepWalk / node2vec ----------------------------------------------------
 
 TEST(DeepWalkTest, BiasedWalksFollowEdges) {
+  // p = q = 1 is DeepWalk's first-order walk: each walk starts at its
+  // seed vertex, follows edges, and ends after walk_length steps or at a
+  // dead end.
   Graph g = Rmat(7, 5, 3);
   BiasedWalkResult r = Node2VecWalks(g, 2, 6, 1.0, 1.0, 9);
   ASSERT_EQ(r.corpus.size(), g.NumVertices() * 2u);
-  for (const auto& walk : r.corpus) {
+  for (uint32_t w = 0; w < r.corpus.size(); ++w) {
+    const auto& walk = r.corpus[w];
+    ASSERT_GE(walk.size(), 1u);
+    ASSERT_LE(walk.size(), 7u);
+    EXPECT_EQ(walk[0], w / 2);
     for (size_t i = 0; i + 1 < walk.size(); ++i) {
       ASSERT_TRUE(g.HasEdge(walk[i], walk[i + 1]));
     }
   }
+  // A complete graph has no dead end, so every walk reaches full length.
+  for (const auto& walk :
+       Node2VecWalks(Complete(10), 2, 4, 1.0, 1.0, 9).corpus) {
+    EXPECT_EQ(walk.size(), 5u);
+  }
+  // Vertex 2 is isolated: its walk is just the seed.
+  const Graph dead_end = Graph::FromEdges(3, {{0, 1}}, {}).value();
+  EXPECT_EQ(Node2VecWalks(dead_end, 1, 6, 1.0, 1.0, 9).corpus[2].size(), 1u);
 }
 
 TEST(DeepWalkTest, DeterministicAcrossWorkerCounts) {

@@ -4,8 +4,10 @@
 // accumulation order. Also covers the degenerate shapes (empty, 1-row,
 // 1-col) and the KernelContext thread-count policy itself.
 
+#include <algorithm>
 #include <cstdlib>
 #include <cstring>
+#include <string>
 #include <thread>
 
 #include <gtest/gtest.h>
@@ -95,6 +97,19 @@ TEST(KernelContextTest, ThreadCountChangesAfterFirstUseAreHonored) {
   setenv("GAL_KERNEL_THREADS", "3", 1);
   ctx.SetNumThreads(0);
   EXPECT_EQ(ctx.num_threads(), 3u);
+  // A malformed value keeps the hardware default and warns once.
+  const size_t hw = std::max(1u, std::thread::hardware_concurrency());
+  testing::internal::CaptureStderr();
+  for (const char* bad : {"two", "3x", "0", "-3"}) {
+    setenv("GAL_KERNEL_THREADS", bad, 1);
+    ctx.SetNumThreads(0);
+    EXPECT_EQ(ctx.num_threads(), hw) << bad;
+  }
+  const std::string log = testing::internal::GetCapturedStderr();
+  EXPECT_NE(log.find("GAL_KERNEL_THREADS=\"two\""), std::string::npos) << log;
+  EXPECT_EQ(log.find("GAL_KERNEL_THREADS", log.find("GAL_KERNEL_THREADS") + 1),
+            std::string::npos)
+      << log;
   unsetenv("GAL_KERNEL_THREADS");
   ctx.SetNumThreads(0);
   EXPECT_GE(ctx.num_threads(), 1u);

@@ -4,6 +4,8 @@
 // edges, disconnected, hub-star, long path, small BA/ER graphs. Every
 // shape runs on {raw, delta-varint} x {non-induced, induced} x {DFS at
 // 1 and 4 threads, BFS executor}, with and without symmetry breaking.
+// The serial and task-engine triangle counters must count a sixth of
+// the reference's triangle embeddings on every shape.
 // MatchSearchTreeTest pins the exact search tree (search_nodes and
 // matches) of the C4 bench graph, so a join that visits other vertices
 // or visits them twice fails here even when its counts stay right.
@@ -19,6 +21,7 @@
 #include "match/executor.h"
 #include "match/pattern.h"
 #include "serial_reference.h"
+#include "tlag/algos/triangles.h"
 
 namespace gal {
 namespace {
@@ -69,6 +72,19 @@ void ExpectEveryExecutorCounts(const Graph& data, const Graph& q,
   }
 }
 
+/// Triangle counters count distinct triangles: six embeddings of the
+/// triangle pattern each, however often a multigraph lists its edges.
+void ExpectTriangleCountersAgree(const Graph& data, uint64_t want,
+                                 const std::string& where) {
+  EXPECT_EQ(SerialTriangleCount(data).triangles, want) << where << " serial";
+  for (uint32_t threads : {1u, 4u}) {
+    TaskEngineConfig config;
+    config.num_threads = threads;
+    EXPECT_EQ(TaskTriangleCount(data, config).triangles, want)
+        << where << " task threads=" << threads;
+  }
+}
+
 /// Sweeps the pattern set over one data shape. With `labels`, data and
 /// patterns are labeled (patterns alternate labels 0/1), so candidate
 /// bitmaps drop real vertices.
@@ -81,6 +97,10 @@ void ExpectAgreesWithReference(VertexId n, const std::vector<Edge>& edges,
     GAL_CHECK_OK(raw.SetLabels(std::vector<Label>(labels)));
     GAL_CHECK_OK(packed.SetLabels(std::vector<Label>(labels)));
   }
+  const uint64_t triangles = SerialMatchCount(raw, TrianglePattern(), false);
+  ASSERT_EQ(triangles % 6, 0u);
+  ExpectTriangleCountersAgree(raw, triangles / 6, "raw");
+  ExpectTriangleCountersAgree(packed, triangles / 6, "delta-varint");
   for (NamedPattern& p : SweepPatterns()) {
     if (!labels.empty()) {
       std::vector<Label> qlabels(p.graph.NumVertices());

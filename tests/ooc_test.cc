@@ -17,9 +17,11 @@
 
 #include "graph/generators.h"
 #include "graph/graph.h"
+#include "match/pattern.h"
 #include "ooc/ooc_algos.h"
 #include "ooc/shard_format.h"
 #include "ooc/sharded_graph.h"
+#include "serial_reference.h"
 #include "tlag/algos/triangles.h"
 #include "tlav/algos/pagerank.h"
 #include "tlav/algos/wcc.h"
@@ -224,6 +226,39 @@ TEST_F(ShardedGraphTest, ReorderedStoreMapsBackToOriginalIds) {
   EXPECT_EQ(g.MapToOriginal(identity), sg.MapToOriginal(identity));
   ExpectSameAdjacency(g, sg);
   RemoveShardedGraphFiles(base);
+}
+
+TEST_F(ShardedGraphTest, MalformedByteKnobsWarnOnceAndKeepTheRequest) {
+  // Whole-value parses: a word, a sign, a unit suffix and an exponent
+  // are all malformed, so both resolvers keep the requested 1 GiB (a
+  // prefix parse read "abc" as 0, i.e. unlimited, and "64M" as 64).
+  constexpr uint64_t kGiB = uint64_t{1} << 30;
+  constexpr uint64_t kOneShard = 4096;
+  testing::internal::CaptureStderr();
+  for (const char* bad : {"abc", "-1", "64M", "1e6"}) {
+    setenv("GAL_OOC_BUDGET_BYTES", bad, 1);
+    setenv("GAL_OOC_SHARD_BYTES", bad, 1);
+    bool forced = true;
+    EXPECT_EQ(ResolveOocBudgetBytes(kGiB, kOneShard, &forced), kGiB) << bad;
+    EXPECT_FALSE(forced) << bad;
+    EXPECT_EQ(ResolveOocShardBytes(kGiB), kGiB) << bad;
+  }
+  const std::string log = testing::internal::GetCapturedStderr();
+  for (const char* var : {"GAL_OOC_BUDGET_BYTES", "GAL_OOC_SHARD_BYTES"}) {
+    const size_t first = log.find(var);
+    EXPECT_NE(first, std::string::npos) << log;
+    EXPECT_EQ(log.find(var, first + 1), std::string::npos) << log;  // once
+  }
+  // Whole integers still apply: 0 is an unlimited budget, a tiny budget
+  // clamps up to one shard.
+  bool forced = false;
+  setenv("GAL_OOC_BUDGET_BYTES", "0", 1);
+  EXPECT_EQ(ResolveOocBudgetBytes(kGiB, kOneShard, &forced), 0u);
+  EXPECT_TRUE(forced);
+  setenv("GAL_OOC_BUDGET_BYTES", "100", 1);
+  EXPECT_EQ(ResolveOocBudgetBytes(kGiB, kOneShard), kOneShard);
+  setenv("GAL_OOC_SHARD_BYTES", "512", 1);
+  EXPECT_EQ(ResolveOocShardBytes(kGiB), 512u);
 }
 
 TEST_F(ShardedGraphTest, RawAndCompressedInputsWriteIdenticalFiles) {
@@ -575,6 +610,39 @@ TEST_F(OocParityTest, TrianglesAndOpsMatchTaskEngineAcrossBudgets) {
     if (got.stats.budget_bytes > 0) {
       EXPECT_LE(got.stats.peak_resident_bytes, got.stats.budget_bytes);
     }
+  }
+  RemoveShardedGraphFiles(base);
+}
+
+TEST_F(OocParityTest, TrianglesCountParallelEdgesOnce) {
+  // MatchSweepTest.ParallelEdges' multigraph: each edge of BA(60, 4, 3)
+  // listed one to three times. The count is the distinct triangles, a
+  // sixth of the serial reference's triangle embeddings.
+  std::vector<Edge> edges;
+  const std::vector<Edge> simple = BarabasiAlbert(60, 4, 3).CollectEdges();
+  for (size_t i = 0; i < simple.size(); ++i) {
+    for (size_t copy = 0; copy <= i % 3; ++copy) edges.push_back(simple[i]);
+  }
+  GraphOptions multigraph;
+  multigraph.dedup = false;
+  const Graph g = Graph::FromEdges(60, std::move(edges), multigraph).value();
+  const uint64_t want = SerialMatchCount(g, TrianglePattern(), false) / 6;
+  EXPECT_GT(want, 0u);
+  const std::string base = TempBase("gal_ooc_parity_multigraph_tri");
+  ShardWriterOptions wopt;
+  wopt.target_shard_bytes = 256;
+  auto summary = WriteShardedGraph(g, base, wopt);
+  ASSERT_TRUE(summary.ok()) << summary.status();
+
+  for (const ParityCase& c : Cases(summary.value())) {
+    OocOptions options;
+    options.memory_budget_bytes = c.budget;
+    auto opened = ShardedGraph::Open(base, options);
+    ASSERT_TRUE(opened.ok()) << opened.status();
+    OocTriangleOptions topt;
+    topt.engine.num_threads = c.threads;
+    EXPECT_EQ(OocTriangleCount(opened.value(), topt).triangles, want)
+        << "budget " << c.budget << ", threads " << c.threads;
   }
   RemoveShardedGraphFiles(base);
 }

@@ -1,9 +1,11 @@
 #include <cmath>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
 #include "graph/generators.h"
+#include "tensor/kernel_context.h"
 #include "tensor/matrix.h"
 #include "tensor/sparse.h"
 
@@ -189,6 +191,72 @@ TEST(SparseTest, FromTripletsCollapsesDuplicates) {
   Matrix out = m.Multiply(h);
   EXPECT_FLOAT_EQ(out.at(0, 0), 3.0f);
   EXPECT_FLOAT_EQ(out.at(1, 0), 4.0f);
+}
+
+// Inputs of the two-source gathers: a power-law operator, two sources
+// and a random owner map. At four kernel threads the work is far above
+// the serial grain, so the rows really shard.
+struct TwoSourceInputs {
+  TwoSourceInputs()
+      : adj(NormalizedAdjacency(Rmat(9, 8, 4), AdjNorm::kSymmetric)) {
+    Rng rng(17);
+    local = Matrix::Xavier(adj.rows(), 24, rng);
+    remote = Matrix::Xavier(adj.rows(), 24, rng);
+    for (uint32_t v = 0; v < adj.rows(); ++v) {
+      owner.push_back(static_cast<uint32_t>(rng.Uniform(4)));
+    }
+  }
+  ~TwoSourceInputs() { KernelContext::Get().SetNumThreads(0); }
+
+  SparseMatrix adj;
+  Matrix local;
+  Matrix remote;
+  std::vector<uint32_t> owner;
+};
+
+TEST(SparseTest, TwoSourceWithEqualSourcesIsTheOneSourceGather) {
+  const TwoSourceInputs in;
+  for (size_t threads : {1, 4}) {
+    KernelContext::Get().SetNumThreads(threads);
+    EXPECT_EQ(in.adj.Multiply(in.local, in.local, in.owner).data(),
+              in.adj.Multiply(in.local).data())
+        << threads << " threads";
+    EXPECT_EQ(in.adj.TransposeMultiply(in.local, in.local, in.owner).data(),
+              in.adj.TransposeMultiply(in.local).data())
+        << threads << " threads";
+  }
+}
+
+TEST(SparseTest, TwoSourceReadsRemoteRowsAcrossOwners) {
+  const TwoSourceInputs in;
+  // Serial references in CSR order: the forward pass gathers row r's
+  // entries left to right; the transpose scatters rows in ascending
+  // order, which is the order the transposed gather sums in.
+  const uint32_t n = in.adj.rows();
+  const uint32_t d = in.local.cols();
+  Matrix forward(n, d);
+  Matrix transpose(n, d);
+  for (uint32_t r = 0; r < n; ++r) {
+    const auto idx = in.adj.RowIndices(r);
+    const auto val = in.adj.RowValues(r);
+    for (size_t e = 0; e < idx.size(); ++e) {
+      const uint32_t c = idx[e];
+      const Matrix& src = in.owner[r] == in.owner[c] ? in.local : in.remote;
+      for (uint32_t j = 0; j < d; ++j) {
+        forward.at(r, j) += val[e] * src.at(c, j);
+        transpose.at(c, j) += val[e] * src.at(r, j);
+      }
+    }
+  }
+  for (size_t threads : {1, 4}) {
+    KernelContext::Get().SetNumThreads(threads);
+    EXPECT_EQ(in.adj.Multiply(in.local, in.remote, in.owner).data(),
+              forward.data())
+        << threads << " threads";
+    EXPECT_EQ(in.adj.TransposeMultiply(in.local, in.remote, in.owner).data(),
+              transpose.data())
+        << threads << " threads";
+  }
 }
 
 }  // namespace

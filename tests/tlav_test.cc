@@ -9,7 +9,6 @@
 #include "graph/generators.h"
 #include "serial_reference.h"
 #include "tlav/algos/pagerank.h"
-#include "tlav/algos/random_walk.h"
 #include "tlav/algos/traversal.h"
 #include "tlav/algos/triangle_tlav.h"
 #include "tlav/algos/wcc.h"
@@ -653,54 +652,6 @@ TEST(BatchedQueriesTest, DisconnectedSourceLeavesUnreachable) {
   EXPECT_EQ(r.distances[0][2], kUnreachable);
   EXPECT_EQ(r.distances[1][2], 0u);
   EXPECT_EQ(r.distances[1][0], kUnreachable);
-}
-
-// --- Random walks ---------------------------------------------------------------
-
-TEST(RandomWalkTest, CorpusShapeAndValidity) {
-  Graph g = Rmat(7, 6, 3);
-  RandomWalkOptions opt;
-  opt.walks_per_vertex = 2;
-  opt.walk_length = 5;
-  RandomWalkResult r = RandomWalkCorpus(g, opt);
-  ASSERT_EQ(r.corpus.size(), g.NumVertices() * 2u);
-  for (uint32_t w = 0; w < r.corpus.size(); ++w) {
-    const auto& walk = r.corpus[w];
-    ASSERT_GE(walk.size(), 1u);
-    ASSERT_LE(walk.size(), opt.walk_length + 1u);
-    EXPECT_EQ(walk[0], w / 2);  // starts at its seed vertex
-    for (size_t i = 0; i + 1 < walk.size(); ++i) {
-      EXPECT_TRUE(g.HasEdge(walk[i], walk[i + 1]))
-          << walk[i] << "->" << walk[i + 1];
-    }
-  }
-}
-
-TEST(RandomWalkTest, FullLengthWalksOnConnectedGraph) {
-  Graph g = Complete(10);
-  RandomWalkOptions opt;
-  opt.walk_length = 4;
-  RandomWalkResult r = RandomWalkCorpus(g, opt);
-  for (const auto& walk : r.corpus) EXPECT_EQ(walk.size(), 5u);
-}
-
-TEST(RandomWalkTest, DeterministicAcrossWorkerCounts) {
-  Graph g = Rmat(6, 4, 9);
-  RandomWalkOptions a;
-  a.engine.num_workers = 1;
-  RandomWalkOptions b;
-  b.engine.num_workers = 8;
-  RandomWalkResult ra = RandomWalkCorpus(g, a);
-  RandomWalkResult rb = RandomWalkCorpus(g, b);
-  EXPECT_EQ(ra.corpus, rb.corpus);
-}
-
-TEST(RandomWalkTest, IsolatedVertexWalkTruncates) {
-  Graph g = std::move(Graph::FromEdges(3, {{0, 1}}, {}).value());
-  RandomWalkOptions opt;
-  opt.walks_per_vertex = 1;
-  RandomWalkResult r = RandomWalkCorpus(g, opt);
-  EXPECT_EQ(r.corpus[2].size(), 1u);  // vertex 2 has no neighbors
 }
 
 }  // namespace
