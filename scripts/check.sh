@@ -83,10 +83,14 @@ echo
 echo "== tsan: shard-cache suites =="
 # The shard cache is the one genuinely concurrent piece of src/ooc/:
 # blocking Acquire under a full budget, LRU eviction racing pins, and
-# the engines' one-pin-per-thread discipline. The parity suites run the
-# three out-of-core engines at 1 and 8 threads, so TSan watches the
-# atomic accumulators (fetch_add rank mass, CAS label min, per-thread
-# tallies) against concurrent shard loads/evictions.
+# the engines' one-pin-per-thread discipline. PageRank and WCC hold one
+# sweep pin while a pool fans out over its range; triangle counting
+# pins a shard only inside the row builder, once per task for its own
+# shard and once per shard its rows reach, into per-thread oriented
+# blocks. The parity suites run the three out-of-core engines at 1 and
+# 8 threads, so TSan watches the atomic accumulators (fetch_add rank
+# mass, CAS label min, per-thread tallies and blocks) against
+# concurrent shard loads/evictions.
 ./build-tsan/tests/gal_tests \
     --gtest_filter='ShardCacheTest.*:OocParityTest.*'
 
@@ -167,6 +171,14 @@ echo "== forced fault schedule: parity suites with an injected failure =="
 # partitioner and P3 split.
 GAL_CLUSTER_FAULT_CHECKPOINT=2 GAL_CLUSTER_FAULT_FAIL=0@3 ./build/tests/gal_tests \
     --gtest_filter='GraphReorderTest.*:ReorderSimdParityTest.*:IntersectTest.*:SimdTest.*:CompressedCsrTest.*:Workers/FrontierParityTest.*:FrontierTraversalTest.*:TraversalTest.*:WccTest.*:TlavEngineTest.*:PageRankTest.*:BatchedQueriesTest.*:ClusterExchangeTest.*:DistGcnTest.WorkerCountDoesNotChangeTheMathUnderBsp:DistGcnTest.P3SplitChangesLayer0Traffic:DistGcnTest.BspEqualsTheCentralizedTrainerAtEveryPlacement'
+
+echo
+echo "== benchmark smoke: every galbench workload at tiny size =="
+# Builds galbench's own Release copy of src/ (.bench_build/) and runs
+# both workloads traced and untraced: every job must match its oracle
+# (the ooc triangle digest against SerialTriangleCount among them) and
+# emit exactly the metrics BENCHMARK.json declares.
+python3 galbench/smoke_test.py
 
 echo
 echo "check.sh: all green"

@@ -5,6 +5,7 @@
 
 #include "graph/intersect.h"
 #include "graph/kcore.h"
+#include "tlag/algos/triangles.h"
 #include "tlav/algos/pagerank.h"
 
 namespace gal {
@@ -12,22 +13,17 @@ namespace gal {
 std::vector<uint64_t> PerVertexTriangles(const Graph& g) {
   const VertexId n = g.NumVertices();
   std::vector<uint64_t> count(n, 0);
-  // For each edge (v, u) with v < u, intersect sorted neighborhoods and
-  // credit all three corners of each triangle found with w > u.
+  // The oriented join finds each triangle once: credit all three corners.
+  OrientedRows oriented;
+  oriented.Build(g, g, 0, n);
   std::vector<VertexId> common;  // scratch, reused across edges
-  NeighborScratch scratch;       // v's row lives in .a, u's decodes via .b
   for (VertexId v = 0; v < n; ++v) {
-    const auto nv = g.NeighborsInto(v, scratch.a);
-    for (VertexId u : nv) {
-      if (u <= v) continue;
-      IntersectInto(nv, g, u, common, scratch);
-      for (const VertexId w : common) {
-        if (w > u) {
-          ++count[v];
-          ++count[u];
-          ++count[w];
-        }
-      }
+    const std::span<const VertexId> row = oriented.Row(v);
+    for (VertexId u : row) {
+      IntersectInto(row, oriented.Row(u), common);
+      count[v] += common.size();
+      count[u] += common.size();
+      for (const VertexId w : common) ++count[w];
     }
   }
   return count;

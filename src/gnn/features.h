@@ -20,7 +20,7 @@ namespace gal {
 ///   5: PageRank, scaled by |V| (≈1 for average vertices)
 Matrix StructuralFeatures(const Graph& g);
 
-/// Triangle count through each vertex (exact, oriented intersections).
+/// Distinct triangles through each vertex (exact, oriented intersections).
 std::vector<uint64_t> PerVertexTriangles(const Graph& g);
 
 /// Local clustering coefficient per vertex.

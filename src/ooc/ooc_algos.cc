@@ -10,6 +10,7 @@
 #include "common/timer.h"
 #include "graph/components.h"
 #include "graph/intersect.h"
+#include "tlag/algos/triangles.h"
 
 namespace gal {
 namespace {
@@ -128,14 +129,17 @@ OocPageRankResult OocPageRank(const ShardedGraph& g,
 }
 
 OocWccResult OocWcc(const ShardedGraph& g, const OocWccOptions& options) {
-  GAL_CHECK(!g.directed())
-      << "OocWcc needs an undirected shard set — write the UndirectedView";
+  OocWccResult result;
+  if (g.directed()) {
+    result.status = Status::InvalidArgument(
+        "OocWcc needs an undirected shard set; write the UndirectedView");
+    return result;
+  }
   const VertexId n = g.NumVertices();
   const uint32_t num_shards = g.NumShards();
   const uint32_t threads = ResolveTaskThreads(options.num_threads);
   ThreadPool pool(threads);
   OocRunTracker run(g);
-  OocWccResult result;
 
   std::vector<VertexId> label(n);
   std::iota(label.begin(), label.end(), 0);
@@ -210,31 +214,20 @@ OocTriangleResult OocTriangleCount(const ShardedGraph& g,
   const uint32_t threads = ResolveTaskThreads(options.engine.num_threads);
 
   /// Per-thread workspace, cache-line padded like the in-memory tally:
-  /// one shard's flattened oriented rows plus a target-row buffer.
+  /// two shards' oriented rows and the shards the task's rows reach.
   struct alignas(64) Scratch {
-    std::vector<uint32_t> row_start;
-    std::vector<VertexId> rows;
-    std::vector<VertexId> target;
+    OrientedRows own;
+    OrientedRows other;
+    std::vector<uint8_t> reached;
     uint64_t triangles = 0;
     uint64_t ops = 0;
   };
   std::vector<Scratch> scratch(threads);
 
-  // Appends v's oriented row to `out`: neighbors u with (deg(u), u) >
-  // (deg(v), v), once each — identical filter to OrientByDegree,
-  // evaluated on RAM-resident degrees, so every IntersectCount below
-  // sees the same operands as the in-memory run.
-  auto append_oriented = [&g](const PinnedShard& pin, VertexId v,
-                              std::vector<VertexId>& out) {
-    const size_t start = out.size();
-    const uint32_t dv = g.Degree(v);
-    pin.ForEachOutNeighbor(v, [&](VertexId u) {
-      const uint32_t du = g.Degree(u);
-      if ((du > dv || (du == dv && u > v)) &&
-          (out.size() == start || out.back() != u)) {
-        out.push_back(u);
-      }
-    });
+  // Orients shard s into `block`, pinned only while its rows are built.
+  const auto orient = [&g](uint32_t s, OrientedRows& block) {
+    const PinnedShard pin = g.Pin(s);
+    block.Build(pin, g, pin.begin(), pin.end());
   };
 
   std::vector<uint32_t> tasks(g.NumShards());
@@ -243,33 +236,24 @@ OocTriangleResult OocTriangleCount(const ShardedGraph& g,
   result.task_stats = engine.Run(
       std::move(tasks), [&](uint32_t& s, TaskEngine<uint32_t>::Context& ctx) {
         Scratch& sc = scratch[ctx.thread_id()];
-        const ShardInfo& info = g.shard(s);
-        const VertexId begin = info.begin;
-        // Phase 1: pin once, flatten the whole shard's oriented rows.
-        sc.row_start.assign(info.NumVertices() + 1, 0);
-        sc.rows.clear();
-        {
-          PinnedShard pin = g.Pin(s);
-          for (VertexId v = begin; v < info.end; ++v) {
-            append_oriented(pin, v, sc.rows);
-            sc.row_start[v - begin + 1] =
-                static_cast<uint32_t>(sc.rows.size());
-          }
+        orient(s, sc.own);
+        sc.reached.assign(g.NumShards(), 0);
+        for (VertexId v = sc.own.begin(); v < sc.own.end(); ++v) {
+          for (VertexId u : sc.own.Row(v)) sc.reached[g.ShardOf(u)] = 1;
         }
-        // Phase 2: pin-free on this shard; each target row comes through
-        // its own transient pin, so this thread never holds two pins.
-        for (VertexId v = begin; v < info.end; ++v) {
-          const std::span<const VertexId> ov{
-              sc.rows.data() + sc.row_start[v - begin],
-              sc.row_start[v - begin + 1] - sc.row_start[v - begin]};
-          for (VertexId u : ov) {
-            {
-              PinnedShard upin = g.Pin(g.ShardOf(u));
-              sc.target.clear();
-              append_oriented(upin, u, sc.target);
+        // Orient each reached shard once, ascending (the task's own block
+        // serves itself). Rows ascend and shards are contiguous ranges, so
+        // a row's targets in shard t are one run of it.
+        for (uint32_t t = 0; t < g.NumShards(); ++t) {
+          if (sc.reached[t] == 0) continue;
+          if (t != s) orient(t, sc.other);
+          const OrientedRows& block = t == s ? sc.own : sc.other;
+          for (VertexId v = sc.own.begin(); v < sc.own.end(); ++v) {
+            const std::span<const VertexId> row = sc.own.Row(v);
+            auto u = std::lower_bound(row.begin(), row.end(), block.begin());
+            for (; u != row.end() && *u < block.end(); ++u) {
+              sc.triangles += IntersectCount(row, block.Row(*u), &sc.ops);
             }
-            sc.triangles += IntersectCount(
-                ov, {sc.target.data(), sc.target.size()}, &sc.ops);
           }
         }
       });

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "common/metrics.h"
+#include "common/status.h"
 #include "ooc/sharded_graph.h"
 #include "tlag/task_engine.h"
 
@@ -60,6 +61,7 @@ struct OocWccResult {
   std::vector<VertexId> component;  // original-id order, canonical labels
   uint32_t num_components = 0;
   OocStats stats;
+  Status status;  // InvalidArgument, nothing loaded, on a directed store
 };
 
 /// Hash-min WCC in frontier Jacobi form: double-buffered labels, active
@@ -70,7 +72,7 @@ struct OocWccResult {
 /// labels are each component's minimum id — schedule-independent — then
 /// canonicalized to min original id exactly like Wcc(), so components
 /// are bit-identical to the in-memory run at any budget/thread count.
-/// Requires an undirected shard set (write the UndirectedView).
+/// A directed store returns InvalidArgument (write the UndirectedView).
 OocWccResult OocWcc(const ShardedGraph& g, const OocWccOptions& options = {});
 
 struct OocTriangleOptions {
@@ -85,13 +87,14 @@ struct OocTriangleResult {
 };
 
 /// Degree-ordered triangle counting on the task engine, one task per
-/// shard: pin the shard once and flatten its degree-oriented rows into
-/// thread-local scratch, release, then intersect against target rows
-/// fetched through transient pins (each thread holds at most one pin at
-/// any instant, so a one-shard budget cannot deadlock). Produces the
-/// same triangle count AND the same intersection_ops diagnostic as
-/// TaskTriangleCount, because every IntersectCount call sees the same
-/// operand rows.
+/// shard, over the in-memory counters' OrientedRows: a task orients its
+/// shard, then each shard its rows reach (once, ascending), and
+/// intersects every row with its targets' rows there. A shard is pinned
+/// only while its rows are built: a thread holds at most one pin (a
+/// one-shard budget cannot deadlock), a task at most NumShards() pins,
+/// and a thread's scratch is two shards' rows. Every IntersectCount sees
+/// TaskTriangleCount's operand rows, so triangles AND intersection_ops
+/// are identical.
 OocTriangleResult OocTriangleCount(const ShardedGraph& g,
                                    const OocTriangleOptions& options = {});
 

@@ -44,7 +44,7 @@ struct ShardCacheStats {
 /// variable) when every byte of budget is pinned elsewhere, which makes
 /// a one-shard budget safe at any thread count PROVIDED each thread
 /// holds at most one pin at a time — the invariant every engine in
-/// src/ooc keeps (rows needed across pins are decoded into scratch
+/// src/ooc keeps (rows needed across pins are built into scratch
 /// first). The constructor checks the budget admits the largest shard;
 /// ShardedGraph::Open turns that into a Status before construction.
 ///
@@ -192,17 +192,6 @@ class PinnedShard {
       c.valid_ = true;
     }
     return c;
-  }
-
-  /// Decodes v's row into `scratch` and returns a span over it — the
-  /// hand-off form: the span stays valid after this pin is released,
-  /// which is how engines keep at most one pin per thread while
-  /// intersecting rows from two shards.
-  std::span<const VertexId> NeighborsInto(VertexId v,
-                                          std::vector<VertexId>& scratch) const {
-    scratch.clear();
-    ForEachOutNeighbor(v, [&](VertexId u) { scratch.push_back(u); });
-    return {scratch.data(), scratch.size()};
   }
 
  private:

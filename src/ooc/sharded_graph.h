@@ -150,14 +150,13 @@ class ShardedGraph {
     return NeighborCursor(Pin(ShardOf(v)), v);
   }
 
-  /// Decodes v's row into `scratch` and returns a span over it. The pin
-  /// is released before returning — the span survives any later shard
-  /// traffic, which is how intersection code holds two rows while the
-  /// cache runs a one-shard budget.
+  /// Decodes v's row into `scratch` and returns a span over it; the span
+  /// outlives the row's pin, so later shard traffic cannot invalidate it.
   std::span<const VertexId> NeighborsInto(VertexId v,
                                           std::vector<VertexId>& scratch) const {
-    PinnedShard pin = Pin(ShardOf(v));
-    return pin.NeighborsInto(v, scratch);
+    scratch.clear();
+    ForEachOutNeighbor(v, [&](VertexId u) { scratch.push_back(u); });
+    return {scratch.data(), scratch.size()};
   }
 
   // --- reorder permutation (mirrors Graph::MapToOriginal) -----------------

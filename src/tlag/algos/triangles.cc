@@ -14,29 +14,6 @@
 namespace gal {
 namespace {
 
-/// Builds the degree-oriented adjacency: for each v, neighbors u with
-/// (deg(u), u) > (deg(v), v), kept sorted by id and once each. Orientation
-/// makes every triangle counted exactly once and bounds out-degrees by
-/// O(sqrt(|E|)) on arbitrary graphs; rows are sorted, so a parallel edge
-/// repeats the neighbor just kept and is skipped, and a multigraph counts
-/// its distinct triangles.
-std::vector<std::vector<VertexId>> OrientByDegree(const Graph& g) {
-  const VertexId n = g.NumVertices();
-  std::vector<std::vector<VertexId>> out(n);
-  for (VertexId v = 0; v < n; ++v) {
-    const uint32_t dv = g.Degree(v);
-    std::vector<VertexId>& row = out[v];
-    g.ForEachOutNeighbor(v, [&](VertexId u) {
-      const uint32_t du = g.Degree(u);
-      if ((du > dv || (du == dv && u > v)) &&
-          (row.empty() || row.back() != u)) {
-        row.push_back(u);
-      }
-    });
-  }
-  return out;
-}
-
 /// Per-worker triangle/ops tally, padded to a cache line so concurrent
 /// workers never share one — the ledger idiom; folded once at the end.
 struct alignas(64) WorkerTally {
@@ -75,11 +52,13 @@ void AddRoundStats(const TaskEngineStats& round, TaskEngineStats* run) {
 TriangleCountResult SerialTriangleCount(const Graph& g) {
   Timer timer;
   TriangleCountResult result;
-  const std::vector<std::vector<VertexId>> oriented = OrientByDegree(g);
+  OrientedRows oriented;
+  oriented.Build(g, g, 0, g.NumVertices());
   for (VertexId v = 0; v < g.NumVertices(); ++v) {
-    for (VertexId u : oriented[v]) {
+    const std::span<const VertexId> row = oriented.Row(v);
+    for (VertexId u : row) {
       result.triangles +=
-          IntersectCount(oriented[v], oriented[u], &result.intersection_ops);
+          IntersectCount(row, oriented.Row(u), &result.intersection_ops);
     }
   }
   result.wall_seconds = timer.ElapsedSeconds();
@@ -90,7 +69,8 @@ TriangleCountResult TaskTriangleCount(const Graph& g,
                                       const TaskEngineConfig& config) {
   Timer timer;
   TriangleCountResult result;
-  const std::vector<std::vector<VertexId>> oriented = OrientByDegree(g);
+  OrientedRows oriented;
+  oriented.Build(g, g, 0, g.NumVertices());
   // One padded tally per engine thread; contention-free during a round,
   // folded into the result's running totals after the engine drains.
   std::vector<WorkerTally> tallies(ResolveTaskThreads(config.num_threads));
@@ -125,16 +105,16 @@ TriangleCountResult TaskTriangleCount(const Graph& g,
 
   const auto process = [&](VertexId& v, TaskEngine<VertexId>::Context& ctx) {
     WorkerTally& tally = tallies[ctx.thread_id()];
+    const std::span<const VertexId> row = oriented.Row(v);
     if (parts != nullptr) {
-      ctx.TouchPartition(parts->assignment[v],
-                         oriented[v].size() * sizeof(VertexId));
+      ctx.TouchPartition(parts->assignment[v], row.size_bytes());
     }
-    for (VertexId u : oriented[v]) {
+    for (VertexId u : row) {
+      const std::span<const VertexId> target = oriented.Row(u);
       if (parts != nullptr) {
-        ctx.TouchPartition(parts->assignment[u],
-                           oriented[u].size() * sizeof(VertexId));
+        ctx.TouchPartition(parts->assignment[u], target.size_bytes());
       }
-      tally.triangles += IntersectCount(oriented[v], oriented[u], &tally.ops);
+      tally.triangles += IntersectCount(row, target, &tally.ops);
     }
   };
 

@@ -2,17 +2,65 @@
 #define GAL_TLAG_ALGOS_TRIANGLES_H_
 
 #include <cstdint>
+#include <span>
+#include <vector>
 
 #include "graph/graph.h"
 #include "tlag/task_engine.h"
 
 namespace gal {
 
+/// The degree-oriented rows of a vertex range as one flat CSR, the one
+/// orientation step every triangle counter shares: row v holds v's
+/// neighbors u with (deg(u), u) > (deg(v), v), ascending and once each.
+/// Intersecting v's row with the row of each u in it finds every
+/// triangle once, and out-degrees stay O(sqrt(|E|)) on any graph.
+class OrientedRows {
+ public:
+  /// Rebuilds the block over [begin, end) from any `rows` whose
+  /// ForEachOutNeighbor streams sorted rows (a Graph, or a PinnedShard
+  /// over its range), ranked by `degrees.Degree`. A parallel edge repeats
+  /// the neighbor just kept and is skipped: a multigraph counts its
+  /// distinct triangles.
+  template <typename Rows, typename Degrees>
+  void Build(const Rows& rows, const Degrees& degrees, VertexId begin,
+             VertexId end) {
+    begin_ = begin;
+    end_ = end;
+    row_start_.assign(1, 0);
+    cols_.clear();
+    for (VertexId v = begin; v < end; ++v) {
+      const uint32_t dv = degrees.Degree(v);
+      const size_t start = cols_.size();
+      rows.ForEachOutNeighbor(v, [&](VertexId u) {
+        const uint32_t du = degrees.Degree(u);
+        if ((du > dv || (du == dv && u > v)) &&
+            (cols_.size() == start || cols_.back() != u)) {
+          cols_.push_back(u);
+        }
+      });
+      row_start_.push_back(cols_.size());
+    }
+  }
+
+  VertexId begin() const { return begin_; }
+  VertexId end() const { return end_; }
+  /// v's oriented row; v must lie in [begin(), end()).
+  std::span<const VertexId> Row(VertexId v) const {
+    const size_t r = v - begin_;
+    return {cols_.data() + row_start_[r], row_start_[r + 1] - row_start_[r]};
+  }
+
+ private:
+  VertexId begin_ = 0, end_ = 0;
+  std::vector<size_t> row_start_;
+  std::vector<VertexId> cols_;
+};
+
 /// Intersection-based triangle counting — the "one machine beats 1636"
 /// side of the survey's §1 anecdote. Work is Σ_v d+(v)² intersections
-/// over a degree-oriented graph with *zero* messages, versus the TLAV
-/// formulation's one message per wedge. A multigraph (a `dedup = false`
-/// build) counts its distinct triangles.
+/// over OrientedRows with *zero* messages, versus the TLAV formulation's
+/// one message per wedge.
 struct TriangleCountResult {
   uint64_t triangles = 0;
   /// Adjacency elements touched by the merge intersections; the unit to

@@ -37,6 +37,28 @@ TEST(FeaturesTest, PerVertexTrianglesSumsToThreeTimesTotal) {
   EXPECT_EQ(sum, 3 * brute);
 }
 
+TEST(FeaturesTest, PerVertexTrianglesCountAMultigraphsDistinctTriangles) {
+  // MatchSweepTest.ParallelEdges' multigraph: each edge of BA(60, 4, 3)
+  // listed one to three times. Every corner is credited once per
+  // distinct triangle, as in the deduplicated graph.
+  std::vector<Edge> edges;
+  const std::vector<Edge> simple = BarabasiAlbert(60, 4, 3).CollectEdges();
+  for (size_t i = 0; i < simple.size(); ++i) {
+    for (size_t copy = 0; copy <= i % 3; ++copy) edges.push_back(simple[i]);
+  }
+  const std::vector<uint64_t> want =
+      PerVertexTriangles(Graph::FromEdges(60, edges).value());
+  for (CompressionMode layout :
+       {CompressionMode::kNone, CompressionMode::kDeltaVarint}) {
+    GraphOptions multigraph;
+    multigraph.dedup = false;
+    multigraph.compression = layout;
+    const Graph g = Graph::FromEdges(60, edges, multigraph).value();
+    ASSERT_TRUE(g.HasRepeatedNeighbors());
+    EXPECT_EQ(want, PerVertexTriangles(g));
+  }
+}
+
 TEST(FeaturesTest, ClusteringCoefficientKnownValues) {
   // Triangle: every vertex cc = 1. Path: all 0.
   std::vector<double> tri = ClusteringCoefficients(Complete(3));

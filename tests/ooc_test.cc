@@ -183,19 +183,38 @@ TEST_F(ShardedGraphTest, EmptyAndEdgelessGraphs) {
   RemoveShardedGraphFiles(base);
 }
 
-TEST_F(ShardedGraphTest, DirectedGraphRoundtrip) {
+Graph SmallDirectedGraph() {
   GraphOptions options;
   options.directed = true;
-  const Graph g =
-      Graph::FromEdges(6, {{0, 1}, {1, 2}, {2, 0}, {3, 4}, {4, 3}, {5, 0}},
-                       options)
-          .value();
+  return Graph::FromEdges(6, {{0, 1}, {1, 2}, {2, 0}, {3, 4}, {4, 3}, {5, 0}},
+                          options)
+      .value();
+}
+
+TEST_F(ShardedGraphTest, DirectedGraphRoundtrip) {
+  const Graph g = SmallDirectedGraph();
   const std::string base = TempBase("gal_ooc_directed");
   ASSERT_TRUE(WriteShardedGraph(g, base).ok());
   auto opened = ShardedGraph::Open(base);
   ASSERT_TRUE(opened.ok()) << opened.status();
   EXPECT_TRUE(opened.value().directed());
   ExpectSameAdjacency(g, opened.value());
+  RemoveShardedGraphFiles(base);
+}
+
+TEST_F(ShardedGraphTest, OocWccRejectsADirectedStoreBeforeLoading) {
+  // WCC needs the undirected shard set; a directed one is a Status, not
+  // an abort, and no shard is read to find that out.
+  const std::string base = TempBase("gal_ooc_directed_wcc");
+  ASSERT_TRUE(WriteShardedGraph(SmallDirectedGraph(), base).ok());
+  auto opened = ShardedGraph::Open(base);
+  ASSERT_TRUE(opened.ok()) << opened.status();
+  const OocWccResult got = OocWcc(opened.value());
+  EXPECT_EQ(StatusCode::kInvalidArgument, got.status.code());
+  EXPECT_TRUE(got.component.empty());
+  EXPECT_EQ(0u, got.num_components);
+  EXPECT_EQ(0u, got.stats.shard_loads);
+  EXPECT_EQ(0u, opened.value().cache().Stats().loads);
   RemoveShardedGraphFiles(base);
 }
 
@@ -611,6 +630,40 @@ TEST_F(OocParityTest, TrianglesAndOpsMatchTaskEngineAcrossBudgets) {
       EXPECT_LE(got.stats.peak_resident_bytes, got.stats.budget_bytes);
     }
   }
+  RemoveShardedGraphFiles(base);
+}
+
+TEST_F(OocParityTest, TrianglesPinEachShardAtMostOncePerTask) {
+  // A task orients its own shard, then each shard its rows reach, one
+  // pin apiece: at most S pins per task and S^2 per run, however many
+  // oriented edges cross shards.
+  const Graph g = ErdosRenyi(200, 0.06, 23);
+  const std::string base = TempBase("gal_ooc_parity_tri_pins");
+  ShardWriterOptions wopt;
+  wopt.target_shard_bytes = 512;
+  auto summary = WriteShardedGraph(g, base, wopt);
+  ASSERT_TRUE(summary.ok()) << summary.status();
+
+  OocTriangleOptions topt;
+  for (const ParityCase& c : Cases(summary.value())) {
+    OocOptions options;
+    options.memory_budget_bytes = c.budget;
+    auto opened = ShardedGraph::Open(base, options);
+    ASSERT_TRUE(opened.ok()) << opened.status();
+    const uint64_t shards = opened.value().NumShards();
+    ASSERT_GT(shards, 1u);
+    topt.engine.num_threads = c.threads;
+    const OocStats stats = OocTriangleCount(opened.value(), topt).stats;
+    EXPECT_LE(stats.shard_loads + stats.cache_hits, shards * shards)
+        << "budget " << c.budget << ", threads " << c.threads;
+  }
+  // With nothing evicted, every shard is read exactly once.
+  OocEnvGuard guard;
+  auto opened = ShardedGraph::Open(base);
+  ASSERT_TRUE(opened.ok()) << opened.status();
+  topt.engine.num_threads = 1;
+  EXPECT_EQ(opened.value().NumShards(),
+            OocTriangleCount(opened.value(), topt).stats.shard_loads);
   RemoveShardedGraphFiles(base);
 }
 
