@@ -10,6 +10,10 @@ cd "$(dirname "$0")/.."
 JOBS="${JOBS:-$(nproc)}"
 # The matcher suites the kill-switch reruns add to the parity suites.
 MATCH_TESTS='MatchTest.*:BfsMatchTest.*:MatchDeterminismTest.*:MatchSweepTest.*:MatchSearchTreeTest.*'
+# The tensor-kernel suites and the multigraph k-truss/clique cases the
+# kill-switch reruns add as well: every GEMM and SpMM against its naive
+# reference loop, and the row sets the intersection kernels read.
+KERNEL_TESTS='KernelReferenceTest.*:KernelParityTest.*:MatrixTest.*:SparseTest.*:MultigraphTest.*'
 
 echo "== tier-1: build + full test suite =="
 cmake -B build -S .
@@ -52,9 +56,10 @@ cmake --build build-tsan --target gal_tests -j "${JOBS}"
 # tallies, the per-worker decode scratch, and the SIMD dispatch flag are
 # the shared state TSan watches there. SparseTest.* includes the
 # two-source gathers dist-GCN runs under staleness, lossy codecs and EC,
-# at one and four kernel threads.
+# at one and four kernel threads; KernelReferenceTest.* runs every GEMM
+# and SpMM at one and eight kernel threads against its reference loop.
 ./build-tsan/tests/gal_tests \
-    --gtest_filter='PipelineTest.*:ThreadPoolTest.*:TaskEngineTest.*:WorkDequeTest.*:MatchDeterminismTest.*:MatchSweepTest.*:KernelContextTest.*:KernelParityTest.*:TensorTest.*:MatrixTest.*:SparseTest.*:CoreBudgetTest.*:TrafficLedgerTest.*:VirtualClockTest.*:ClusterRuntimeTest.*:ExchangeChannelTest.*:ClusterExchangeTest.*:FrontierBitmapTest.*:SlidingQueueTest.*:VertexFrontierTest.*:Workers/FrontierParityTest.*:FrontierTraversalTest.*:GraphReorderTest.*:ReorderSimdParityTest.*:IntersectTest.*:SimdTest.*:CompressedCsrTest.*:DistGcnTest.OverlapReducesSimulatedTime:DistGcnTest.ReportExposesTracesAndOverlapOccupancy:DistGcnTest.CommChannelsRelieveCommBoundOverlap'
+    --gtest_filter='PipelineTest.*:ThreadPoolTest.*:TaskEngineTest.*:WorkDequeTest.*:MatchDeterminismTest.*:MatchSweepTest.*:KernelContextTest.*:KernelParityTest.*:KernelReferenceTest.*:TensorTest.*:MatrixTest.*:SparseTest.*:CoreBudgetTest.*:TrafficLedgerTest.*:VirtualClockTest.*:ClusterRuntimeTest.*:ExchangeChannelTest.*:ClusterExchangeTest.*:FrontierBitmapTest.*:SlidingQueueTest.*:VertexFrontierTest.*:Workers/FrontierParityTest.*:FrontierTraversalTest.*:GraphReorderTest.*:ReorderSimdParityTest.*:IntersectTest.*:SimdTest.*:CompressedCsrTest.*:DistGcnTest.OverlapReducesSimulatedTime:DistGcnTest.ReportExposesTracesAndOverlapOccupancy:DistGcnTest.CommChannelsRelieveCommBoundOverlap'
 
 echo
 echo "== asan+ubsan: every test but the wall-clock ones =="
@@ -110,25 +115,27 @@ echo "== tsan + forced compression: parity and matcher suites with GAL_GRAPH_COM
 # layout, so the streaming decode paths (cursors, per-worker scratch)
 # run under TSan with reference and fast runs both compressed. The
 # matcher suites decode the candidate join's rows into per-thread
-# buffers at every search depth.
+# buffers at every search depth, and the multigraph cases decode rows
+# that repeat a neighbor.
 GAL_GRAPH_COMPRESSION=1 ./build-tsan/tests/gal_tests \
-    --gtest_filter="GraphReorderTest.*:ReorderSimdParityTest.*:IntersectTest.*:SimdTest.*:CompressedCsrTest.*:${MATCH_TESTS}"
+    --gtest_filter="GraphReorderTest.*:ReorderSimdParityTest.*:IntersectTest.*:SimdTest.*:CompressedCsrTest.*:${MATCH_TESTS}:${KERNEL_TESTS}"
 
 echo
 echo "== scalar fallback: parity and matcher suites with GAL_SIMD=0 =="
 # The kill switch must leave every result bit-identical — this run is
 # what keeps the scalar fallback honest on AVX2 hosts (and is the only
 # configuration non-AVX2 hosts ever execute). The matcher suites take
-# the candidate join's scalar-merge path here.
+# the candidate join's scalar-merge path here, and the tensor-kernel
+# suites the row kernel's scalar fallback.
 GAL_SIMD=0 ./build/tests/gal_tests \
-    --gtest_filter="GraphReorderTest.*:ReorderSimdParityTest.*:IntersectTest.*:SimdTest.*:CompressedCsrTest.*:${MATCH_TESTS}"
+    --gtest_filter="GraphReorderTest.*:ReorderSimdParityTest.*:IntersectTest.*:SimdTest.*:CompressedCsrTest.*:${MATCH_TESTS}:${KERNEL_TESTS}"
 
 echo
 echo "== scalar fallback + forced compression: GAL_SIMD=0 GAL_GRAPH_COMPRESSION=1 =="
 # The two kill-switch extremes together: scalar kernels over the
 # compressed layout must still be bit-identical.
 GAL_SIMD=0 GAL_GRAPH_COMPRESSION=1 ./build/tests/gal_tests \
-    --gtest_filter='GraphReorderTest.*:ReorderSimdParityTest.*:IntersectTest.*:SimdTest.*:CompressedCsrTest.*'
+    --gtest_filter="GraphReorderTest.*:ReorderSimdParityTest.*:IntersectTest.*:SimdTest.*:CompressedCsrTest.*:${KERNEL_TESTS}"
 
 echo
 echo "== fault: elastic cluster runtime (ctest label) =="

@@ -11,6 +11,8 @@ namespace gal::simd {
 namespace detail {
 // Implemented in simd_avx2.cc, the only TU compiled with -mavx2.
 void AxpyF32Avx2(float* y, const float* x, float a, size_t n);
+void AxpyRowsF32Avx2(float* y, size_t n, const float* w,
+                     const float* const* rows, size_t count);
 size_t IntersectCountU32Avx2(const uint32_t* a, size_t na, const uint32_t* b,
                              size_t nb);
 size_t IntersectIntoU32Avx2(const uint32_t* a, size_t na, const uint32_t* b,
@@ -99,6 +101,25 @@ void AxpyF32(float* y, const float* x, float a, size_t n) {
   }
 #endif
   for (size_t i = 0; i < n; ++i) y[i] += a * x[i];
+}
+
+void AxpyRowsF32(float* y, size_t n, const float* w,
+                 const float* const* rows, size_t count) {
+#if GAL_SIMD_HAVE_AVX2
+  if (Enabled()) {
+    detail::AxpyRowsF32Avx2(y, n, w, rows, count);
+    return;
+  }
+#endif
+  for (size_t t = 0; t < count; ++t) {
+    const float a = w[t];
+    const float* x = rows[t];
+    // Unrolled: -O2 does not vectorize this loop, and with a
+    // one-element body it measured up to 2x slower depending on where
+    // it landed in the binary.
+#pragma GCC unroll 4
+    for (size_t i = 0; i < n; ++i) y[i] += a * x[i];
+  }
 }
 
 size_t IntersectCountU32(const uint32_t* a, size_t na, const uint32_t* b,

@@ -4,8 +4,9 @@
 #include <cstddef>
 #include <cstdint>
 
-/// Portable SIMD wrapper for the hot inner loops (GEMM tile, SpMM row
-/// gather, sorted-adjacency intersection). Design rules:
+/// Portable SIMD wrapper for the hot inner loops: the row kernel under
+/// every GEMM and SpMM (AxpyRowsF32) and the sorted-adjacency
+/// intersections. Design rules:
 ///
 ///  - Vector code lives in exactly one translation unit
 ///    (simd_avx2.cc), compiled with -mavx2 and nothing else — no
@@ -44,6 +45,16 @@ const char* ActiveIsa();
 /// per-element multiply-then-add as the scalar loop (no FMA
 /// contraction), so results are bit-identical either way.
 void AxpyF32(float* y, const float* x, float a, size_t n);
+
+/// y[j] += w[t] * rows[t][j] for j in [0, n), one term t at a time for
+/// t = 0, 1, ..., count - 1: bit for bit the result of `count`
+/// successive AxpyF32(y, rows[t], w[t], n) calls, which is what the
+/// scalar fallback runs. The vector path holds y in registers across
+/// all the terms (blocks of 64, 32, 16 and 8 lanes, then a masked
+/// tail) instead of loading and storing it once per term. The rows must
+/// not overlap y.
+void AxpyRowsF32(float* y, size_t n, const float* w,
+                 const float* const* rows, size_t count);
 
 /// Number of common elements of two strictly-ascending sorted arrays.
 /// Vector path: 8x8 block compare (all-pairs via register rotations).

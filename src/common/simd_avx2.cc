@@ -28,6 +28,66 @@ void AxpyF32Avx2(float* y, const float* x, float a, size_t n) {
 
 namespace {
 
+/// y[offset, offset + 8 * kVecs) += w[t] * rows[t][same lanes] for
+/// t = 0, 1, ..., count - 1, with those lanes of y held in kVecs
+/// registers from the first term to the last.
+template <int kVecs>
+inline void AxpyRowsBlock(float* y, const float* w, const float* const* rows,
+                          size_t count, size_t offset) {
+  __m256 acc[kVecs];
+#pragma GCC unroll 8
+  for (int v = 0; v < kVecs; ++v) acc[v] = _mm256_loadu_ps(y + offset + 8 * v);
+  for (size_t t = 0; t < count; ++t) {
+    const __m256 vw = _mm256_set1_ps(w[t]);
+    const float* x = rows[t] + offset;
+#pragma GCC unroll 8
+    for (int v = 0; v < kVecs; ++v) {
+      acc[v] = _mm256_add_ps(acc[v],
+                             _mm256_mul_ps(vw, _mm256_loadu_ps(x + 8 * v)));
+    }
+  }
+#pragma GCC unroll 8
+  for (int v = 0; v < kVecs; ++v) _mm256_storeu_ps(y + offset + 8 * v, acc[v]);
+}
+
+/// The same over the last `lanes` < 8 lanes, through a lane mask:
+/// masked-off lanes are neither read nor written.
+inline void AxpyRowsTail(float* y, const float* w, const float* const* rows,
+                         size_t count, size_t offset, size_t lanes) {
+  const __m256i mask =
+      _mm256_cmpgt_epi32(_mm256_set1_epi32(static_cast<int>(lanes)),
+                         _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
+  __m256 acc = _mm256_maskload_ps(y + offset, mask);
+  for (size_t t = 0; t < count; ++t) {
+    const __m256 vx = _mm256_maskload_ps(rows[t] + offset, mask);
+    acc = _mm256_add_ps(acc, _mm256_mul_ps(_mm256_set1_ps(w[t]), vx));
+  }
+  _mm256_maskstore_ps(y + offset, mask, acc);
+}
+
+}  // namespace
+
+void AxpyRowsF32Avx2(float* y, size_t n, const float* w,
+                     const float* const* rows, size_t count) {
+  size_t j = 0;
+  for (; j + 64 <= n; j += 64) AxpyRowsBlock<8>(y, w, rows, count, j);
+  if (j + 32 <= n) {
+    AxpyRowsBlock<4>(y, w, rows, count, j);
+    j += 32;
+  }
+  if (j + 16 <= n) {
+    AxpyRowsBlock<2>(y, w, rows, count, j);
+    j += 16;
+  }
+  if (j + 8 <= n) {
+    AxpyRowsBlock<1>(y, w, rows, count, j);
+    j += 8;
+  }
+  if (j < n) AxpyRowsTail(y, w, rows, count, j, n - j);
+}
+
+namespace {
+
 /// All-pairs equality of one 8-lane block of `a` against one 8-lane
 /// block of `b`: compare, rotate b by one lane, repeat 8 times. The
 /// returned movemask has bit k set iff a[k] occurs anywhere in the b

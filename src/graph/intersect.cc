@@ -168,26 +168,35 @@ bool IntersectAny(std::span<const VertexId> a, std::span<const VertexId> b) {
   return false;
 }
 
+std::span<const VertexId> NeighborSetInto(const Graph& g, VertexId v,
+                                          std::vector<VertexId>& buf) {
+  const std::span<const VertexId> row = g.NeighborsInto(v, buf);
+  if (!g.HasRepeatedNeighbors()) return row;
+  if (row.data() != buf.data()) buf.assign(row.begin(), row.end());
+  buf.erase(std::unique(buf.begin(), buf.end()), buf.end());
+  return buf;
+}
+
 uint64_t IntersectCount(const Graph& g, VertexId u, VertexId v,
                         NeighborScratch& scratch, uint64_t* ops) {
-  return IntersectCount(g.NeighborsInto(u, scratch.a),
-                        g.NeighborsInto(v, scratch.b), ops);
+  return IntersectCount(NeighborSetInto(g, u, scratch.a),
+                        NeighborSetInto(g, v, scratch.b), ops);
 }
 
 uint64_t IntersectCount(std::span<const VertexId> a, const Graph& g,
                         VertexId v, NeighborScratch& scratch, uint64_t* ops) {
-  return IntersectCount(a, g.NeighborsInto(v, scratch.b), ops);
+  return IntersectCount(a, NeighborSetInto(g, v, scratch.b), ops);
 }
 
 void IntersectInto(std::span<const VertexId> a, const Graph& g, VertexId v,
                    std::vector<VertexId>& out, NeighborScratch& scratch,
                    uint64_t* ops) {
-  IntersectInto(a, g.NeighborsInto(v, scratch.b), out, ops);
+  IntersectInto(a, NeighborSetInto(g, v, scratch.b), out, ops);
 }
 
 bool IntersectAny(std::span<const VertexId> a, const Graph& g, VertexId v,
                   NeighborScratch& scratch) {
-  return IntersectAny(a, g.NeighborsInto(v, scratch.b));
+  return IntersectAny(a, NeighborSetInto(g, v, scratch.b));
 }
 
 }  // namespace gal

@@ -55,6 +55,14 @@ bool IntersectAny(std::span<const VertexId> a, std::span<const VertexId> b);
 // touched, so the overloads cost nothing extra — call sites can be
 // written once, compression-obliviously.
 
+/// v's row as a set, the form the kernels above take. Usually the row
+/// itself (decoded into `buf` on a compressed layout); on a graph that
+/// lists a neighbor twice (Graph::HasRepeatedNeighbors, a `dedup =
+/// false` build) the row is copied into `buf` without the repeats. The
+/// graph-row overloads below read every row through this.
+std::span<const VertexId> NeighborSetInto(const Graph& g, VertexId v,
+                                          std::vector<VertexId>& buf);
+
 /// Two decode rows for intersection-style call sites that hold two
 /// adjacency lists live at once. Reused across calls (steady-state
 /// zero-allocation); one per worker/thread — never share across threads.

@@ -3,21 +3,6 @@
 #include <algorithm>
 
 namespace gal {
-namespace {
-
-/// v's row as a set, the form IntersectInto takes. A graph built with
-/// `dedup = false` can list a neighbor twice; its rows are copied into
-/// `buf` without the repeats.
-std::span<const VertexId> SetRow(const Graph& g, VertexId v,
-                                 std::vector<VertexId>& buf) {
-  const std::span<const VertexId> row = g.NeighborsInto(v, buf);
-  if (!g.HasRepeatedNeighbors()) return row;
-  if (row.data() != buf.data()) buf.assign(row.begin(), row.end());
-  buf.erase(std::unique(buf.begin(), buf.end()), buf.end());
-  return buf;
-}
-
-}  // namespace
 
 CandidateJoin::CandidateJoin(const Graph& data, const MatchPlan& plan,
                              const CandidateSets& candidates, bool induced)
@@ -45,9 +30,10 @@ void CandidateJoin::LocalCandidates(uint32_t position,
     return data.Degree(a) < data.Degree(b);
   });
 
-  std::span<const VertexId> joined = SetRow(data, anchors[0], scratch.rows.a);
+  std::span<const VertexId> joined =
+      NeighborSetInto(data, anchors[0], scratch.rows.a);
   for (size_t i = 1; i < anchors.size(); ++i) {
-    IntersectInto(joined, SetRow(data, anchors[i], scratch.rows.b),
+    IntersectInto(joined, NeighborSetInto(data, anchors[i], scratch.rows.b),
                   scratch.next);
     scratch.acc.swap(scratch.next);
     joined = scratch.acc;

@@ -10,12 +10,11 @@
 namespace gal {
 namespace {
 
-/// k-tile width: one tile of B (kKTile rows) stays hot in cache while a
-/// shard's C rows stream over it.
+/// k-tile width. A B and A^T B walk k one tile at a time, so a tile of B
+/// (kKTile rows) stays cached while a shard's C rows stream over it; A
+/// B^T sums each tile's products from zero and adds that partial sum to
+/// C.
 constexpr uint32_t kKTile = 128;
-/// C-row panel width for the transpose-A kernel: the panel of output
-/// rows revisited on every k step must fit in cache.
-constexpr uint32_t kIPanel = 64;
 
 /// Shard count for a GEMM parallelized over `out_rows` output rows doing
 /// `work` scalar ops total. Each output row is produced by exactly one
@@ -23,6 +22,46 @@ constexpr uint32_t kIPanel = 64;
 size_t GemmShards(const KernelContext& ctx, uint32_t out_rows, uint64_t work) {
   return std::min<size_t>(std::max<uint32_t>(1, out_rows),
                           ctx.ShardCountFor(work));
+}
+
+/// First output row of shard `s` of `shards` over `rows` rows.
+uint32_t ShardBegin(uint32_t rows, size_t s, size_t shards) {
+  return static_cast<uint32_t>(uint64_t{rows} * s / shards);
+}
+
+/// C rows [r0, r1) of C = W B, where weight(i, k) reads W: c[i] +=
+/// weight(i, k) * b[k] for k ascending, a term with a zero weight
+/// skipped. The tile and shard bounds never change a row's order.
+template <typename Weight>
+void WeightedRowSums(const Weight& weight, const Matrix& b, uint32_t r0,
+                     uint32_t r1, Matrix& c) {
+  const uint32_t kdim = b.rows();
+  std::vector<float> w(std::min(kdim, kKTile));
+  std::vector<const float*> rows(w.size());
+  for (uint32_t k0 = 0; k0 < kdim; k0 += kKTile) {
+    const uint32_t k1 = std::min(kdim, k0 + kKTile);
+    for (uint32_t i = r0; i < r1; ++i) {
+      // Branch-free compaction of the tile's nonzero terms: a zero
+      // weight's slot is overwritten by the next term.
+      size_t count = 0;
+      for (uint32_t k = k0; k < k1; ++k) {
+        const float wik = weight(i, k);
+        w[count] = wik;
+        rows[count] = b.row(k);
+        count += (wik != 0.0f);
+      }
+      simd::AxpyRowsF32(c.row(i), b.cols(), w.data(), rows.data(), count);
+    }
+  }
+}
+
+Matrix Transpose(const Matrix& m) {
+  Matrix t(m.cols(), m.rows());
+  for (uint32_t i = 0; i < m.rows(); ++i) {
+    const float* mi = m.row(i);
+    for (uint32_t j = 0; j < m.cols(); ++j) t.at(j, i) = mi[j];
+  }
+  return t;
 }
 
 }  // namespace
@@ -77,33 +116,12 @@ Matrix Matmul(const Matrix& a, const Matrix& b) {
   if (a.rows() == 0 || a.cols() == 0 || b.cols() == 0) return c;
   KernelContext& ctx = KernelContext::Get();
   ScopedSpan span(ctx.gemm_hist());
-  const uint64_t work =
-      uint64_t{a.rows()} * a.cols() * b.cols();
+  const uint64_t work = uint64_t{a.rows()} * a.cols() * b.cols();
   const size_t shards = GemmShards(ctx, a.rows(), work);
-  const uint32_t rows = a.rows();
-  const uint32_t kdim = a.cols();
-  const uint32_t ncols = b.cols();
   ctx.RunShards(shards, [&](size_t s) {
-    const uint32_t r0 = static_cast<uint32_t>(uint64_t{rows} * s / shards);
-    const uint32_t r1 =
-        static_cast<uint32_t>(uint64_t{rows} * (s + 1) / shards);
-    // Row-panel × k-tile: per k-tile the touched B panel stays cached
-    // while this shard's C rows stream over it. Per C row the k order is
-    // 0..K ascending whatever the shard bounds — bit-deterministic.
-    for (uint32_t k0 = 0; k0 < kdim; k0 += kKTile) {
-      const uint32_t k1 = std::min(kdim, k0 + kKTile);
-      for (uint32_t i = r0; i < r1; ++i) {
-        float* ci = c.row(i);
-        const float* ai = a.row(i);
-        for (uint32_t k = k0; k < k1; ++k) {
-          const float aik = ai[k];
-          if (aik == 0.0f) continue;
-          // axpy form: per-lane multiply-then-add preserves the scalar
-          // loop's per-element rounding at any vector width.
-          simd::AxpyF32(ci, b.row(k), aik, ncols);
-        }
-      }
-    }
+    WeightedRowSums([&a](uint32_t i, uint32_t k) { return a.row(i)[k]; }, b,
+                    ShardBegin(a.rows(), s, shards),
+                    ShardBegin(a.rows(), s + 1, shards), c);
   });
   return c;
 }
@@ -117,28 +135,12 @@ Matrix MatmulTransposeA(const Matrix& a, const Matrix& b) {
   ScopedSpan span(ctx.gemm_hist());
   const uint64_t work = uint64_t{a.rows()} * a.cols() * b.cols();
   const size_t shards = GemmShards(ctx, a.cols(), work);
-  const uint32_t out_rows = a.cols();
-  const uint32_t kdim = a.rows();
-  const uint32_t ncols = b.cols();
+  // Output rows of C = A^T B are indexed by A's columns. Within a k-tile
+  // the column reads stay inside kKTile rows of A, which stay cached.
   ctx.RunShards(shards, [&](size_t s) {
-    const uint32_t r0 = static_cast<uint32_t>(uint64_t{out_rows} * s / shards);
-    const uint32_t r1 =
-        static_cast<uint32_t>(uint64_t{out_rows} * (s + 1) / shards);
-    // Output rows of C = A^T B are indexed by A's columns; sharding by
-    // output row keeps the scatter race-free. Within a C-row panel each
-    // k step reads a contiguous slice a[k][i0..i1) and one B row.
-    for (uint32_t i0 = r0; i0 < r1; i0 += kIPanel) {
-      const uint32_t i1 = std::min(r1, i0 + kIPanel);
-      for (uint32_t k = 0; k < kdim; ++k) {
-        const float* ak = a.row(k);
-        const float* bk = b.row(k);
-        for (uint32_t i = i0; i < i1; ++i) {
-          const float aki = ak[i];
-          if (aki == 0.0f) continue;
-          simd::AxpyF32(c.row(i), bk, aki, ncols);
-        }
-      }
-    }
+    WeightedRowSums([&a](uint32_t i, uint32_t k) { return a.row(k)[i]; }, b,
+                    ShardBegin(a.cols(), s, shards),
+                    ShardBegin(a.cols(), s + 1, shards), c);
   });
   return c;
 }
@@ -152,27 +154,26 @@ Matrix MatmulTransposeB(const Matrix& a, const Matrix& b) {
   ScopedSpan span(ctx.gemm_hist());
   const uint64_t work = uint64_t{a.rows()} * a.cols() * b.rows();
   const size_t shards = GemmShards(ctx, a.rows(), work);
-  const uint32_t rows = a.rows();
   const uint32_t kdim = a.cols();
   const uint32_t out_cols = b.rows();
+  // Staged B^T: its row k is column k of B, so a k-tile's dot products
+  // with every B row are one row-kernel call over contiguous rows.
+  const Matrix bt = Transpose(b);
+  std::vector<const float*> bt_rows(kdim);
+  for (uint32_t k = 0; k < kdim; ++k) bt_rows[k] = bt.row(k);
   ctx.RunShards(shards, [&](size_t s) {
-    const uint32_t r0 = static_cast<uint32_t>(uint64_t{rows} * s / shards);
-    const uint32_t r1 =
-        static_cast<uint32_t>(uint64_t{rows} * (s + 1) / shards);
-    // Blocked accumulator form of the dot products: per k-tile partial
-    // sums flow into the C row, so the k-tile of B is streamed once per
-    // A row instead of once per (i, j) pair.
-    for (uint32_t i = r0; i < r1; ++i) {
+    std::vector<float> partial(out_cols);
+    for (uint32_t i = ShardBegin(a.rows(), s, shards);
+         i < ShardBegin(a.rows(), s + 1, shards); ++i) {
       const float* ai = a.row(i);
       float* ci = c.row(i);
+      // Per k-tile partial sums from zero, each added to the C row.
       for (uint32_t k0 = 0; k0 < kdim; k0 += kKTile) {
         const uint32_t k1 = std::min(kdim, k0 + kKTile);
-        for (uint32_t j = 0; j < out_cols; ++j) {
-          const float* bj = b.row(j);
-          float s_kj = 0.0f;
-          for (uint32_t k = k0; k < k1; ++k) s_kj += ai[k] * bj[k];
-          ci[j] += s_kj;
-        }
+        std::fill(partial.begin(), partial.end(), 0.0f);
+        simd::AxpyRowsF32(partial.data(), out_cols, ai + k0,
+                          bt_rows.data() + k0, k1 - k0);
+        for (uint32_t j = 0; j < out_cols; ++j) ci[j] += partial[j];
       }
     }
   });

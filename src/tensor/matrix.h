@@ -71,11 +71,16 @@ class Matrix {
   std::vector<float> data_;
 };
 
-/// C = A * B.
+/// Each product below rounds every element the same way at any thread
+/// count and ISA: one multiply and one add per term, in the order given.
+/// C = A * B: c_ij sums a_ik * b_kj for k ascending from +0, skipping
+/// terms with a_ik == 0.
 Matrix Matmul(const Matrix& a, const Matrix& b);
-/// C = A^T * B.
+/// C = A^T * B: c_ij sums a_ki * b_kj the same way (k ascending from +0,
+/// a_ki == 0 skipped).
 Matrix MatmulTransposeA(const Matrix& a, const Matrix& b);
-/// C = A * B^T.
+/// C = A * B^T: for each 128-wide k-tile, a partial sum of a_ik * b_jk
+/// from +0 with k ascending, added to c_ij; no term is skipped.
 Matrix MatmulTransposeB(const Matrix& a, const Matrix& b);
 
 /// ReLU forward; `mask` (same shape) records active units for backward.

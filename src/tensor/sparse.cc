@@ -107,13 +107,17 @@ Matrix SparseMatrix::Gather(uint32_t out_cols, const Source& source) const {
   const std::vector<uint32_t> bounds =
       NnzBalancedRowBounds(offsets_, rows_, shards);
   ctx.RunShards(shards, [&](size_t s) {
+    // Row r is one row-kernel call: its values weigh the source rows its
+    // entries pick, in CSR order.
+    std::vector<const float*> picked;
     for (uint32_t r = bounds[s]; r < bounds[s + 1]; ++r) {
-      float* or_ = out.row(r);
-      for (uint64_t e = offsets_[r]; e < offsets_[r + 1]; ++e) {
-        // axpy row gather; per-lane multiply-then-add keeps the result
-        // bit-identical to the scalar loop.
-        simd::AxpyF32(or_, source(r, cols_idx_[e]), values_[e], out_cols);
+      const uint64_t begin = offsets_[r];
+      picked.resize(offsets_[r + 1] - begin);
+      for (size_t t = 0; t < picked.size(); ++t) {
+        picked[t] = source(r, cols_idx_[begin + t]);
       }
+      simd::AxpyRowsF32(out.row(r), out_cols, values_.data() + begin,
+                        picked.data(), picked.size());
     }
   });
   return out;

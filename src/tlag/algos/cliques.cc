@@ -83,7 +83,7 @@ void BkRecurse(BkTask& task, BkShared& shared, NeighborScratch& scratch,
   if (task.p.empty()) return;
 
   const VertexId pivot = ChoosePivot(g, task.p, task.x, scratch);
-  const auto pivot_nbrs = g.NeighborsInto(pivot, scratch.a);
+  const auto pivot_nbrs = NeighborSetInto(g, pivot, scratch.a);
   // Branch on P \ N(pivot).
   std::vector<VertexId> branch_vertices;
   std::set_difference(task.p.begin(), task.p.end(), pivot_nbrs.begin(),
@@ -93,7 +93,7 @@ void BkRecurse(BkTask& task, BkShared& shared, NeighborScratch& scratch,
     // pivot_nbrs is consumed; scratch.a is free for v's row. The row is
     // re-decoded per iteration because the recursion below reuses the
     // scratch — correctness over decode thrift at branch nodes.
-    const auto nbrs = g.NeighborsInto(v, scratch.a);
+    const auto nbrs = NeighborSetInto(g, v, scratch.a);
     BkTask child;
     child.r = task.r;
     child.r.push_back(v);
@@ -228,14 +228,14 @@ MaximalCliqueResult MaximalCliques(const Graph& g,
 
   std::vector<BkTask> roots;
   roots.reserve(g.NumVertices());
+  std::vector<VertexId> row;
   for (VertexId v : degen.order) {
     BkTask t;
     t.r = {v};
-    g.ForEachOutNeighbor(v, [&](VertexId u) {
+    // The set row is ascending, so P and X come out sorted.
+    for (VertexId u : NeighborSetInto(g, v, row)) {
       (pos[u] > pos[v] ? t.p : t.x).push_back(u);
-    });
-    std::sort(t.p.begin(), t.p.end());
-    std::sort(t.x.begin(), t.x.end());
+    }
     t.depth = 1;
     roots.push_back(std::move(t));
   }
@@ -272,13 +272,13 @@ MaximumCliqueResult MaximumClique(const Graph& g,
   for (uint32_t i = 0; i < degen.order.size(); ++i) pos[degen.order[i]] = i;
 
   std::vector<McTask> roots;
+  std::vector<VertexId> row;
   for (VertexId v : degen.order) {
     McTask t;
     t.r = {v};
-    g.ForEachOutNeighbor(v, [&](VertexId u) {
+    for (VertexId u : NeighborSetInto(g, v, row)) {
       if (pos[u] > pos[v]) t.p.push_back(u);
-    });
-    std::sort(t.p.begin(), t.p.end());
+    }
     roots.push_back(std::move(t));
   }
 

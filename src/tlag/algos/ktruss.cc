@@ -26,7 +26,10 @@ struct EdgeIndex {
 
 KTrussResult KTrussDecomposition(const Graph& g) {
   KTrussResult result;
+  // A multigraph lists a repeated edge once per copy, next to each other.
   result.edges = g.CollectEdges();
+  result.edges.erase(std::unique(result.edges.begin(), result.edges.end()),
+                     result.edges.end());
   const uint32_t m = static_cast<uint32_t>(result.edges.size());
   result.trussness.assign(m, 2);
   if (m == 0) return result;
@@ -37,8 +40,9 @@ KTrussResult KTrussDecomposition(const Graph& g) {
   }
 
   // Initial supports: triangles through each edge, via the shared
-  // sorted intersection (graph-row form: decodes through `scratch` when
-  // the adjacency is compressed, zero-copy otherwise).
+  // sorted intersection (graph-row form: reads each row as a set,
+  // decoding through `scratch` when the adjacency is compressed or
+  // repeats a neighbor, zero-copy otherwise).
   NeighborScratch scratch;
   std::vector<uint32_t> support(m, 0);
   for (uint32_t e = 0; e < m; ++e) {
@@ -66,7 +70,7 @@ KTrussResult KTrussDecomposition(const Graph& g) {
 
     const VertexId u = result.edges[e].src;
     const VertexId v = result.edges[e].dst;
-    IntersectInto(g.NeighborsInto(u, scratch.a), g, v, common, scratch);
+    IntersectInto(NeighborSetInto(g, u, scratch.a), g, v, common, scratch);
     for (const VertexId w : common) {
       const uint32_t e1 = idx.Of(u, w);
       const uint32_t e2 = idx.Of(v, w);

@@ -15,10 +15,11 @@ namespace gal {
 /// mines (a k-truss is a (k-1)-core, and a k-clique is inside the
 /// k-truss).
 struct KTrussResult {
-  /// trussness[i] for the i-th edge of Graph::CollectEdges order: the
-  /// largest k such that the edge survives in the k-truss (>= 2).
+  /// trussness[i] for the i-th edge of Graph::CollectEdges order, each
+  /// distinct edge once (a multigraph's parallel copies are one edge):
+  /// the largest k such that the edge survives in the k-truss (>= 2).
   std::vector<uint32_t> trussness;
-  std::vector<Edge> edges;  // CollectEdges order, for convenience
+  std::vector<Edge> edges;  // that order, for convenience
   uint32_t max_trussness = 2;
   uint64_t support_updates = 0;  // peeling work measure
 };

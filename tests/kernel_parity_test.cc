@@ -3,17 +3,23 @@
 // each output element is produced by exactly one shard with a fixed
 // accumulation order. Also covers the degenerate shapes (empty, 1-row,
 // 1-col) and the KernelContext thread-count policy itself.
+// KernelReferenceTest pins that order: every GEMM and SpMM equals, by
+// memcmp, a naive loop written here in the documented per-element
+// order, with SIMD off and on and at 1 and 8 kernel threads.
 
 #include <algorithm>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <thread>
+#include <tuple>
 
 #include <gtest/gtest.h>
 
 #include "common/core_budget.h"
 #include "common/rng.h"
+#include "common/simd.h"
 #include "common/timer.h"
 #include "graph/generators.h"
 #include "nn/gat.h"
@@ -368,6 +374,221 @@ TEST(KernelParityTest, GatBackwardAcrossThreadCounts) {
     for (size_t k = 0; k < ref.size(); ++k) {
       ExpectBitIdentical(ref[k], got[k], "GAT backward grad");
     }
+  }
+}
+
+// --- reference arithmetic ----------------------------------------------------
+//
+// The parity tests above compare a kernel with its own one-thread run,
+// so a kernel that changed its rounding everywhere would still pass
+// them. These compare every product with a naive per-element loop in
+// the order the kernels document:
+//   - A B and A^T B: k ascending from +0, zero weights skipped;
+//   - A B^T: per-128-wide k-tile partial sums from +0, each added to C;
+//   - SpMM (one- and two-source, forward and transpose): CSR order.
+
+struct SimdGuard {
+  explicit SimdGuard(bool on) : prev(simd::SetEnabled(on)) {}
+  ~SimdGuard() { simd::SetEnabled(prev); }
+  bool prev;
+};
+
+const uint32_t kReferenceWidths[] = {1, 7, 8, 9, 31, 33, 64, 65, 141};
+const uint32_t kReferenceDepths[] = {1, 128, 129, 300};
+// Output rows of the dense products: enough to cut into 8 shards once
+// the product clears the serial grain.
+constexpr uint32_t kReferenceRows = 37;
+
+/// Runs check(label) under SIMD {off, on} x kernel threads {1, 8}.
+template <typename Check>
+void ForEachKernelConfig(const Check& check) {
+  for (bool simd_on : {false, true}) {
+    SimdGuard simd_guard(simd_on);
+    for (size_t threads : {size_t{1}, size_t{8}}) {
+      KernelContext::Get().SetNumThreads(threads);
+      check("simd=" + std::to_string(simd_on) +
+            " threads=" + std::to_string(threads));
+    }
+  }
+}
+
+/// A random matrix with about a quarter of its entries +0.0f or -0.0f.
+Matrix WithZeros(uint32_t rows, uint32_t cols, Rng& rng) {
+  Matrix m = Matrix::Xavier(rows, cols, rng);
+  for (float& v : m.data()) {
+    const uint64_t roll = rng.Uniform(8);
+    if (roll < 2) v = 0.0f;
+    if (roll == 2) v = -0.0f;
+  }
+  return m;
+}
+
+Matrix NaiveMatmul(const Matrix& a, const Matrix& b) {
+  Matrix c(a.rows(), b.cols());
+  for (uint32_t i = 0; i < a.rows(); ++i) {
+    for (uint32_t j = 0; j < b.cols(); ++j) {
+      float acc = 0.0f;
+      for (uint32_t k = 0; k < a.cols(); ++k) {
+        if (a.at(i, k) == 0.0f) continue;
+        acc += a.at(i, k) * b.at(k, j);
+      }
+      c.at(i, j) = acc;
+    }
+  }
+  return c;
+}
+
+Matrix NaiveMatmulTransposeA(const Matrix& a, const Matrix& b) {
+  Matrix c(a.cols(), b.cols());
+  for (uint32_t i = 0; i < a.cols(); ++i) {
+    for (uint32_t j = 0; j < b.cols(); ++j) {
+      float acc = 0.0f;
+      for (uint32_t k = 0; k < a.rows(); ++k) {
+        if (a.at(k, i) == 0.0f) continue;
+        acc += a.at(k, i) * b.at(k, j);
+      }
+      c.at(i, j) = acc;
+    }
+  }
+  return c;
+}
+
+Matrix NaiveMatmulTransposeB(const Matrix& a, const Matrix& b) {
+  constexpr uint32_t kTile = 128;
+  Matrix c(a.rows(), b.rows());
+  for (uint32_t i = 0; i < a.rows(); ++i) {
+    for (uint32_t j = 0; j < b.rows(); ++j) {
+      float cij = 0.0f;
+      for (uint32_t k0 = 0; k0 < a.cols(); k0 += kTile) {
+        float partial = 0.0f;
+        for (uint32_t k = k0; k < std::min(a.cols(), k0 + kTile); ++k) {
+          partial += a.at(i, k) * b.at(j, k);
+        }
+        cij += partial;
+      }
+      c.at(i, j) = cij;
+    }
+  }
+  return c;
+}
+
+/// out[r] = sum over row r's entries e, in CSR order, of
+/// value(e) * source(r, col(e)).
+template <typename Source>
+Matrix NaiveSpmm(const SparseMatrix& m, uint32_t width,
+                 const Source& source) {
+  Matrix out(m.rows(), width);
+  for (uint32_t r = 0; r < m.rows(); ++r) {
+    const auto cols = m.RowIndices(r);
+    const auto values = m.RowValues(r);
+    for (uint32_t j = 0; j < width; ++j) {
+      float acc = 0.0f;
+      for (size_t e = 0; e < cols.size(); ++e) {
+        acc += values[e] * source(r, cols[e])[j];
+      }
+      out.at(r, j) = acc;
+    }
+  }
+  return out;
+}
+
+/// out = m^T * source, as the serial scatter: entry (r, c) adds
+/// value * source(c, r) to out row c, rows r ascending.
+template <typename Source>
+Matrix NaiveSpmmTranspose(const SparseMatrix& m, uint32_t width,
+                          const Source& source) {
+  Matrix out(m.cols(), width);
+  for (uint32_t r = 0; r < m.rows(); ++r) {
+    const auto cols = m.RowIndices(r);
+    const auto values = m.RowValues(r);
+    for (size_t e = 0; e < cols.size(); ++e) {
+      const float* src = source(cols[e], r);
+      for (uint32_t j = 0; j < width; ++j) {
+        out.at(cols[e], j) += values[e] * src[j];
+      }
+    }
+  }
+  return out;
+}
+
+TEST(KernelReferenceTest, GemmMatchesNaiveLoops) {
+  ThreadCountGuard guard;
+  Rng rng(59);
+  const float inf = std::numeric_limits<float>::infinity();
+  for (uint32_t depth : kReferenceDepths) {
+    for (uint32_t width : kReferenceWidths) {
+      // A B and A^T B skip zero weights. The weights of reduction index
+      // `hole` are all zero and the B row they meet holds an infinity,
+      // so a kernel that multiplied them in would produce NaN.
+      const uint32_t hole = depth / 2;
+      Matrix a = WithZeros(kReferenceRows, depth, rng);
+      Matrix at = WithZeros(depth, kReferenceRows, rng);
+      Matrix b = Matrix::Xavier(depth, width, rng);
+      for (uint32_t i = 0; i < kReferenceRows; ++i) {
+        a.at(i, hole) = 0.0f;
+        at.at(hole, i) = 0.0f;
+      }
+      b.at(hole, 0) = inf;
+      Matrix bt = WithZeros(width, depth, rng);
+      const Matrix want_mm = NaiveMatmul(a, b);
+      const Matrix want_ta = NaiveMatmulTransposeA(at, b);
+      const Matrix want_tb = NaiveMatmulTransposeB(a, bt);
+      const std::string shape = " K=" + std::to_string(depth) +
+                                " N=" + std::to_string(width) + " ";
+      ForEachKernelConfig([&](const std::string& config) {
+        ExpectBitIdentical(want_mm, Matmul(a, b),
+                           ("A B" + shape + config).c_str());
+        ExpectBitIdentical(want_ta, MatmulTransposeA(at, b),
+                           ("A^T B" + shape + config).c_str());
+        ExpectBitIdentical(want_tb, MatmulTransposeB(a, bt),
+                           ("A B^T" + shape + config).c_str());
+      });
+    }
+  }
+}
+
+TEST(KernelReferenceTest, SpmmMatchesNaiveLoops) {
+  ThreadCountGuard guard;
+  Rng rng(61);
+  // A square operator with a hub row, empty rows and explicit zeros.
+  const uint32_t n = 150;
+  std::vector<std::tuple<uint32_t, uint32_t, float>> triplets;
+  for (uint32_t c = 0; c < n; c += 2) triplets.emplace_back(3, c, 0.01f * c);
+  for (uint32_t r = 0; r < n; ++r) {
+    if (r % 11 == 5) continue;
+    const uint64_t entries = rng.Uniform(7);
+    for (uint64_t e = 0; e < entries; ++e) {
+      const float value =
+          e == 3 ? 0.0f : static_cast<float>(rng.NextDouble() * 2.0 - 1.0);
+      triplets.emplace_back(r, static_cast<uint32_t>(rng.Uniform(n)), value);
+    }
+  }
+  const SparseMatrix m = SparseMatrix::FromTriplets(n, n, std::move(triplets));
+  std::vector<uint32_t> owner(n);
+  for (uint32_t& o : owner) o = static_cast<uint32_t>(rng.Uniform(4));
+
+  for (uint32_t width : kReferenceWidths) {
+    const Matrix local = Matrix::Xavier(n, width, rng);
+    const Matrix remote = Matrix::Xavier(n, width, rng);
+    auto one = [&](uint32_t, uint32_t c) { return local.row(c); };
+    auto two = [&](uint32_t r, uint32_t c) {
+      return owner[r] == owner[c] ? local.row(c) : remote.row(c);
+    };
+    const Matrix want_fwd = NaiveSpmm(m, width, one);
+    const Matrix want_bwd = NaiveSpmmTranspose(m, width, one);
+    const Matrix want_fwd2 = NaiveSpmm(m, width, two);
+    const Matrix want_bwd2 = NaiveSpmmTranspose(m, width, two);
+    const std::string shape = " N=" + std::to_string(width) + " ";
+    ForEachKernelConfig([&](const std::string& config) {
+      ExpectBitIdentical(want_fwd, m.Multiply(local),
+                         ("SpMM" + shape + config).c_str());
+      ExpectBitIdentical(want_bwd, m.TransposeMultiply(local),
+                         ("SpMM^T" + shape + config).c_str());
+      ExpectBitIdentical(want_fwd2, m.Multiply(local, remote, owner),
+                         ("two-source SpMM" + shape + config).c_str());
+      ExpectBitIdentical(want_bwd2, m.TransposeMultiply(local, remote, owner),
+                         ("two-source SpMM^T" + shape + config).c_str());
+    });
   }
 }
 

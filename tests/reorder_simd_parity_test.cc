@@ -7,10 +7,12 @@
 // scalar/unordered path is the reference; these tests are what keeps
 // the fast paths honest (they also run under TSan, once with
 // GAL_SIMD=0, and once with GAL_GRAPH_COMPRESSION=1 via
-// scripts/check.sh).
+// scripts/check.sh). MultigraphTest holds k-truss and clique mining on
+// a graph that repeats edges to the deduplicated graph's answer.
 
 #include <algorithm>
 #include <cstdlib>
+#include <cstring>
 #include <thread>
 #include <vector>
 
@@ -293,6 +295,82 @@ TEST(ReorderSimdParityTest, SubgraphAlgorithmsBitIdentical) {
   }
 }
 
+// --- multigraphs ---------------------------------------------------------------
+//
+// A graph built with dedup = false can list a neighbor twice, and the
+// intersection kernels take strictly ascending rows. k-truss and clique
+// mining must see each distinct edge once, so the multigraph gives the
+// deduplicated graph's answer on every layout and SIMD setting.
+
+/// MatchSweepTest.ParallelEdges' shape: BA(60, 4, 3) with base edge i
+/// listed (i % 3) + 1 times.
+std::vector<Edge> ParallelEdgeList() {
+  std::vector<Edge> edges;
+  const std::vector<Edge> base = BarabasiAlbert(60, 4, 3).CollectEdges();
+  for (size_t i = 0; i < base.size(); ++i) {
+    for (size_t copy = 0; copy <= i % 3; ++copy) edges.push_back(base[i]);
+  }
+  return edges;
+}
+
+Graph BuildMultigraph(const std::vector<Edge>& edges, bool dedup,
+                      CompressionMode layout) {
+  GraphOptions options;
+  options.dedup = dedup;
+  options.compression = layout;
+  Result<Graph> g = Graph::FromEdges(60, edges, options);
+  GAL_CHECK_OK(g.status());
+  return std::move(*g);
+}
+
+TEST(MultigraphTest, KTrussEqualsDeduplicatedGraph) {
+  const std::vector<Edge> edges = ParallelEdgeList();
+  for (CompressionMode layout : kAllCompression) {
+    const Graph multi = BuildMultigraph(edges, /*dedup=*/false, layout);
+    const Graph simple = BuildMultigraph(edges, /*dedup=*/true, layout);
+    ASSERT_TRUE(multi.HasRepeatedNeighbors());
+    for (bool simd_on : {false, true}) {
+      SimdGuard guard(simd_on);
+      const std::string what = "layout=" +
+                               std::to_string(static_cast<int>(layout)) +
+                               " simd=" + std::to_string(simd_on);
+      const KTrussResult want = KTrussDecomposition(simple);
+      const KTrussResult got = KTrussDecomposition(multi);
+      EXPECT_EQ(want.max_trussness, 5u) << what;
+      EXPECT_EQ(got.edges, want.edges) << what;
+      EXPECT_EQ(got.trussness, want.trussness) << what;
+      EXPECT_EQ(got.max_trussness, want.max_trussness) << what;
+    }
+  }
+}
+
+TEST(MultigraphTest, CliquesEqualDeduplicatedGraph) {
+  const std::vector<Edge> edges = ParallelEdgeList();
+  auto sorted = [](std::vector<std::vector<VertexId>> cliques) {
+    std::sort(cliques.begin(), cliques.end());
+    return cliques;
+  };
+  for (CompressionMode layout : kAllCompression) {
+    const Graph multi = BuildMultigraph(edges, /*dedup=*/false, layout);
+    const Graph simple = BuildMultigraph(edges, /*dedup=*/true, layout);
+    for (bool simd_on : {false, true}) {
+      SimdGuard guard(simd_on);
+      const std::string what = "layout=" +
+                               std::to_string(static_cast<int>(layout)) +
+                               " simd=" + std::to_string(simd_on);
+      const MaximalCliqueResult want = MaximalCliques(simple, {}, true);
+      const MaximalCliqueResult got = MaximalCliques(multi, {}, true);
+      EXPECT_EQ(want.count, 148u) << what;
+      EXPECT_EQ(want.largest, 5u) << what;
+      EXPECT_EQ(got.count, want.count) << what;
+      EXPECT_EQ(got.largest, want.largest) << what;
+      EXPECT_EQ(sorted(got.cliques), sorted(want.cliques)) << what;
+      EXPECT_EQ(MaximumClique(multi).size, MaximumClique(simple).size)
+          << what;
+    }
+  }
+}
+
 TEST(ReorderSimdParityTest, GemmAndSpmmBitIdenticalAcrossSimdAndThreads) {
   ThreadGuard guard;
   KernelContext& ctx = KernelContext::Get();
@@ -462,6 +540,44 @@ TEST(SimdTest, AxpyBitIdenticalToScalarLoop) {
     }
     for (size_t i = 0; i < n; ++i) {
       ASSERT_EQ(y_scalar[i], y_simd[i]) << "n=" << n << " i=" << i;
+    }
+  }
+}
+
+// The row kernel under every GEMM and SpMM is `count` successive axpys
+// bit for bit, on every path: the 64/32/16/8-lane register blocks, the
+// masked tail, and the scalar fallback.
+TEST(SimdTest, AxpyRowsEqualsSuccessiveAxpys) {
+  Rng rng(67);
+  auto uniform = [&rng] {
+    return static_cast<float>(rng.NextDouble() * 2.0 - 1.0);
+  };
+  for (size_t n : {size_t{0}, size_t{1}, size_t{7}, size_t{8}, size_t{9},
+                   size_t{31}, size_t{32}, size_t{33}, size_t{63}, size_t{64},
+                   size_t{65}, size_t{1003}}) {
+    for (size_t count : {size_t{0}, size_t{1}, size_t{2}, size_t{17}}) {
+      std::vector<std::vector<float>> rows(count, std::vector<float>(n));
+      std::vector<const float*> row_ptrs;
+      std::vector<float> w(count);
+      for (size_t t = 0; t < count; ++t) {
+        for (float& x : rows[t]) x = uniform();
+        row_ptrs.push_back(rows[t].data());
+        w[t] = uniform();
+      }
+      std::vector<float> y0(n);
+      for (float& y : y0) y = uniform();
+      for (bool simd_on : {false, true}) {
+        SimdGuard guard(simd_on);
+        std::vector<float> want = y0;
+        for (size_t t = 0; t < count; ++t) {
+          simd::AxpyF32(want.data(), rows[t].data(), w[t], n);
+        }
+        std::vector<float> got = y0;
+        simd::AxpyRowsF32(got.data(), n, w.data(), row_ptrs.data(), count);
+        ASSERT_TRUE(n == 0 || std::memcmp(want.data(), got.data(),
+                                           n * sizeof(float)) == 0)
+            << "n=" << n << " count=" << count << " simd=" << simd_on;
+      }
     }
   }
 }
