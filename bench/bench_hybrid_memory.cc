@@ -29,7 +29,7 @@ int main() {
   BfsMatchResult unlimited = BfsSubgraphMatch(data, query);
   std::printf("unbounded BFS join: %llu matches, peak %.1f KB\n\n",
               static_cast<unsigned long long>(unlimited.stats.matches),
-              unlimited.peak_bytes / 1024.0);
+              unlimited.bfs.peak_bytes / 1024.0);
 
   // Out-of-core comparison: the same budget spent on adjacency shards
   // instead of partial embeddings (GraphChi's answer to small memory).
@@ -50,23 +50,23 @@ int main() {
     for (MemoryPolicy policy : {MemoryPolicy::kStrict, MemoryPolicy::kSpill,
                                 MemoryPolicy::kHybridDfs}) {
       BfsMatchOptions options;
-      options.memory_budget_bytes = budget_kb * 1024;
-      options.policy = policy;
+      options.bfs.memory_budget_bytes = budget_kb * 1024;
+      options.bfs.policy = policy;
       BfsMatchResult r = BfsSubgraphMatch(data, query, options);
       const char* policy_name =
           policy == MemoryPolicy::kStrict
               ? "strict (GSI)"
               : policy == MemoryPolicy::kSpill ? "spill (G2-AIMD)"
                                                : "hybrid (EGSM)";
-      if (!r.budget_exceeded) {
+      if (!r.bfs.budget_exceeded) {
         GAL_CHECK(r.stats.matches == unlimited.stats.matches);
       }
       table.AddRow({Fmt("%llu", static_cast<unsigned long long>(budget_kb)),
-                    policy_name, r.budget_exceeded ? "NO (aborted)" : "yes",
-                    r.budget_exceeded ? "-" : Human(r.stats.matches),
-                    Fmt("%.1f", r.peak_bytes / 1024.0),
-                    Fmt("%.1f", r.spilled_bytes / 1024.0),
-                    Human(r.dfs_fallback_matches)});
+                    policy_name, r.bfs.budget_exceeded ? "NO (aborted)" : "yes",
+                    r.bfs.budget_exceeded ? "-" : Human(r.stats.matches),
+                    Fmt("%.1f", r.bfs.peak_bytes / 1024.0),
+                    Fmt("%.1f", r.bfs.spilled_bytes / 1024.0),
+                    Human(r.bfs.dfs_fallback_embeddings)});
     }
     // The out-of-core row bounds ADJACENCY bytes, not partials: shards
     // load and evict under the budget while triangle counting streams

@@ -129,19 +129,19 @@ int main() {
                   "BFS (coalesced)", "level barrier", "no",
                   Fmt("%s matches, peak %s partials",
                       Human(r.stats.matches).c_str(),
-                      Human(r.peak_partial_matches).c_str())});
+                      Human(r.bfs.peak_materialized).c_str())});
   }
 
   // --- Partition / host-buffer family (PBE / VSGM / SGSI / G2-AIMD) -------
   {
     BfsMatchOptions options;
-    options.memory_budget_bytes = 64 * 1024;
-    options.policy = MemoryPolicy::kSpill;
+    options.bfs.memory_budget_bytes = 64 * 1024;
+    options.bfs.policy = MemoryPolicy::kSpill;
     BfsMatchResult r = BfsSubgraphMatch(data, DiamondPattern(), options);
     table.AddRow({"PBE/VSGM/SGSI/G2-AIMD", "BFS + host buffer", "yes", "no",
-                  "BFS, chunked", "spill to host", "no",
+                  "BFS, host-buffered", "spill to host", "no",
                   Fmt("completed with %.0f KB spilled",
-                      r.spilled_bytes / 1024.0)});
+                      r.bfs.spilled_bytes / 1024.0)});
   }
 
   // --- GPU DFS family (STMatch / T-DFS) ------------------------------------
@@ -158,14 +158,14 @@ int main() {
   // --- Hybrid (EGSM) ---------------------------------------------------------
   {
     BfsMatchOptions options;
-    options.memory_budget_bytes = 64 * 1024;
-    options.policy = MemoryPolicy::kHybridDfs;
+    options.bfs.memory_budget_bytes = 64 * 1024;
+    options.bfs.policy = MemoryPolicy::kHybridDfs;
     BfsMatchResult r = BfsSubgraphMatch(data, DiamondPattern(), options);
     table.AddRow({"EGSM", "hybrid", "yes", "no", "BFS->DFS fallback",
                   "memory-adaptive", "no",
                   Fmt("%s matches, %s finished by DFS",
                       Human(r.stats.matches).c_str(),
-                      Human(r.dfs_fallback_matches).c_str())});
+                      Human(r.bfs.dfs_fallback_embeddings).c_str())});
   }
 
   table.Print();

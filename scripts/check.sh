@@ -8,8 +8,9 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 JOBS="${JOBS:-$(nproc)}"
-# The matcher suites the kill-switch reruns add to the parity suites.
-MATCH_TESTS='MatchTest.*:BfsMatchTest.*:MatchDeterminismTest.*:MatchSweepTest.*:MatchSearchTreeTest.*'
+# The matcher suites the kill-switch reruns add to the parity suites,
+# with the BFS-extension engine the BFS matcher runs on.
+MATCH_TESTS='MatchTest.*:BfsMatchTest.*:MatchDeterminismTest.*:MatchSweepTest.*:MatchSearchTreeTest.*:BfsEngineTest.*:Sweep/EngineEquivalenceTest.*'
 # The tensor-kernel suites and the multigraph k-truss/clique cases the
 # kill-switch reruns add as well: every GEMM and SpMM against its naive
 # reference loop, and the row sets the intersection kernels read.

@@ -33,62 +33,53 @@ BfsEngineStats BfsExtensionEngine::Run(const std::vector<VertexId>& roots,
   uint64_t current_bytes = levels.WindowSize() * EmbeddingBytes(1);
   stats.peak_materialized = levels.WindowSize();
   stats.peak_bytes = current_bytes;
+  if (target_size == 1) {
+    for (size_t i = 0; i < levels.WindowSize(); ++i) output(levels.At(i));
+    return stats;
+  }
 
   std::vector<VertexId> candidates;
   for (uint32_t size = 1; size < target_size; ++size) {
+    const bool last = size + 1 == target_size;
+    const uint64_t bytes = EmbeddingBytes(size + 1);
     uint64_t next_bytes = 0;  // resident (in-budget) bytes only
     const size_t level_count = levels.WindowSize();
-    // Chunked expansion: only chunk_size source embeddings are consumed
-    // before their extensions are appended, mirroring G2-AIMD's
-    // adaptive chunking (keeps the *working set* bounded even though
-    // the output level itself may still explode).
-    for (size_t begin = 0; begin < level_count;
-         begin += config_.chunk_size) {
-      const size_t end =
-          std::min(level_count, begin + config_.chunk_size);
-      for (size_t i = begin; i < end; ++i) {
-        candidates.clear();
-        extend(levels.At(i), candidates);
-        for (VertexId c : candidates) {
-          // Materialization accounting happens *before* policy checks so
-          // every policy sees the same demand curve. Re-index the source
-          // embedding per candidate: Push may reallocate the queue.
-          const uint64_t bytes = EmbeddingBytes(levels.At(i).size() + 1);
-          const uint64_t live = current_bytes + next_bytes + bytes;
-          ++stats.embeddings_generated;
-          bool resident = true;
-          if (config_.memory_budget_bytes != 0 &&
-              live > config_.memory_budget_bytes) {
-            switch (config_.policy) {
-              case MemoryPolicy::kStrict:
-                stats.budget_exceeded = true;
-                return stats;
-              case MemoryPolicy::kSpill:
-                // Spilled copies still join the next level, but they
-                // live in host memory: their bytes are overflow, not
-                // residency (charging both double-counted the spill and
-                // let peak_bytes sail past the budget).
-                stats.spilled_bytes += bytes;
-                resident = false;
-                break;
-              case MemoryPolicy::kHybridDfs: {
-                Embedding extended = levels.At(i);
-                extended.push_back(c);
-                DfsComplete(extended, target_size, extend, output, stats);
-                continue;  // finished depth-first; not materialized
-              }
-            }
-          }
-          Embedding extended = levels.At(i);
-          extended.push_back(c);
-          if (extended.size() == target_size) {
-            // Output embeddings are handed over, not retained.
-            output(extended);
-          } else {
-            if (resident) next_bytes += bytes;
-            levels.Push(std::move(extended));
+    for (size_t i = 0; i < level_count; ++i) {
+      candidates.clear();
+      extend(levels.At(i), candidates);
+      for (VertexId c : candidates) {
+        ++stats.embeddings_generated;
+        // Re-index the source embedding per candidate: Push may
+        // reallocate the queue.
+        Embedding extended = levels.At(i);
+        extended.push_back(c);
+        if (last) {
+          // Output embeddings are handed over, not retained, so they
+          // are not charged against the budget.
+          output(extended);
+          continue;
+        }
+        bool resident = true;
+        if (config_.memory_budget_bytes != 0 &&
+            current_bytes + next_bytes + bytes > config_.memory_budget_bytes) {
+          switch (config_.policy) {
+            case MemoryPolicy::kStrict:
+              stats.budget_exceeded = true;
+              return stats;
+            case MemoryPolicy::kSpill:
+              // Spilled copies still join the next level, but they
+              // live in host memory: their bytes are overflow, not
+              // residency.
+              stats.spilled_bytes += bytes;
+              resident = false;
+              break;
+            case MemoryPolicy::kHybridDfs:
+              DfsComplete(extended, target_size, extend, output, stats);
+              continue;  // finished depth-first; not materialized
           }
         }
+        if (resident) next_bytes += bytes;
+        levels.Push(std::move(extended));
       }
     }
     stats.peak_materialized =

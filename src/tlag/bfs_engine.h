@@ -24,10 +24,9 @@ using Embedding = std::vector<VertexId>;
 enum class MemoryPolicy : uint8_t { kStrict, kSpill, kHybridDfs };
 
 struct BfsEngineConfig {
-  /// Extension proceeds chunk-by-chunk over the frontier (G2-AIMD's
-  /// chunking) so a single level never needs the full cross product.
-  uint64_t chunk_size = 1u << 16;
   /// Budget for materialized embeddings, in bytes (0 = unlimited).
+  /// Only embeddings that join a level count; final-size embeddings go
+  /// straight to the output and are never held.
   uint64_t memory_budget_bytes = 0;
   MemoryPolicy policy = MemoryPolicy::kSpill;
 };
@@ -65,9 +64,10 @@ class BfsExtensionEngine {
   explicit BfsExtensionEngine(BfsEngineConfig config) : config_(config) {}
 
   /// Grows from `roots` (size-1 embeddings) to `target_size`, invoking
-  /// `output` on every embedding that reaches it. Returns run stats;
-  /// with kStrict policy the run stops early once the budget trips
-  /// (stats.budget_exceeded is set).
+  /// `output` on every embedding that reaches it (each root when
+  /// `target_size` is 1). Returns run stats; with kStrict policy the
+  /// run stops early once the budget trips (stats.budget_exceeded is
+  /// set).
   BfsEngineStats Run(const std::vector<VertexId>& roots, uint32_t target_size,
                      const ExtendFn& extend, const OutputFn& output);
 

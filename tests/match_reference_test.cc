@@ -3,7 +3,8 @@
 // src/match/, on awkward inputs: empty, one vertex, self-loops, parallel
 // edges, disconnected, hub-star, long path, small BA/ER graphs. Every
 // shape runs on {raw, delta-varint} x {non-induced, induced} x {DFS at
-// 1 and 4 threads, BFS executor}, with and without symmetry breaking.
+// 1 and 4 threads, BFS executor unbounded and under each memory
+// policy}, with and without symmetry breaking.
 // The serial and task-engine triangle counters must count a sixth of
 // the reference's triangle embeddings on every shape.
 // MatchSearchTreeTest pins the exact search tree (search_nodes and
@@ -12,6 +13,7 @@
 
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -32,7 +34,8 @@ struct NamedPattern {
 };
 
 std::vector<NamedPattern> SweepPatterns() {
-  return {{"triangle", TrianglePattern()},
+  return {{"1-vertex", CliquePattern(1)},
+          {"triangle", TrianglePattern()},
           {"3-path", PathPattern(3)},
           {"3-star", StarPattern(3)},
           {"4-cycle", CyclePattern(4)},
@@ -67,8 +70,27 @@ void ExpectEveryExecutorCounts(const Graph& data, const Graph& q,
     }
     BfsMatchOptions bfs;
     bfs.match = opt;
-    EXPECT_EQ(BfsSubgraphMatch(data, q, bfs).stats.matches * scale, want)
+    const BfsMatchResult unbounded = BfsSubgraphMatch(data, q, bfs);
+    EXPECT_EQ(unbounded.stats.matches * scale, want)
         << where << " bfs sym=" << sym;
+    // Every memory policy walks the unbounded run's search tree: spill
+    // and hybrid at a 1-byte budget, where every non-root partial
+    // overflows, and strict at the unbounded run's own peak.
+    const std::pair<MemoryPolicy, uint64_t> budgets[] = {
+        {MemoryPolicy::kSpill, 1},
+        {MemoryPolicy::kHybridDfs, 1},
+        {MemoryPolicy::kStrict, unbounded.bfs.peak_bytes}};
+    for (const auto& [policy, budget] : budgets) {
+      bfs.bfs.policy = policy;
+      bfs.bfs.memory_budget_bytes = budget;
+      const BfsMatchResult r = BfsSubgraphMatch(data, q, bfs);
+      const std::string config = where + " bfs policy=" +
+                                 std::to_string(static_cast<int>(policy)) +
+                                 " sym=" + std::to_string(sym);
+      EXPECT_FALSE(r.bfs.budget_exceeded) << config;
+      EXPECT_EQ(r.stats.matches * scale, want) << config;
+      EXPECT_EQ(r.stats.search_nodes, unbounded.stats.search_nodes) << config;
+    }
   }
 }
 

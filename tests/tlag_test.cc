@@ -363,6 +363,43 @@ TEST(BfsEngineTest, SpillPolicyKeepsResidentBytesWithinBudget) {
   EXPECT_LE(stats.peak_bytes, config.memory_budget_bytes + slack);
 }
 
+TEST(BfsEngineTest, StrictBudgetAtTheUnboundedPeakCompletes) {
+  // Final-size embeddings go to the output and are never held, so a
+  // budget equal to the unbounded run's own peak must not trip on them.
+  Graph g = Complete(6);
+  const std::vector<VertexId> roots = {0};
+  uint64_t expect = 0;
+  const BfsEngineStats full =
+      BfsExtensionEngine(BfsEngineConfig{})
+          .Run(roots, 3, CliqueExtend(g),
+               [&expect](const Embedding&) { ++expect; });
+  EXPECT_EQ(expect, 10u);  // C(5,2) triangles through vertex 0
+
+  BfsEngineConfig config;
+  config.memory_budget_bytes = full.peak_bytes;
+  config.policy = MemoryPolicy::kStrict;
+  uint64_t outputs = 0;
+  const BfsEngineStats strict =
+      BfsExtensionEngine(config).Run(
+          roots, 3, CliqueExtend(g),
+          [&outputs](const Embedding&) { ++outputs; });
+  EXPECT_FALSE(strict.budget_exceeded);
+  EXPECT_EQ(outputs, expect);
+  EXPECT_EQ(strict.peak_bytes, full.peak_bytes);
+}
+
+TEST(BfsEngineTest, TargetSizeOneOutputsEveryRoot) {
+  Graph g = Complete(6);
+  const std::vector<VertexId> roots = {1, 3, 5};
+  std::vector<VertexId> outputs;
+  BfsExtensionEngine(BfsEngineConfig{})
+      .Run(roots, 1, CliqueExtend(g), [&outputs](const Embedding& e) {
+        ASSERT_EQ(e.size(), 1u);
+        outputs.push_back(e[0]);
+      });
+  EXPECT_EQ(outputs, roots);
+}
+
 TEST(BfsEngineTest, HybridPolicyMatchesCountWithBoundedMemory) {
   Graph g = Complete(12);
   BfsEngineConfig unlimited;
