@@ -46,8 +46,11 @@ cmake --build build-tsan --target gal_tests -j "${JOBS}"
 # simulated-cluster substrate: TrafficLedgerTest.ConcurrentChargesAreExact
 # hammers the sharded ledger counters from 8 threads (the data race the
 # old SimulatedNetwork had), and ClusterExchangeTest.* runs the TLAV
-# engines at GAL_TASK_THREADS=8 over the exchange channel. The frontier
-# suites run the direction-optimizing traversals (push scatter, pull
+# engines at GAL_TASK_THREADS=8 over the exchange channel.
+# PageRankTest.* runs the message engine's combining path at 8 threads
+# and 1-4 workers: each worker folds into its own dense slots and
+# aggregator partial, and Flush resets slots while destination workers
+# deliver in parallel. The frontier suites run the direction-optimizing traversals (push scatter, pull
 # gather over the shared bitmap, per-worker counters) across worker
 # counts under TSan — the parity sweep is where a racy frontier merge
 # would show up. The reorder/SIMD/compression parity suites
@@ -60,7 +63,7 @@ cmake --build build-tsan --target gal_tests -j "${JOBS}"
 # at one and four kernel threads; KernelReferenceTest.* runs every GEMM
 # and SpMM at one and eight kernel threads against its reference loop.
 ./build-tsan/tests/gal_tests \
-    --gtest_filter='PipelineTest.*:ThreadPoolTest.*:TaskEngineTest.*:WorkDequeTest.*:MatchDeterminismTest.*:MatchSweepTest.*:KernelContextTest.*:KernelParityTest.*:KernelReferenceTest.*:TensorTest.*:MatrixTest.*:SparseTest.*:CoreBudgetTest.*:TrafficLedgerTest.*:VirtualClockTest.*:ClusterRuntimeTest.*:ExchangeChannelTest.*:ClusterExchangeTest.*:FrontierBitmapTest.*:SlidingQueueTest.*:VertexFrontierTest.*:Workers/FrontierParityTest.*:FrontierTraversalTest.*:GraphReorderTest.*:ReorderSimdParityTest.*:IntersectTest.*:SimdTest.*:CompressedCsrTest.*:DistGcnTest.OverlapReducesSimulatedTime:DistGcnTest.ReportExposesTracesAndOverlapOccupancy:DistGcnTest.CommChannelsRelieveCommBoundOverlap'
+    --gtest_filter='PipelineTest.*:ThreadPoolTest.*:TaskEngineTest.*:WorkDequeTest.*:MatchDeterminismTest.*:MatchSweepTest.*:KernelContextTest.*:KernelParityTest.*:KernelReferenceTest.*:TensorTest.*:MatrixTest.*:SparseTest.*:CoreBudgetTest.*:TrafficLedgerTest.*:VirtualClockTest.*:ClusterRuntimeTest.*:ExchangeChannelTest.*:ClusterExchangeTest.*:PageRankTest.*:FrontierBitmapTest.*:SlidingQueueTest.*:VertexFrontierTest.*:Workers/FrontierParityTest.*:FrontierTraversalTest.*:GraphReorderTest.*:ReorderSimdParityTest.*:IntersectTest.*:SimdTest.*:CompressedCsrTest.*:DistGcnTest.OverlapReducesSimulatedTime:DistGcnTest.ReportExposesTracesAndOverlapOccupancy:DistGcnTest.CommChannelsRelieveCommBoundOverlap'
 
 echo
 echo "== asan+ubsan: every test but the wall-clock ones =="

@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <cstring>
 #include <span>
-#include <string>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -15,8 +14,8 @@
 
 namespace gal {
 
-/// Byte-blob serializer for checkpoint snapshots. Engines append PODs,
-/// POD vectors, and strings; the blob's size is what the CheckpointStore
+/// Byte-blob serializer for checkpoint snapshots. Engines append PODs
+/// and POD vectors; the blob's size is what the CheckpointStore
 /// charges to the ledger, so serializing exactly the recovery-relevant
 /// state keeps the modeled checkpoint cost honest.
 class BlobWriter {
@@ -39,11 +38,6 @@ class BlobWriter {
       std::memcpy(bytes_.data() + offset, values.data(),
                   values.size() * sizeof(T));
     }
-  }
-
-  void Str(const std::string& s) {
-    Pod<uint64_t>(s.size());
-    bytes_.insert(bytes_.end(), s.begin(), s.end());
   }
 
   std::vector<uint8_t> Take() && { return std::move(bytes_); }
@@ -83,14 +77,6 @@ class BlobReader {
     }
     offset_ += n * sizeof(T);
     return values;
-  }
-
-  std::string Str() {
-    const uint64_t n = Pod<uint64_t>();
-    GAL_CHECK(offset_ + n <= bytes_.size()) << "checkpoint blob underflow";
-    std::string s(reinterpret_cast<const char*>(bytes_.data() + offset_), n);
-    offset_ += n;
-    return s;
   }
 
   bool exhausted() const { return offset_ == bytes_.size(); }

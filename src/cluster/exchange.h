@@ -1,9 +1,9 @@
 #ifndef GAL_CLUSTER_EXCHANGE_H_
 #define GAL_CLUSTER_EXCHANGE_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -16,34 +16,43 @@ namespace gal {
 
 /// Typed bulk-synchronous message exchange over a ClusterRuntime: the
 /// communication step of one BSP superstep. Producers buffer messages
-/// per (source worker, destination worker) lane during the compute
-/// phase; Flush() charges the wire traffic to the runtime's
-/// TrafficLedger and hands every message to the caller's deliver
-/// callback.
+/// during the compute phase; Flush() charges the wire traffic to the
+/// runtime's TrafficLedger and hands every message to the caller's
+/// deliver callback. A message takes one of two paths:
+///   - Send() appends it to its (source worker, destination worker)
+///     lane: the path for messages that stay distinct (TLAV triangles,
+///     batched queries, walkers, the frontier kernels).
+///   - SendCombined() folds it sender-side (Pregel's combiner) into the
+///     source worker's dense slot for the destination vertex. Each
+///     source worker has one slot array indexed by global VertexId, so
+///     a rebalanced partition needs no remap, and one touched byte per
+///     slot. A slot's first touch appends its vertex to the (src, dst)
+///     touched list, which Flush delivers and Clear resets, so both cost
+///     O(sends), not O(|V|). A source worker allocates its
+///     |V| * (sizeof(M) + 1) slot bytes at its first combining send.
 ///
 /// Ordering contract: within one destination worker, messages are
-/// delivered in ascending source-worker order, and within one
-/// (src, dst) lane in send order (seq). That order depends only on the
-/// send sequence — not on how many host threads executed the compute
-/// phase — so engine results and stats stay bit-identical at any thread
-/// count.
+/// delivered in ascending source-worker order; within one source, lane
+/// messages in send order, then combined slots in first-touch order.
+/// That order depends only on the send sequence, not on how many host
+/// threads executed the compute phase, so engine results and stats stay
+/// bit-identical at any thread count.
 ///
-/// Thread safety: Send/AddWire/NoteMirroredDelivery touch only the
-/// source worker's buffers, so the usual BSP discipline (each simulated
-/// worker driven by one host thread at a time) needs no locks. Flush
-/// delivers destination workers in parallel on the caller's pool;
-/// distinct destinations never share a lane.
+/// Wire pricing: every lane message and every combined slot is one wire
+/// message, charged when it crosses workers. A slot is priced at its
+/// first non-mirrored send. Mirrored sends (Pregel+ hub broadcasts) ride
+/// the per-worker mirror message accounted via AddWire, so a slot
+/// reached only by mirrored sends adds no wire message, and one reached
+/// by both kinds adds exactly one.
 ///
-/// Combining (Pregel's optimization): with a combiner installed, sends
-/// fold sender-side into one slot per (destination worker, destination
-/// vertex); Flush delivers one message per slot and the wire cost counts
-/// slots, not sends. Mirrored sends (Pregel+ hub broadcasts) ride the
-/// per-worker mirror message accounted via AddWire, so they do not add
-/// per-vertex wire cost.
+/// Thread safety: Send/SendCombined/AddWire/NoteMirroredDelivery touch
+/// only the source worker's buffers, so the usual BSP discipline (each
+/// simulated worker driven by one host thread at a time) needs no locks.
+/// Flush delivers destination workers in parallel on the caller's pool;
+/// distinct destinations never share a lane or a slot.
 template <typename M>
 class ExchangeChannel {
  public:
-  using Combiner = std::function<M(const M&, const M&)>;
   /// Called once per delivered message, in the deterministic order above.
   using Deliver = std::function<void(uint32_t dst_worker, VertexId dst, M&&)>;
 
@@ -57,25 +66,23 @@ class ExchangeChannel {
 
   /// `envelope_bytes` is the simulated per-message overhead added to
   /// sizeof(M) for cross-worker wire messages (dst id + lengths).
-  ExchangeChannel(ClusterRuntime* cluster, uint32_t envelope_bytes)
-      : cluster_(cluster), envelope_bytes_(envelope_bytes) {
+  /// SendCombined addresses vertices [0, num_vertices); a channel that
+  /// only uses lanes leaves it 0.
+  ExchangeChannel(ClusterRuntime* cluster, uint32_t envelope_bytes,
+                  VertexId num_vertices = 0)
+      : cluster_(cluster),
+        envelope_bytes_(envelope_bytes),
+        num_vertices_(num_vertices) {
     GAL_CHECK(cluster_ != nullptr);
     const uint32_t workers = cluster_->num_workers();
     boxes_.resize(workers);
     for (Outbox& box : boxes_) {
       box.lanes.assign(workers, {});
-      box.combined.assign(workers, {});
+      box.touch_order.assign(workers, {});
       box.wire.assign(workers, 0);
       box.logical.assign(workers, 0);
       box.mirrored = 0;
     }
-  }
-
-  /// Installs (or clears, with nullptr) the combiner for the coming
-  /// supersteps and drops any buffered messages.
-  void Begin(Combiner combiner) {
-    combiner_ = std::move(combiner);
-    Clear();
   }
 
   /// Buffers one message from src worker to `dst_vertex` on dst worker.
@@ -85,17 +92,38 @@ class ExchangeChannel {
             const M& message, bool mirrored = false) {
     Outbox& box = boxes_[src];
     ++box.logical[dst_worker];
-    if (combiner_) {
-      auto [it, inserted] = box.combined[dst_worker].emplace(
-          dst_vertex, CombinedSlot{message, 0});
-      if (!inserted) {
-        it->second.message = combiner_(it->second.message, message);
-      }
-      if (!mirrored) it->second.non_mirrored = 1;
-      return;
-    }
     if (!mirrored) ++box.wire[dst_worker];
     box.lanes[dst_worker].push_back({dst_vertex, message});
+  }
+
+  /// Folds one message from src worker into its slot for `dst_vertex`:
+  /// the first send of the step stores the message, every later one
+  /// stores fold(slot, message). `fold` is the program's combiner, so it
+  /// must be commutative and associative. `dst_worker` must own
+  /// `dst_vertex` for the whole step.
+  template <typename Fold>
+  void SendCombined(uint32_t src, uint32_t dst_worker, VertexId dst_vertex,
+                    const M& message, bool mirrored, const Fold& fold) {
+    GAL_DCHECK(dst_vertex < num_vertices_);
+    Outbox& box = boxes_[src];
+    if (box.touched.empty()) {
+      box.slots.resize(num_vertices_);
+      box.touched.assign(num_vertices_, kUntouched);
+    }
+    ++box.logical[dst_worker];
+    uint8_t& touched = box.touched[dst_vertex];
+    M& slot = box.slots[dst_vertex];
+    if (touched == kUntouched) {
+      slot = message;
+      touched = kTouched;
+      box.touch_order[dst_worker].push_back(dst_vertex);
+    } else {
+      slot = fold(slot, message);
+    }
+    if (!mirrored && touched != kWired) {
+      touched = kWired;
+      ++box.wire[dst_worker];
+    }
   }
 
   /// Accounts one wire message from src to dst_worker that carries no
@@ -124,15 +152,7 @@ class ExchangeChannel {
       totals.mirrored += box.mirrored;
       box.mirrored = 0;
       for (uint32_t dst = 0; dst < workers; ++dst) {
-        // Wire cost: one per mirror broadcast (already in wire[]) plus,
-        // with a combiner, one per combined slot that a non-mirrored
-        // send touched; without one, every non-mirrored send.
-        uint64_t wire = box.wire[dst];
-        if (combiner_) {
-          for (const auto& [v, slot] : box.combined[dst]) {
-            wire += slot.non_mirrored;
-          }
-        }
+        const uint64_t wire = box.wire[dst];
         totals.logical_messages += box.logical[dst];
         if (src != dst && wire > 0) {
           totals.cross_messages += wire;
@@ -144,18 +164,19 @@ class ExchangeChannel {
       }
     }
     auto deliver_to = [&](size_t dst) {
-      for (uint32_t src = 0; src < workers; ++src) {
-        Outbox& box = boxes_[src];
+      const auto dst_worker = static_cast<uint32_t>(dst);
+      for (Outbox& box : boxes_) {
         std::vector<Outgoing>& lane = box.lanes[dst];
         for (Outgoing& o : lane) {
-          deliver(static_cast<uint32_t>(dst), o.dst, std::move(o.message));
+          deliver(dst_worker, o.dst, std::move(o.message));
         }
         lane.clear();
-        auto& combined = box.combined[dst];
-        for (auto& [v, slot] : combined) {
-          deliver(static_cast<uint32_t>(dst), v, std::move(slot.message));
+        std::vector<VertexId>& order = box.touch_order[dst];
+        for (VertexId v : order) {
+          deliver(dst_worker, v, std::move(box.slots[v]));
+          box.touched[v] = kUntouched;
         }
-        combined.clear();
+        order.clear();
       }
     };
     if (pool != nullptr) {
@@ -166,18 +187,21 @@ class ExchangeChannel {
     return totals;
   }
 
-  /// Drops all buffered messages (failure rollback).
+  /// Drops all buffered messages and resets every touched slot (failure
+  /// rollback).
   void Clear() {
     for (Outbox& box : boxes_) {
       for (auto& lane : box.lanes) lane.clear();
-      for (auto& slots : box.combined) slots.clear();
+      for (auto& order : box.touch_order) {
+        for (VertexId v : order) box.touched[v] = kUntouched;
+        order.clear();
+      }
       std::fill(box.wire.begin(), box.wire.end(), 0);
       std::fill(box.logical.begin(), box.logical.end(), 0);
       box.mirrored = 0;
     }
   }
 
-  bool has_combiner() const { return static_cast<bool>(combiner_); }
   uint32_t envelope_bytes() const { return envelope_bytes_; }
   ClusterRuntime* cluster() const { return cluster_; }
 
@@ -186,25 +210,28 @@ class ExchangeChannel {
     VertexId dst;
     M message;
   };
-  /// Combined slot: folded message + whether any non-mirrored send
-  /// touched it.
-  struct CombinedSlot {
-    M message;
-    uint8_t non_mirrored = 0;
-  };
-  /// Per-source-worker buffers, one lane per destination worker; no
-  /// locking needed because a worker only appends to its own buffers.
+  /// A combined slot's touched byte: untouched this step, touched by
+  /// mirrored sends only, or priced as one wire message.
+  static constexpr uint8_t kUntouched = 0;
+  static constexpr uint8_t kTouched = 1;
+  static constexpr uint8_t kWired = 2;
+  /// Per-source-worker buffers; no locking needed because a worker only
+  /// writes its own.
   struct Outbox {
-    std::vector<std::vector<Outgoing>> lanes;                          // [dst]
-    std::vector<std::unordered_map<VertexId, CombinedSlot>> combined;  // [dst]
-    std::vector<uint64_t> wire;                                        // [dst]
-    std::vector<uint64_t> logical;                                     // [dst]
+    std::vector<std::vector<Outgoing>> lanes;  // [dst worker]
+    /// [dst worker] the vertices whose slots this step touched, in
+    /// first-touch order.
+    std::vector<std::vector<VertexId>> touch_order;
+    std::vector<M> slots;           // [vertex]
+    std::vector<uint8_t> touched;   // [vertex] kUntouched/kTouched/kWired
+    std::vector<uint64_t> wire;     // [dst worker]
+    std::vector<uint64_t> logical;  // [dst worker]
     uint64_t mirrored = 0;
   };
 
   ClusterRuntime* cluster_;
   uint32_t envelope_bytes_;
-  Combiner combiner_;
+  VertexId num_vertices_;
   std::vector<Outbox> boxes_;
 };
 

@@ -8,8 +8,8 @@ namespace {
 /// Rank contributions travel as 2^-50 fixed-point integers
 /// (common/fixed_point.h), so the reduction is exact in any order.
 struct PageRankProgram : public VertexProgram<double, uint64_t> {
-  PageRankProgram(uint32_t iterations, double damping)
-      : iterations_(iterations), damping_(damping) {}
+  PageRankProgram(uint32_t iterations, double damping, AggregatorId dangling)
+      : iterations_(iterations), damping_(damping), dangling_(dangling) {}
 
   void Compute(VertexHandle<double, uint64_t>& v,
                std::span<const uint64_t> messages) override {
@@ -22,7 +22,7 @@ struct PageRankProgram : public VertexProgram<double, uint64_t> {
       // Dangling mass from the previous superstep is shared uniformly.
       // The aggregate holds an exact integer (fixed-point units).
       const double dangling = FromFixed(
-          static_cast<uint64_t>(v.GetAggregate("dangling"))) / n;
+          static_cast<uint64_t>(v.GetAggregate(dangling_))) / n;
       v.value() = (1.0 - damping_) / n + damping_ * (FromFixed(sum) + dangling);
     }
     if (v.superstep() < iterations_) {
@@ -30,7 +30,7 @@ struct PageRankProgram : public VertexProgram<double, uint64_t> {
       if (degree > 0) {
         v.SendToAllNeighbors(ToFixed(v.value() / degree));
       } else {
-        v.Aggregate("dangling", static_cast<double>(ToFixed(v.value())));
+        v.Aggregate(dangling_, static_cast<double>(ToFixed(v.value())));
       }
     } else {
       v.VoteToHalt();
@@ -44,14 +44,15 @@ struct PageRankProgram : public VertexProgram<double, uint64_t> {
 
   uint32_t iterations_;
   double damping_;
+  AggregatorId dangling_;
 };
 
 }  // namespace
 
 PageRankResult PageRank(const Graph& g, const PageRankOptions& options) {
   TlavEngine<double, uint64_t> engine(&g, options.engine);
-  engine.RegisterAggregator("dangling", AggregateOp::kSum, 0.0);
-  PageRankProgram program(options.iterations, options.damping);
+  PageRankProgram program(options.iterations, options.damping,
+                          engine.RegisterAggregator(AggregateOp::kSum));
   PageRankResult result;
   result.stats = engine.Run(program);
   result.ranks = g.MapToOriginal(engine.values());

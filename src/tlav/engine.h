@@ -4,10 +4,8 @@
 #include <algorithm>
 #include <cstdint>
 #include <functional>
-#include <map>
-#include <mutex>
+#include <limits>
 #include <span>
-#include <string>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -23,6 +21,9 @@ namespace gal {
 
 /// How an aggregator folds per-vertex contributions.
 enum class AggregateOp : uint8_t { kSum, kMin, kMax };
+
+/// Handle of an aggregator, returned by TlavEngine::RegisterAggregator.
+using AggregatorId = uint32_t;
 
 template <typename V, typename M>
 class TlavEngine;
@@ -50,9 +51,9 @@ class VertexHandle {
   void VoteToHalt();
 
   /// Contributes to a registered aggregator (visible next superstep).
-  void Aggregate(const std::string& name, double value);
+  void Aggregate(AggregatorId id, double value);
   /// Value of an aggregator as of the end of the previous superstep.
-  double GetAggregate(const std::string& name) const;
+  double GetAggregate(AggregatorId id) const;
 
  private:
   friend class TlavEngine<V, M>;
@@ -90,8 +91,13 @@ class VertexProgram {
 /// cluster, running on the shared BspRuntime (tlav/bsp_runtime.h).
 /// Vertices are placed by an explicit VertexPartition so partitioning
 /// strategies can be compared under identical programs. Messages route
-/// through an ExchangeChannel, whose deterministic (src-worker, seq)
-/// delivery order keeps results and stats bit-identical at any host
+/// through an ExchangeChannel: a program with a combiner folds every
+/// send into the sending worker's dense slot for the destination vertex,
+/// with its Combine as the channel's fold; other programs' messages
+/// ride the channel's lanes. Aggregator contributions fold into a
+/// partial per worker, and the superstep barrier folds the partials in
+/// ascending worker order. Delivery order and both folds depend only on
+/// the worker count, so results and stats are bit-identical at any host
 /// thread count (GAL_TASK_THREADS caps the host threads that execute the
 /// simulated workers; it never changes the math).
 template <typename V, typename M>
@@ -105,7 +111,8 @@ class TlavEngine {
       : graph_(graph),
         config_(std::move(config)),
         rt_(*graph, config_, sizeof(M), std::move(partition)),
-        channel_(rt_.cluster(), config_.message_overhead_bytes),
+        channel_(rt_.cluster(), config_.message_overhead_bytes,
+                 graph_->NumVertices()),
         decode_scratch_(rt_.workers()) {
     const VertexId n = graph_->NumVertices();
     values_.resize(n);
@@ -119,9 +126,15 @@ class TlavEngine {
     for (VertexId v = 0; v < graph_->NumVertices(); ++v) values_[v] = init(v);
   }
 
-  void RegisterAggregator(const std::string& name, AggregateOp op,
-                          double initial = 0.0) {
-    aggregators_[name] = {op, initial, initial, initial};
+  /// Registers an aggregator and returns its handle. Compute reads
+  /// `initial` folded with every contribution of the previous superstep
+  /// (`initial` itself before the first barrier).
+  AggregatorId RegisterAggregator(AggregateOp op, double initial = 0.0) {
+    const auto id = static_cast<AggregatorId>(aggregators_.size());
+    aggregators_.push_back({op, initial});
+    aggregates_.push_back(initial);
+    partials_.resize(partials_.size() + rt_.workers(), {Identity(op)});
+    return id;
   }
 
   /// Runs supersteps until every vertex has halted and no messages are
@@ -140,16 +153,47 @@ class TlavEngine {
   struct Aggregator {
     AggregateOp op;
     double initial;
-    double current;   // being accumulated this superstep
-    double previous;  // readable by Compute
-    void Fold(double v) {
-      switch (op) {
-        case AggregateOp::kSum: current += v; break;
-        case AggregateOp::kMin: current = std::min(current, v); break;
-        case AggregateOp::kMax: current = std::max(current, v); break;
-      }
-    }
   };
+  /// One worker's fold of its vertices' contributions to one aggregator
+  /// this superstep, cache-line separated from the other workers'.
+  struct alignas(64) Partial {
+    double value;
+  };
+
+  static double Identity(AggregateOp op) {
+    switch (op) {
+      case AggregateOp::kSum: return 0.0;
+      case AggregateOp::kMin: return std::numeric_limits<double>::infinity();
+      case AggregateOp::kMax: return -std::numeric_limits<double>::infinity();
+    }
+    return 0.0;
+  }
+
+  static double Fold(AggregateOp op, double acc, double v) {
+    switch (op) {
+      case AggregateOp::kSum: return acc + v;
+      case AggregateOp::kMin: return std::min(acc, v);
+      case AggregateOp::kMax: return std::max(acc, v);
+    }
+    return acc;
+  }
+
+  /// The aggregator barrier: each aggregate becomes its initial value
+  /// folded with the workers' partials in ascending worker order, and
+  /// the partials restart at the op's identity.
+  void FoldAggregators() {
+    const uint32_t workers = rt_.workers();
+    for (AggregatorId id = 0; id < aggregators_.size(); ++id) {
+      const Aggregator& agg = aggregators_[id];
+      double value = agg.initial;
+      for (uint32_t w = 0; w < workers; ++w) {
+        double& partial = partials_[id * workers + w].value;
+        value = Fold(agg.op, value, partial);
+        partial = Identity(agg.op);
+      }
+      aggregates_[id] = value;
+    }
+  }
 
   /// A worker's adjacency decode buffer for compressed graphs,
   /// cache-line separated. Exactly one VertexHandle is live per worker at
@@ -159,11 +203,19 @@ class TlavEngine {
     std::vector<VertexId> row;
   };
 
-  /// Counts one logical delivery for the sending worker and buffers it.
+  /// Counts one logical delivery for the sending worker and buffers it:
+  /// folded into the worker's slot for `dst` when the running program
+  /// combines, else on the lane to dst's owner.
   void Send(uint32_t src_worker, VertexId dst, const M& message,
             bool mirrored = false) {
     ++rt_.counters(src_worker).messages;
-    channel_.Send(src_worker, rt_.OwnerOf(dst), dst, message, mirrored);
+    if (combiner_ == nullptr) {
+      channel_.Send(src_worker, rt_.OwnerOf(dst), dst, message, mirrored);
+      return;
+    }
+    channel_.SendCombined(
+        src_worker, rt_.OwnerOf(dst), dst, message, mirrored,
+        [this](const M& a, const M& b) { return combiner_->Combine(a, b); });
   }
 
   /// SendToAllNeighbors with Pregel+ mirroring for eligible hubs: one
@@ -207,13 +259,17 @@ class TlavEngine {
   std::vector<std::vector<M>> inbox_;       // messages for this superstep
   std::vector<std::vector<M>> next_inbox_;  // being filled for next one
   std::vector<DecodeScratch> decode_scratch_;
-  std::map<std::string, Aggregator> aggregators_;
-  std::mutex aggregator_mu_;
+  /// The running program when it combines, else null.
+  const VertexProgram<V, M>* combiner_ = nullptr;
+  std::vector<Aggregator> aggregators_;  // [id]
+  std::vector<double> aggregates_;       // [id], what GetAggregate reads
+  std::vector<Partial> partials_;        // [id * workers + worker]
   TlavStats stats_;
 
   /// The engine's part of a superstep-barrier snapshot: vertex values,
   /// halt flags, the delivered inbox (the in-flight messages of the next
-  /// superstep) and aggregator state.
+  /// superstep) and the aggregates. The partials are at their identity
+  /// after every barrier, so they are not part of it.
   void SaveState(BlobWriter& w) const {
     static_assert(std::is_trivially_copyable_v<V> &&
                       std::is_trivially_copyable_v<M>,
@@ -222,14 +278,7 @@ class TlavEngine {
     w.Vec(halted_);
     w.Pod<uint64_t>(inbox_.size());
     for (const std::vector<M>& box : inbox_) w.Vec(box);
-    w.Pod<uint64_t>(aggregators_.size());
-    for (const auto& [name, agg] : aggregators_) {
-      w.Str(name);
-      w.Pod(agg.op);
-      w.Pod(agg.initial);
-      w.Pod(agg.current);
-      w.Pod(agg.previous);
-    }
+    w.Vec(aggregates_);
   }
 
   void LoadState(BlobReader& r) {
@@ -238,17 +287,8 @@ class TlavEngine {
     const uint64_t boxes = r.template Pod<uint64_t>();
     GAL_CHECK(boxes == inbox_.size());
     for (std::vector<M>& box : inbox_) box = r.template Vec<M>();
-    const uint64_t num_aggregators = r.template Pod<uint64_t>();
-    aggregators_.clear();
-    for (uint64_t i = 0; i < num_aggregators; ++i) {
-      const std::string name = r.Str();
-      Aggregator agg;
-      agg.op = r.template Pod<AggregateOp>();
-      agg.initial = r.template Pod<double>();
-      agg.current = r.template Pod<double>();
-      agg.previous = r.template Pod<double>();
-      aggregators_[name] = agg;
-    }
+    aggregates_ = r.template Vec<double>();
+    GAL_CHECK(aggregates_.size() == aggregators_.size());
     for (std::vector<M>& box : next_inbox_) box.clear();
     channel_.Clear();
   }
@@ -294,31 +334,23 @@ template <typename V, typename M>
 void VertexHandle<V, M>::VoteToHalt() { engine_->halted_[id_] = 1; }
 
 template <typename V, typename M>
-void VertexHandle<V, M>::Aggregate(const std::string& name, double value) {
-  std::lock_guard<std::mutex> lock(engine_->aggregator_mu_);
-  auto it = engine_->aggregators_.find(name);
-  GAL_CHECK(it != engine_->aggregators_.end()) << "unknown aggregator " << name;
-  it->second.Fold(value);
+void VertexHandle<V, M>::Aggregate(AggregatorId id, double value) {
+  GAL_DCHECK(id < engine_->aggregators_.size());
+  double& partial =
+      engine_->partials_[id * engine_->rt_.workers() + worker_].value;
+  partial = TlavEngine<V, M>::Fold(engine_->aggregators_[id].op, partial,
+                                   value);
 }
 
 template <typename V, typename M>
-double VertexHandle<V, M>::GetAggregate(const std::string& name) const {
-  std::lock_guard<std::mutex> lock(engine_->aggregator_mu_);
-  auto it = engine_->aggregators_.find(name);
-  GAL_CHECK(it != engine_->aggregators_.end()) << "unknown aggregator " << name;
-  return it->second.previous;
+double VertexHandle<V, M>::GetAggregate(AggregatorId id) const {
+  GAL_DCHECK(id < engine_->aggregates_.size());
+  return engine_->aggregates_[id];
 }
 
 template <typename V, typename M>
 TlavStats TlavEngine<V, M>::Run(VertexProgram<V, M>& program) {
-  const bool combining = program.has_combiner();
-  typename ExchangeChannel<M>::Combiner combiner;
-  if (combining) {
-    combiner = [&program](const M& a, const M& b) {
-      return program.Combine(a, b);
-    };
-  }
-  channel_.Begin(std::move(combiner));
+  combiner_ = program.has_combiner() ? &program : nullptr;
   // A migrating vertex ships its value, halt flag and queued inbox.
   rt_.Start(&stats_,
             {[this](BlobWriter& w) { SaveState(w); },
@@ -329,8 +361,8 @@ TlavStats TlavEngine<V, M>::Run(VertexProgram<V, M>& program) {
 
   while (rt_.step() < config_.max_supersteps) {
     // Compute phase: each simulated worker processes its own vertices
-    // (host threads pick up whole workers, so outbox lanes stay
-    // single-writer).
+    // (host threads pick up whole workers, so a worker's outbox and
+    // aggregator partials have one writer).
     rt_.ForEachWorker([&](uint32_t w) {
       uint64_t& active = rt_.counters(w).active;
       for (VertexId v : rt_.OwnedVertices(w)) {
@@ -344,18 +376,18 @@ TlavStats TlavEngine<V, M>::Run(VertexProgram<V, M>& program) {
     });
 
     // Message delivery: the exchange channel charges the step's wire
-    // traffic to the cluster ledger and routes every lane to its
-    // destination worker's inboxes, with receiver-side combining when
-    // the program has a combiner.
+    // traffic to the cluster ledger and routes every lane and combined
+    // slot to its destination worker's inboxes, with receiver-side
+    // combining when the program has a combiner.
     stats_.mirrored_deliveries +=
         channel_
             .Flush(&rt_.pool(),
                    [&](uint32_t /*dst_worker*/, VertexId v, M&& m) {
                      std::vector<M>& box = next_inbox_[v];
-                     if (combining && !box.empty()) {
+                     if (combiner_ != nullptr && !box.empty()) {
                        // Receiver-side combining collapses the
                        // per-source slots.
-                       box[0] = program.Combine(box[0], m);
+                       box[0] = combiner_->Combine(box[0], m);
                      } else {
                        box.push_back(std::move(m));
                      }
@@ -363,11 +395,7 @@ TlavStats TlavEngine<V, M>::Run(VertexProgram<V, M>& program) {
             .mirrored;
     std::swap(inbox_, next_inbox_);
 
-    // Aggregator barrier.
-    for (auto& [name, agg] : aggregators_) {
-      agg.previous = agg.current;
-      agg.current = agg.initial;
-    }
+    FoldAggregators();
 
     if (!rt_.EndStep()) continue;  // rolled back: replay from the checkpoint
     const TlavStats::PerStep& step = stats_.per_step.back();

@@ -170,7 +170,6 @@ TEST(ClusterRuntimeTest, InstallsPartitionOfMatchingWidth) {
 TEST(ExchangeChannelTest, DeliversInSourceWorkerThenSendOrder) {
   ClusterRuntime runtime(ClusterOptions{3, {}});
   ExchangeChannel<int> channel(&runtime, 8);
-  channel.Begin(nullptr);
   // Sends issued out of source order; delivery to worker 0 must still be
   // src 0's lane in send order, then src 1's, then src 2's.
   channel.Send(2, 0, 7, 70);
@@ -195,13 +194,14 @@ TEST(ExchangeChannelTest, DeliversInSourceWorkerThenSendOrder) {
   EXPECT_EQ(runtime.ledger().TotalMessages(), 2u);
 }
 
+int Plus(const int& a, const int& b) { return a + b; }
+
 TEST(ExchangeChannelTest, CombinerCollapsesWireMessages) {
   ClusterRuntime runtime(ClusterOptions{2, {}});
-  ExchangeChannel<int> channel(&runtime, 0);
-  channel.Begin([](const int& a, const int& b) { return a + b; });
-  channel.Send(0, 1, 9, 1);
-  channel.Send(0, 1, 9, 2);
-  channel.Send(0, 1, 9, 3);
+  ExchangeChannel<int> channel(&runtime, 0, /*num_vertices=*/10);
+  channel.SendCombined(0, 1, 9, 1, /*mirrored=*/false, Plus);
+  channel.SendCombined(0, 1, 9, 2, /*mirrored=*/false, Plus);
+  channel.SendCombined(0, 1, 9, 3, /*mirrored=*/false, Plus);
   int delivered = -1;
   uint32_t count = 0;
   const auto totals =
@@ -217,10 +217,79 @@ TEST(ExchangeChannelTest, CombinerCollapsesWireMessages) {
   EXPECT_EQ(runtime.ledger().TotalMessages(), 1u);
 }
 
+TEST(ExchangeChannelTest, CombinedSlotsDeliverBySourceThenFirstTouch) {
+  ClusterRuntime runtime(ClusterOptions{3, {}});
+  ExchangeChannel<int> channel(&runtime, 8, /*num_vertices=*/10);
+  // Sources send out of order, and source 1 touches 9 before 2 and 4:
+  // delivery is source 0, 1, 2, each in first-touch order, not id order.
+  channel.SendCombined(2, 0, 3, 1, false, Plus);
+  channel.SendCombined(1, 0, 9, 10, false, Plus);
+  channel.SendCombined(1, 0, 2, 20, false, Plus);
+  channel.SendCombined(1, 0, 9, 30, false, Plus);
+  channel.SendCombined(0, 0, 6, 40, false, Plus);
+  channel.SendCombined(1, 0, 4, 50, false, Plus);
+  std::vector<std::pair<VertexId, int>> got;
+  channel.Flush(nullptr, [&](uint32_t dst_worker, VertexId v, int&& m) {
+    EXPECT_EQ(dst_worker, 0u);
+    got.push_back({v, m});
+  });
+  const std::vector<std::pair<VertexId, int>> want = {
+      {6, 40}, {9, 40}, {2, 20}, {4, 50}, {3, 1}};
+  EXPECT_EQ(got, want);
+}
+
+TEST(ExchangeChannelTest, CombinedSlotPaysOneWireMessageAtFirstPlainSend) {
+  ClusterRuntime runtime(ClusterOptions{2, {}});
+  ExchangeChannel<int> channel(&runtime, 0, /*num_vertices=*/8);
+  // Slot 3 is reached only by mirrored sends: free. Slot 5 by a
+  // mirrored send, then two plain ones: exactly one wire message.
+  channel.SendCombined(0, 1, 3, 1, /*mirrored=*/true, Plus);
+  channel.SendCombined(0, 1, 3, 2, /*mirrored=*/true, Plus);
+  channel.SendCombined(0, 1, 5, 1, /*mirrored=*/true, Plus);
+  channel.SendCombined(0, 1, 5, 2, /*mirrored=*/false, Plus);
+  channel.SendCombined(0, 1, 5, 3, /*mirrored=*/false, Plus);
+  std::vector<std::pair<VertexId, int>> got;
+  const auto totals =
+      channel.Flush(nullptr, [&](uint32_t, VertexId v, int&& m) {
+        got.push_back({v, m});
+      });
+  const std::vector<std::pair<VertexId, int>> want = {{3, 3}, {5, 6}};
+  EXPECT_EQ(got, want);
+  EXPECT_EQ(totals.logical_messages, 5u);
+  EXPECT_EQ(totals.cross_messages, 1u);
+  EXPECT_EQ(totals.cross_bytes, sizeof(int));
+  EXPECT_EQ(runtime.ledger().TotalMessages(), 1u);
+}
+
+TEST(ExchangeChannelTest, ClearResetsCombinedSlots) {
+  ClusterRuntime runtime(ClusterOptions{2, {}});
+  ExchangeChannel<int> channel(&runtime, 0, /*num_vertices=*/8);
+  // A rolled-back step's partial must not survive: after Clear() the
+  // next send to the same vertex starts a fresh slot, is delivered, and
+  // pays its own wire message.
+  channel.SendCombined(0, 1, 4, 5, /*mirrored=*/false, Plus);
+  channel.Clear();
+  channel.SendCombined(0, 1, 4, 7, /*mirrored=*/false, Plus);
+  std::vector<std::pair<VertexId, int>> got;
+  const auto totals =
+      channel.Flush(nullptr, [&](uint32_t, VertexId v, int&& m) {
+        got.push_back({v, m});
+      });
+  EXPECT_EQ(got, (std::vector<std::pair<VertexId, int>>{{4, 7}}));
+  EXPECT_EQ(totals.logical_messages, 1u);
+  EXPECT_EQ(totals.cross_messages, 1u);
+  // Flush resets the slots it delivers as well.
+  channel.SendCombined(0, 1, 4, 9, /*mirrored=*/false, Plus);
+  got.clear();
+  channel.Flush(nullptr,
+                [&](uint32_t, VertexId v, int&& m) { got.push_back({v, m}); });
+  EXPECT_EQ(got, (std::vector<std::pair<VertexId, int>>{{4, 9}}));
+  EXPECT_EQ(runtime.ledger().TotalMessages(), 2u);
+}
+
 TEST(ExchangeChannelTest, ClearDropsBufferedMessages) {
   ClusterRuntime runtime(ClusterOptions{2, {}});
   ExchangeChannel<int> channel(&runtime, 0);
-  channel.Begin(nullptr);
   channel.Send(0, 1, 3, 33);
   channel.Clear();
   uint32_t count = 0;
@@ -238,59 +307,67 @@ TEST(ExchangeChannelTest, ClearDropsBufferedMessages) {
 // worker count changes only what crosses the wire.
 
 TEST(ClusterExchangeTest, PageRankBitIdenticalAcrossWorkersAndThreads) {
-  // Grid: no zero-degree vertices, so the dangling aggregator (whose
-  // fold order is scheduling-dependent) stays untouched.
-  const Graph g = Grid(12, 12);
-  std::vector<double> base_ranks;
-  TlavStats base_stats;
-  bool have_base = false;
-  for (const uint32_t workers : {1u, 2u, 4u}) {
-    std::vector<double> fixed_ranks;
-    TlavStats fixed_stats;
-    bool have_fixed = false;
-    for (const char* threads : {"1", "8"}) {
-      ASSERT_EQ(setenv("GAL_TASK_THREADS", threads, 1), 0);
-      PageRankOptions options;
-      options.iterations = 12;
-      options.engine.num_workers = workers;
-      const PageRankResult r = PageRank(g, options);
-      if (workers == 1) {
-        EXPECT_EQ(r.stats.cross_worker_messages, 0u);
-        EXPECT_EQ(r.stats.cross_worker_bytes, 0u);
-      }
-      if (!have_fixed) {
-        fixed_ranks = r.ranks;
-        fixed_stats = r.stats;
-        have_fixed = true;
-      } else {
-        // Bit-identical ranks and wire stats at any host thread count.
-        ASSERT_EQ(r.ranks.size(), fixed_ranks.size());
-        for (size_t i = 0; i < r.ranks.size(); ++i) {
-          EXPECT_EQ(r.ranks[i], fixed_ranks[i]) << "vertex " << i;
+  // A grid, and the grid's edges pointed at higher ids with 16 isolated
+  // vertices added, so 17 vertices dangle and feed the aggregator.
+  GraphOptions directed;
+  directed.directed = true;
+  const Graph dangling =
+      std::move(Graph::FromEdges(160, Grid(12, 12).CollectEdges(), directed)
+                    .value());
+  for (const Graph& g : {Grid(12, 12), dangling}) {
+    std::vector<double> base_ranks;
+    TlavStats base_stats;
+    bool have_base = false;
+    for (const uint32_t workers : {1u, 2u, 4u}) {
+      std::vector<double> fixed_ranks;
+      TlavStats fixed_stats;
+      bool have_fixed = false;
+      for (const char* threads : {"1", "8"}) {
+        ASSERT_EQ(setenv("GAL_TASK_THREADS", threads, 1), 0);
+        PageRankOptions options;
+        options.iterations = 12;
+        options.engine.num_workers = workers;
+        const PageRankResult r = PageRank(g, options);
+        if (workers == 1) {
+          EXPECT_EQ(r.stats.cross_worker_messages, 0u);
+          EXPECT_EQ(r.stats.cross_worker_bytes, 0u);
         }
-        EXPECT_EQ(r.stats.cross_worker_messages,
-                  fixed_stats.cross_worker_messages);
-        EXPECT_EQ(r.stats.cross_worker_bytes, fixed_stats.cross_worker_bytes);
-        EXPECT_EQ(r.stats.mirrored_deliveries,
-                  fixed_stats.mirrored_deliveries);
-      }
-      if (!have_base) {
-        base_ranks = r.ranks;
-        base_stats = r.stats;
-        have_base = true;
-      }
-      // Logical stats are partition-independent: identical across worker
-      // counts as well.
-      EXPECT_EQ(r.stats.supersteps, base_stats.supersteps);
-      EXPECT_EQ(r.stats.total_messages, base_stats.total_messages);
-      EXPECT_EQ(r.stats.total_message_bytes, base_stats.total_message_bytes);
-      EXPECT_EQ(r.stats.vertex_activations, base_stats.vertex_activations);
-      ASSERT_EQ(r.stats.per_step.size(), base_stats.per_step.size());
-      for (size_t s = 0; s < r.stats.per_step.size(); ++s) {
-        EXPECT_EQ(r.stats.per_step[s].active_vertices,
-                  base_stats.per_step[s].active_vertices);
-        EXPECT_EQ(r.stats.per_step[s].messages,
-                  base_stats.per_step[s].messages);
+        if (!have_fixed) {
+          fixed_ranks = r.ranks;
+          fixed_stats = r.stats;
+          have_fixed = true;
+        } else {
+          // Bit-identical ranks and wire stats at any host thread count.
+          ASSERT_EQ(r.ranks.size(), fixed_ranks.size());
+          for (size_t i = 0; i < r.ranks.size(); ++i) {
+            EXPECT_EQ(r.ranks[i], fixed_ranks[i]) << "vertex " << i;
+          }
+          EXPECT_EQ(r.stats.cross_worker_messages,
+                    fixed_stats.cross_worker_messages);
+          EXPECT_EQ(r.stats.cross_worker_bytes,
+                    fixed_stats.cross_worker_bytes);
+          EXPECT_EQ(r.stats.mirrored_deliveries,
+                    fixed_stats.mirrored_deliveries);
+        }
+        if (!have_base) {
+          base_ranks = r.ranks;
+          base_stats = r.stats;
+          have_base = true;
+        }
+        // Logical stats are partition-independent: identical across
+        // worker counts as well.
+        EXPECT_EQ(r.stats.supersteps, base_stats.supersteps);
+        EXPECT_EQ(r.stats.total_messages, base_stats.total_messages);
+        EXPECT_EQ(r.stats.total_message_bytes,
+                  base_stats.total_message_bytes);
+        EXPECT_EQ(r.stats.vertex_activations, base_stats.vertex_activations);
+        ASSERT_EQ(r.stats.per_step.size(), base_stats.per_step.size());
+        for (size_t s = 0; s < r.stats.per_step.size(); ++s) {
+          EXPECT_EQ(r.stats.per_step[s].active_vertices,
+                    base_stats.per_step[s].active_vertices);
+          EXPECT_EQ(r.stats.per_step[s].messages,
+                    base_stats.per_step[s].messages);
+        }
       }
     }
   }

@@ -1,11 +1,12 @@
 // Plain serial references the engine suites compare against: queue BFS,
-// binary-heap Dijkstra under SyntheticEdgeWeight, flood-fill components
-// and brute-force subgraph-match counting. Each walks g's out-neighbors
-// in its own id space.
+// binary-heap Dijkstra under SyntheticEdgeWeight, flood-fill components,
+// power-iteration PageRank and brute-force subgraph-match counting. Each
+// walks g's out-neighbors in its own id space.
 
 #ifndef GAL_TESTS_SERIAL_REFERENCE_H_
 #define GAL_TESTS_SERIAL_REFERENCE_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <limits>
@@ -14,6 +15,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/fixed_point.h"
 #include "graph/graph.h"
 #include "tlav/algos/traversal.h"
 
@@ -80,6 +82,39 @@ inline std::vector<VertexId> SerialComponents(const Graph& g) {
     }
   }
   return comp;
+}
+
+/// PageRank by power iteration over g's rows, in the 2^-50 fixed point
+/// of common/fixed_point.h, so every sum is exact in any order. Ranks
+/// start at 1/n; each of `iterations` rounds sends rank/degree along
+/// every out-edge (self-loops and repeated edges included) and shares
+/// the rank of vertices with no out-edges evenly. Ranks come back in
+/// original-id order.
+inline std::vector<double> SerialPageRank(const Graph& g, uint32_t iterations,
+                                          double damping) {
+  const VertexId n = g.NumVertices();
+  const double dn = static_cast<double>(n);
+  std::vector<double> rank(n, 1.0 / dn);
+  std::vector<uint64_t> incoming(n);
+  for (uint32_t i = 0; i < iterations; ++i) {
+    std::fill(incoming.begin(), incoming.end(), 0);
+    uint64_t dangling = 0;
+    for (VertexId v = 0; v < n; ++v) {
+      const uint32_t degree = g.Degree(v);
+      if (degree == 0) {
+        dangling += ToFixed(rank[v]);
+        continue;
+      }
+      const uint64_t share = ToFixed(rank[v] / degree);
+      g.ForEachOutNeighbor(v, [&](VertexId u) { incoming[u] += share; });
+    }
+    const double dangling_share = FromFixed(dangling) / dn;
+    for (VertexId v = 0; v < n; ++v) {
+      rank[v] = (1.0 - damping) / dn +
+                damping * (FromFixed(incoming[v]) + dangling_share);
+    }
+  }
+  return g.MapToOriginal(std::move(rank));
 }
 
 /// Number of injective maps f from query vertices to data vertices such

@@ -1,4 +1,5 @@
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstdlib>
 #include <numeric>
@@ -96,24 +97,134 @@ TEST(TlavEngineTest, CrossWorkerTrafficDependsOnPartition) {
 }
 
 struct AggregatorProgram : public VertexProgram<double, int> {
+  explicit AggregatorProgram(AggregatorId degsum) : degsum(degsum) {}
   void Compute(VertexHandle<double, int>& v, std::span<const int>) override {
     if (v.superstep() == 0) {
-      v.Aggregate("degsum", v.Degree());
+      v.Aggregate(degsum, v.Degree());
       v.SendTo(v.id(), 0);
     } else {
-      v.value() = v.GetAggregate("degsum");
+      v.value() = v.GetAggregate(degsum);
       v.VoteToHalt();
     }
   }
+  AggregatorId degsum;
 };
 
 TEST(TlavEngineTest, AggregatorVisibleNextSuperstep) {
   Graph g = Complete(5);
   TlavEngine<double, int> engine(&g, TlavConfig{.num_workers = 2});
-  engine.RegisterAggregator("degsum", AggregateOp::kSum);
-  AggregatorProgram program;
+  AggregatorProgram program(engine.RegisterAggregator(AggregateOp::kSum));
   engine.Run(program);
   for (double v : engine.values()) EXPECT_DOUBLE_EQ(v, 20.0);  // 2|E|
+}
+
+/// What InexactSumProgram leaves at each vertex: the aggregate and the
+/// combined message it read in its last superstep.
+struct InexactSums {
+  double aggregate = 0.0;
+  float received = 0.0f;
+};
+
+/// Sums no double or float holds exactly, so each result depends on the
+/// order its terms fold in: 0.1 * (v mod 7) into a double kSum
+/// aggregator, and 0.1f * (v mod 5 + 1) messages to every neighbor,
+/// folded by a float-sum combiner.
+struct InexactSumProgram : public VertexProgram<InexactSums, float> {
+  explicit InexactSumProgram(AggregatorId sum) : sum(sum) {}
+  void Compute(VertexHandle<InexactSums, float>& v,
+               std::span<const float> messages) override {
+    if (v.superstep() > 0) {
+      v.value().aggregate = v.GetAggregate(sum);
+      v.value().received = messages.empty() ? 0.0f : messages[0];
+    }
+    if (v.superstep() < 3) {
+      v.Aggregate(sum, 0.1 * (v.id() % 7));
+      v.SendToAllNeighbors(0.1f * static_cast<float>(v.id() % 5 + 1));
+    } else {
+      v.VoteToHalt();
+    }
+  }
+  bool has_combiner() const override { return true; }
+  float Combine(const float& a, const float& b) const override {
+    return a + b;
+  }
+  AggregatorId sum;
+};
+
+std::vector<InexactSums> RunInexactSums(const Graph& g, uint32_t workers,
+                                        const char* threads) {
+  EXPECT_EQ(setenv("GAL_TASK_THREADS", threads, 1), 0);
+  TlavEngine<InexactSums, float> engine(&g,
+                                        TlavConfig{.num_workers = workers});
+  InexactSumProgram program(engine.RegisterAggregator(AggregateOp::kSum));
+  engine.Run(program);
+  EXPECT_EQ(unsetenv("GAL_TASK_THREADS"), 0);
+  return engine.values();
+}
+
+TEST(TlavEngineTest, InexactAggregatesAndCombinesAreThreadCountInvariant) {
+  // Each worker folds its own vertices' contributions, and the barrier
+  // folds the workers' partials in ascending order; the combiner folds
+  // in send order per source worker, sources ascending. Neither order
+  // depends on which host thread ran which worker, so at a fixed worker
+  // count every bit agrees across thread counts and repeated runs.
+  const Graph g = Rmat(12, 8, 3);
+  for (const uint32_t workers : {1u, 4u}) {
+    const std::vector<InexactSums> want = RunInexactSums(g, workers, "1");
+    for (int repeat = 0; repeat < 5; ++repeat) {
+      const std::vector<InexactSums> got = RunInexactSums(g, workers, "8");
+      ASSERT_EQ(got.size(), want.size());
+      for (size_t v = 0; v < got.size(); ++v) {
+        EXPECT_EQ(got[v].aggregate, want[v].aggregate)
+            << "workers=" << workers << " vertex " << v;
+        EXPECT_EQ(got[v].received, want[v].received)
+            << "workers=" << workers << " vertex " << v;
+      }
+    }
+  }
+}
+
+/// The kSum, kMin and kMax aggregates a vertex read at superstep 1.
+using AggregateReads = std::array<double, 3>;
+
+/// Contributes 1, v + 1 and -(v + 1) at superstep 0 to a kSum, kMin and
+/// kMax aggregator; reads all three back at superstep 1.
+struct InitialValueProgram : public VertexProgram<AggregateReads, int> {
+  explicit InitialValueProgram(std::array<AggregatorId, 3> ids) : ids(ids) {}
+  void Compute(VertexHandle<AggregateReads, int>& v,
+               std::span<const int>) override {
+    const double rank = static_cast<double>(v.id()) + 1.0;
+    if (v.superstep() == 0) {
+      v.Aggregate(ids[0], 1.0);
+      v.Aggregate(ids[1], rank);
+      v.Aggregate(ids[2], -rank);
+      v.SendTo(v.id(), 0);
+      return;
+    }
+    for (size_t i = 0; i < 3; ++i) v.value()[i] = v.GetAggregate(ids[i]);
+    v.VoteToHalt();
+  }
+  std::array<AggregatorId, 3> ids;
+};
+
+TEST(TlavEngineTest, AggregatorFoldsItsInitialValueOnce) {
+  // Per-worker partials start at the op's identity, not at `initial`:
+  // four workers read initial + Σ, not 4 * initial + Σ. The min and max
+  // start beyond every contribution, so they read the contributions'
+  // extremes; partials that started at 0.0 would read 0.
+  const Graph g = Path(40);
+  TlavEngine<AggregateReads, int> engine(&g, TlavConfig{.num_workers = 4});
+  const std::array<AggregatorId, 3> ids = {
+      engine.RegisterAggregator(AggregateOp::kSum, 100.0),
+      engine.RegisterAggregator(AggregateOp::kMin, 1e9),
+      engine.RegisterAggregator(AggregateOp::kMax, -1e9)};
+  InitialValueProgram program(ids);
+  engine.Run(program);
+  for (const AggregateReads& read : engine.values()) {
+    EXPECT_EQ(read[0], 140.0);
+    EXPECT_EQ(read[1], 1.0);
+    EXPECT_EQ(read[2], -1.0);
+  }
 }
 
 /// The deterministic fields of two runs that must agree exactly.
@@ -343,6 +454,103 @@ TEST(PageRankTest, WorkerCountDoesNotChangeResult) {
   for (VertexId v = 0; v < g.NumVertices(); ++v) {
     EXPECT_NEAR(a.ranks[v], b.ranks[v], 1e-9);
   }
+}
+
+/// One input of the PageRank sweep: an edge list and the options it is
+/// built with on the raw layout.
+struct PageRankShape {
+  const char* name;
+  VertexId n;
+  std::vector<Edge> edges;
+  GraphOptions options;
+};
+
+std::vector<PageRankShape> PageRankShapes() {
+  std::vector<PageRankShape> shapes;
+  shapes.push_back({"empty", 0, {}, {}});
+  shapes.push_back({"one-vertex", 1, {}, {}});
+  {
+    std::vector<Edge> edges = ErdosRenyi(40, 0.2, 5).CollectEdges();
+    for (VertexId v = 0; v < 40; v += 3) edges.push_back({v, v});
+    GraphOptions options;
+    options.remove_self_loops = false;
+    shapes.push_back({"self-loops", 40, std::move(edges), options});
+  }
+  {
+    std::vector<Edge> edges;
+    const std::vector<Edge> base = BarabasiAlbert(60, 4, 3).CollectEdges();
+    for (size_t i = 0; i < base.size(); ++i) {
+      for (size_t copy = 0; copy <= i % 3; ++copy) edges.push_back(base[i]);
+    }
+    GraphOptions options;
+    options.dedup = false;
+    shapes.push_back({"parallel-edges", 60, std::move(edges), options});
+  }
+  {
+    // Every edge points to a higher id, so vertex 49 and the isolated
+    // vertices 50..59 have no out-edges and their rank is shared out.
+    GraphOptions options;
+    options.directed = true;
+    shapes.push_back({"directed-dangling", 60,
+                      ErdosRenyi(50, 0.1, 9).CollectEdges(), options});
+  }
+  {
+    // K5, a 6-cycle, a 4-path, two isolated vertices, an ER blob.
+    std::vector<Edge> edges;
+    for (VertexId a = 0; a < 5; ++a) {
+      for (VertexId b = a + 1; b < 5; ++b) edges.push_back({a, b});
+    }
+    for (VertexId i = 0; i < 6; ++i) edges.push_back({5 + i, 5 + (i + 1) % 6});
+    for (VertexId i = 0; i < 3; ++i) edges.push_back({11 + i, 12 + i});
+    for (const Edge& e : ErdosRenyi(20, 0.3, 7).CollectEdges()) {
+      edges.push_back({e.src + 17, e.dst + 17});
+    }
+    shapes.push_back({"disconnected", 37, std::move(edges), {}});
+  }
+  {
+    std::vector<Edge> edges = Star(61).CollectEdges();
+    for (VertexId leaf = 1; leaf + 1 < 61; leaf += 2) {
+      edges.push_back({leaf, leaf + 1});
+    }
+    shapes.push_back({"hub-star", 61, std::move(edges), {}});
+  }
+  shapes.push_back({"long-path", 300, Path(300).CollectEdges(), {}});
+  shapes.push_back({"rmat", 512, Rmat(9, 8, 17).CollectEdges(), {}});
+  return shapes;
+}
+
+TEST(PageRankTest, EqualsSerialPowerIteration) {
+  // Fixed-point sums are exact, so the engine's ranks equal the serial
+  // power iteration's bit for bit at every worker and thread count, on
+  // the raw layout and on a hub-cluster reordered, delta-varint one.
+  constexpr uint32_t kIterations = 15;
+  constexpr double kDamping = 0.85;
+  for (const PageRankShape& shape : PageRankShapes()) {
+    GraphOptions packed = shape.options;
+    packed.reorder = ReorderMode::kHubCluster;
+    packed.compression = CompressionMode::kDeltaVarint;
+    std::vector<double> want;
+    for (const GraphOptions& options : {shape.options, packed}) {
+      Result<Graph> built = Graph::FromEdges(shape.n, shape.edges, options);
+      ASSERT_TRUE(built.ok()) << shape.name;
+      const Graph& g = *built;
+      if (want.empty()) want = SerialPageRank(g, kIterations, kDamping);
+      ASSERT_EQ(want.size(), shape.n);
+      for (const uint32_t workers : {1u, 2u, 4u}) {
+        for (const char* threads : {"1", "8"}) {
+          ASSERT_EQ(setenv("GAL_TASK_THREADS", threads, 1), 0);
+          PageRankOptions pr;
+          pr.iterations = kIterations;
+          pr.damping = kDamping;
+          pr.engine.num_workers = workers;
+          EXPECT_EQ(PageRank(g, pr).ranks, want)
+              << shape.name << (g.IsCompressed() ? " packed" : " raw")
+              << " workers=" << workers << " threads=" << threads;
+        }
+      }
+    }
+  }
+  ASSERT_EQ(unsetenv("GAL_TASK_THREADS"), 0);
 }
 
 // --- WCC ---------------------------------------------------------------------
