@@ -127,7 +127,9 @@ int main() {
       "\nShape check: every row is bit-identical to the in-memory run and "
       "peak residency never exceeds the budget; shrinking the budget only "
       "moves time into modeled I/O (loads/evictions rise, the GraphChi "
-      "trade). WCC's frontier-aware scheduler skips converged shards, so "
-      "its late supersteps read almost nothing.\n");
+      "trade). PageRank reads each shard once per sending superstep. WCC's "
+      "dense supersteps pull and read every shard; its push supersteps read "
+      "only the shards that hold frontier vertices, so its sparse late "
+      "supersteps read almost nothing.\n");
   return 0;
 }

@@ -92,26 +92,29 @@ echo
 echo "== tsan: shard-cache suites =="
 # The shard cache is the one genuinely concurrent piece of src/ooc/:
 # blocking Acquire under a full budget, LRU eviction racing pins, and
-# the engines' one-pin-per-thread discipline. PageRank and WCC hold one
-# sweep pin while a pool fans out over its range; triangle counting
-# pins a shard only inside the row builder, once per task for its own
-# shard and once per shard its rows reach, into per-thread oriented
-# blocks. The parity suites run the three out-of-core engines at 1 and
-# 8 threads, so TSan watches the atomic accumulators (fetch_add rank
-# mass, CAS label min, per-thread tallies and blocks) against
-# concurrent shard loads/evictions.
+# the one-pin-per-thread discipline. PageRank and WCC run the shared
+# BSP engines over the store: each worker reads its rows through its
+# own RowReader, which holds one pin and drops it when the worker's
+# step ends, and sends through its own exchange-channel slots and
+# lanes. Triangle counting pins a shard only inside the row builder,
+# once per task for its own shard and once per shard its rows reach,
+# into per-thread oriented blocks. The parity and shape suites run the
+# three out-of-core jobs at 1 and 8 threads, so TSan watches the
+# per-worker readers, channel slots and per-thread tallies and blocks
+# against concurrent shard loads/evictions.
 ./build-tsan/tests/gal_tests \
-    --gtest_filter='ShardCacheTest.*:OocParityTest.*'
+    --gtest_filter='ShardCacheTest.*:OocParityTest.*:OocShapeTest.*'
 
 echo
 echo "== forced tiny budget: every shard evicted between touches =="
 # The out-of-core kill switch: GAL_OOC_BUDGET_BYTES=1 clamps every open
 # to a single-largest-shard budget and GAL_OOC_SHARD_BYTES=512 makes
 # shards tiny, so each superstep churns the whole cache. Only the
-# parity suites run here — they assert results and budget-respect, not
-# exact load/eviction counts (which these knobs deliberately change).
+# parity and shape suites run here — they assert results and
+# budget-respect, not exact load/eviction counts (which these knobs
+# deliberately change; the shape suite keeps its own shard size).
 GAL_OOC_BUDGET_BYTES=1 GAL_OOC_SHARD_BYTES=512 ./build/tests/gal_tests \
-    --gtest_filter='OocParityTest.*'
+    --gtest_filter='OocParityTest.*:OocShapeTest.*'
 
 echo
 echo "== tsan + forced compression: parity and matcher suites with GAL_GRAPH_COMPRESSION=1 =="

@@ -12,6 +12,7 @@
 #include "cluster/exchange.h"
 #include "common/logging.h"
 #include "frontier/frontier.h"
+#include "ooc/sharded_graph.h"
 
 namespace gal {
 namespace {
@@ -23,11 +24,11 @@ constexpr uint32_t kUnvisited = std::numeric_limits<uint32_t>::max();
 /// reads), and the pull-step count, which is step-indexed like
 /// `per_step`. A migrating vertex ships `vertex_bytes` of state plus its
 /// frontier flag.
-BspRuntime::State TraversalState(const Graph& g, VertexFrontier& frontier,
-                                 TlavStats& stats,
-                                 std::function<void(BlobWriter&)> save,
-                                 std::function<void(BlobReader&)> load,
-                                 uint64_t vertex_bytes) {
+template <NeighborSource G>
+typename BspRuntime<G>::State TraversalState(
+    const G& g, VertexFrontier& frontier, TlavStats& stats,
+    std::function<void(BlobWriter&)> save,
+    std::function<void(BlobReader&)> load, uint64_t vertex_bytes) {
   return {[&frontier, &stats, save = std::move(save)](BlobWriter& w) {
             w.Vec(std::vector<VertexId>(frontier.Vertices().begin(),
                                         frontier.Vertices().end()));
@@ -44,7 +45,8 @@ BspRuntime::State TraversalState(const Graph& g, VertexFrontier& frontier,
 }
 
 /// Splits the frontier into per-owner buckets for a push step.
-void BucketByOwner(const BspRuntime& rt,
+template <NeighborSource G>
+void BucketByOwner(const BspRuntime<G>& rt,
                    std::span<const VertexId> frontier,
                    std::vector<std::vector<VertexId>>& buckets) {
   for (auto& b : buckets) b.clear();
@@ -109,7 +111,7 @@ std::vector<uint32_t> FrontierBfs(const Graph& g, VertexId source,
       // Scatter: frontier vertices send the level to every still
       // unvisited out-neighbor's owner.
       rt.ForEachWorker([&](uint32_t w) {
-        BspRuntime::StepCounters& c = rt.counters(w);
+        auto& c = rt.counters(w);
         for (VertexId v : buckets[w]) {
           ++c.active;
           g.ForEachOutNeighbor(v, [&](VertexId u) {
@@ -135,7 +137,7 @@ std::vector<uint32_t> FrontierBfs(const Graph& g, VertexId source,
       // Gather: every unvisited vertex probes its in-neighbors and
       // claims the level at the first frontier hit.
       rt.ForEachWorker([&](uint32_t d) {
-        BspRuntime::StepCounters& c = rt.counters(d);
+        auto& c = rt.counters(d);
         for (VertexId v : rt.OwnedVertices(d)) {
           if (dist[v] != kUnvisited) continue;
           ++c.active;
@@ -181,14 +183,11 @@ std::vector<uint32_t> FrontierBfs(const Graph& g, VertexId source,
   return dist;
 }
 
-std::vector<VertexId> FrontierWcc(const Graph& g, const TlavConfig& config,
+template <NeighborSource G>
+std::vector<VertexId> FrontierWcc(const G& ug, const TlavConfig& config,
                                   const DirectionConfig& direction,
                                   TlavStats& stats) {
   GAL_CHECK_OK(CheckFrontierConfig(config));
-  // Weak components: propagate over out ∪ in neighbors. For undirected
-  // graphs this is the graph itself; for directed ones the lazily
-  // cached symmetrized view.
-  const Graph& ug = g.UndirectedView();
   BspRuntime rt(ug, config, sizeof(VertexId));
   ExchangeChannel<VertexId> channel(rt.cluster(),
                                     config.message_overhead_bytes);
@@ -229,11 +228,15 @@ std::vector<VertexId> FrontierWcc(const Graph& g, const TlavConfig& config,
     if (dir == Direction::kPush) {
       BucketByOwner(rt, frontier.Vertices(), buckets);
       rt.ForEachWorker([&](uint32_t w) {
-        BspRuntime::StepCounters& c = rt.counters(w);
+        auto& c = rt.counters(w);
+        RowReader<G>& rows = rt.reader(w);
+        // Ascending, so a worker's sweep reads each of its shards once
+        // and never reads a shard whose range has converged.
+        std::sort(buckets[w].begin(), buckets[w].end());
         for (VertexId v : buckets[w]) {
           ++c.active;
           const VertexId lv = label[v];
-          ug.ForEachOutNeighbor(v, [&](VertexId u) {
+          rows.ForEachOutNeighbor(v, [&](VertexId u) {
             ++c.edges;
             if (lv >= label[u]) return;  // cannot improve u
             ++c.messages;
@@ -248,11 +251,12 @@ std::vector<VertexId> FrontierWcc(const Graph& g, const TlavConfig& config,
       // is sequential over the local CSR and pays wire cost only for
       // cross-partition probes.
       rt.ForEachWorker([&](uint32_t d) {
-        BspRuntime::StepCounters& c = rt.counters(d);
+        auto& c = rt.counters(d);
+        RowReader<G>& rows = rt.reader(d);
         for (VertexId v : rt.OwnedVertices(d)) {
           ++c.active;
           VertexId best = label[v];
-          ug.ForEachOutNeighbor(v, [&](VertexId u) {
+          rows.ForEachOutNeighbor(v, [&](VertexId u) {
             ++c.edges;
             if (!bits.Test(u)) return;
             ++c.messages;
@@ -293,6 +297,12 @@ std::vector<VertexId> FrontierWcc(const Graph& g, const TlavConfig& config,
   return label;
 }
 
+template std::vector<VertexId> FrontierWcc(const Graph&, const TlavConfig&,
+                                           const DirectionConfig&, TlavStats&);
+template std::vector<VertexId> FrontierWcc(const ShardedGraph&,
+                                           const TlavConfig&,
+                                           const DirectionConfig&, TlavStats&);
+
 std::vector<uint64_t> FrontierSssp(const Graph& g, VertexId source,
                                    EdgeWeightFn weight,
                                    const TlavConfig& config,
@@ -329,7 +339,7 @@ std::vector<uint64_t> FrontierSssp(const Graph& g, VertexId source,
   while (!frontier.Empty() && rt.step() < config.max_supersteps) {
     BucketByOwner(rt, frontier.Vertices(), buckets);
     rt.ForEachWorker([&](uint32_t w) {
-      BspRuntime::StepCounters& c = rt.counters(w);
+      auto& c = rt.counters(w);
       for (VertexId v : buckets[w]) {
         ++c.active;
         const uint64_t dv = dist[v];

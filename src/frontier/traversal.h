@@ -38,12 +38,15 @@ std::vector<uint32_t> FrontierBfs(const Graph& g, VertexId source,
                                   const DirectionConfig& direction,
                                   TlavStats& stats);
 
-/// Hash-min weakly-connected components over Graph::UndirectedView()
-/// (out ∪ in neighbors), so directed graphs get *weak* components. Push
-/// steps scatter changed labels; pull steps gather the neighborhood
-/// minimum under the frontier bitmap. Returns each vertex's component
-/// minimum internal id.
-std::vector<VertexId> FrontierWcc(const Graph& g, const TlavConfig& config,
+/// Hash-min connected components of an undirected neighbor source `ug`
+/// (Wcc passes Graph::UndirectedView(), so directed graphs get *weak*
+/// components). Push steps scatter changed labels, each worker's
+/// frontier in ascending id; pull steps gather the neighborhood minimum
+/// under the frontier bitmap. Every row a step reads goes through its
+/// worker's RowReader. Returns each vertex's component minimum internal
+/// id. Instantiated for Graph and ShardedGraph (OocWcc).
+template <NeighborSource G>
+std::vector<VertexId> FrontierWcc(const G& ug, const TlavConfig& config,
                                   const DirectionConfig& direction,
                                   TlavStats& stats);
 

@@ -13,17 +13,16 @@ namespace gal {
 
 /// What one out-of-core run cost: the cache traffic it caused (deltas
 /// over the store's counters, so back-to-back runs on one store don't
-/// bleed into each other), host wall time, and the modeled time the
-/// store's disk-priced VirtualClock charged — `modeled_io_seconds` is
-/// the bytes/bandwidth + latency·loads share, the number that grows as
-/// the budget shrinks while results stay bit-identical.
+/// bleed into each other), host wall time, and the one round it charged
+/// the store's disk-priced VirtualClock — `modeled_io_seconds` is the
+/// bytes/bandwidth + latency·loads share, the number that grows as the
+/// budget shrinks while results stay bit-identical.
 struct OocStats {
   uint32_t supersteps = 0;
   uint64_t shard_loads = 0;
   uint64_t shard_load_bytes = 0;
   uint64_t cache_hits = 0;
   uint64_t evictions = 0;
-  uint64_t shards_skipped = 0;       // frontier-aware skips (WCC)
   uint64_t peak_resident_bytes = 0;  // store-lifetime gauge; never > budget
   uint64_t budget_bytes = 0;         // 0 = unlimited
   double wall_seconds = 0.0;
@@ -35,7 +34,9 @@ struct OocStats {
 struct OocPageRankOptions {
   uint32_t iterations = 20;
   double damping = 0.85;
-  uint32_t num_threads = 0;  // 0 = ResolveTaskThreads default
+  /// BSP workers (0 = ResolveTaskThreads default); GAL_TASK_THREADS
+  /// still caps the host threads that run them.
+  uint32_t num_threads = 0;
 };
 
 struct OocPageRankResult {
@@ -43,17 +44,15 @@ struct OocPageRankResult {
   OocStats stats;
 };
 
-/// PageRank over the sharded store: one out-shard sweep per superstep
-/// (scatter fixed-point rank/degree contributions shard-at-a-time, then
-/// a shard-free gather over vertex state). Arithmetic replicates the
-/// TLAV program exactly — 2^-50 fixed-point contributions summed with
-/// associative integer adds — so ranks are bit-identical to
-/// PageRank(g) at any memory budget and thread count.
+/// PageRank(g) with the store as the engine's neighbor source, over its
+/// shard-aligned placement and with no fault plan: each worker sweeps
+/// its shards in ascending id, one pin per shard per sending superstep.
+/// Ranks are bit-identical at any memory budget and thread count.
 OocPageRankResult OocPageRank(const ShardedGraph& g,
                               const OocPageRankOptions& options = {});
 
 struct OocWccOptions {
-  uint32_t num_threads = 0;
+  uint32_t num_threads = 0;  // as in OocPageRankOptions
   uint32_t max_supersteps = UINT32_MAX;
 };
 
@@ -64,15 +63,14 @@ struct OocWccResult {
   Status status;  // InvalidArgument, nothing loaded, on a directed store
 };
 
-/// Hash-min WCC in frontier Jacobi form: double-buffered labels, active
-/// vertices push their label to neighbors with an atomic fetch-min, one
-/// out-shard sweep per superstep. Shards whose range holds no active
-/// vertex are skipped entirely (never loaded) — the frontier-aware
-/// scheduling that makes late, sparse supersteps cheap. Converged
-/// labels are each component's minimum id — schedule-independent — then
-/// canonicalized to min original id exactly like Wcc(), so components
-/// are bit-identical to the in-memory run at any budget/thread count.
-/// A directed store returns InvalidArgument (write the UndirectedView).
+/// FrontierWcc with the store as its neighbor source, in automatic
+/// direction and with no fault plan. A push step reads only the shards
+/// that hold frontier vertices, so converged shards are not read; a
+/// pull step reads every shard (the store is undirected, so its rows
+/// are the in-edges too). Labels are canonicalized like Wcc(), so
+/// components are bit-identical to the in-memory run at any
+/// budget/thread count. A directed store returns InvalidArgument, with
+/// no shard read (write the UndirectedView).
 OocWccResult OocWcc(const ShardedGraph& g, const OocWccOptions& options = {});
 
 struct OocTriangleOptions {

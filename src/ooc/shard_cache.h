@@ -43,10 +43,9 @@ struct ShardCacheStats {
 /// trace always evicts in the same order. Acquire blocks (condition
 /// variable) when every byte of budget is pinned elsewhere, which makes
 /// a one-shard budget safe at any thread count PROVIDED each thread
-/// holds at most one pin at a time — the invariant every engine in
-/// src/ooc keeps (rows needed across pins are built into scratch
-/// first). The constructor checks the budget admits the largest shard;
-/// ShardedGraph::Open turns that into a Status before construction.
+/// holds at most one pin at a time — the invariant RowReader and the
+/// triangle counter keep. The constructor checks the budget admits the
+/// largest shard; ShardedGraph::Open turns that into a Status first.
 ///
 /// Loads run under the cache mutex (loads serialize; correctness and
 /// the deterministic LRU trace first), each timed into a Histogram so
@@ -159,8 +158,10 @@ class PinnedShard {
 
   VertexId begin() const { return shard_->info.begin; }
   VertexId end() const { return shard_->info.end; }
-  bool Contains(VertexId v) const { return v >= begin() && v < end(); }
-  uint32_t shard_index() const { return shard_index_; }
+  /// Whether this handle pins the shard holding v (false when empty).
+  bool Contains(VertexId v) const {
+    return shard_ != nullptr && v >= begin() && v < end();
+  }
 
   /// Streams v's sorted neighbors through fn without allocating —
   /// identical semantics to Graph::ForEachOutNeighbor. v must be in

@@ -347,10 +347,7 @@ Result<ShardedGraph> ShardedGraph::Open(const std::string& base_path,
         " B resident); re-shard with a smaller GAL_OOC_SHARD_BYTES or "
         "raise the budget");
   }
-  g.options_ = options;
-  g.options_.memory_budget_bytes = budget;
-  g.cache_ =
-      std::make_unique<ShardCache>(base_path, g.infos_, budget);
+  g.cache_ = std::make_unique<ShardCache>(base_path, g.infos_, budget);
   g.clock_ = std::make_unique<VirtualClock>(NetworkCostModel{
       options.disk_bandwidth_bytes_per_sec, options.disk_latency_seconds});
   return g;

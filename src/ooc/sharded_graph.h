@@ -1,8 +1,10 @@
 #ifndef GAL_OOC_SHARDED_GRAPH_H_
 #define GAL_OOC_SHARDED_GRAPH_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -10,8 +12,10 @@
 #include "cluster/virtual_clock.h"
 #include "common/status.h"
 #include "graph/graph.h"
+#include "graph/neighbor_source.h"
 #include "ooc/shard_cache.h"
 #include "ooc/shard_format.h"
+#include "partition/partition.h"
 
 namespace gal {
 
@@ -80,12 +84,12 @@ void RemoveShardedGraphFiles(const std::string& base_path);
 /// (sizes, footers, checksums) before trusting anything — corrupt or
 /// truncated inputs are a Status, never a crash.
 ///
-/// Random-access forms pin the owning shard transiently; sweep-style
-/// code pins once per shard via Pin() and streams the range (the
-/// out-shard scheduling all src/ooc algorithms use). The store owns a
-/// VirtualClock priced as a disk (latency + bytes/bandwidth) that the
-/// engines charge one round per superstep, putting modeled I/O time on
-/// the same axis as the cluster engines' modeled network time.
+/// Random-access forms pin the owning shard transiently; the BSP
+/// engines read rows through RowReader<ShardedGraph>, one pin per
+/// worker. The store owns a VirtualClock priced as a disk (latency +
+/// bytes/bandwidth) that each out-of-core job charges one round,
+/// putting modeled I/O time on the same axis as the cluster engines'
+/// modeled network time.
 class ShardedGraph {
  public:
   static Result<ShardedGraph> Open(const std::string& base_path,
@@ -100,7 +104,6 @@ class ShardedGraph {
   bool directed() const { return directed_; }
   uint32_t Degree(VertexId v) const { return degrees_[v]; }
   uint32_t MaxDegree() const { return max_degree_; }
-  uint32_t delta_bias() const { return delta_bias_; }
 
   uint32_t NumShards() const { return static_cast<uint32_t>(infos_.size()); }
   const ShardInfo& shard(uint32_t s) const { return infos_[s]; }
@@ -117,8 +120,7 @@ class ShardedGraph {
   uint64_t TotalAdjacencyBytes() const { return total_adj_bytes_; }
   uint64_t MaxShardResidentBytes() const { return max_shard_resident_bytes_; }
 
-  /// Pins shard s for the duration of the returned handle — the sweep
-  /// fast path (one Acquire per shard per superstep).
+  /// Pins shard s for the lifetime of the returned handle.
   PinnedShard Pin(uint32_t s) const {
     return PinnedShard(cache_.get(), s, delta_bias_);
   }
@@ -179,7 +181,6 @@ class ShardedGraph {
 
   ShardCache& cache() const { return *cache_; }
   VirtualClock& clock() const { return *clock_; }
-  const OocOptions& options() const { return options_; }
 
  private:
   ShardedGraph() = default;
@@ -196,10 +197,52 @@ class ShardedGraph {
   std::vector<uint32_t> degrees_;
   std::vector<VertexId> to_original_;  // empty when not reordered
   std::vector<VertexId> to_internal_;
-  OocOptions options_;
   std::unique_ptr<ShardCache> cache_;
   std::unique_ptr<VirtualClock> clock_;  // priced as the modeled disk
 };
+
+/// A BSP worker's reader of the store's rows. It holds at most one pin,
+/// released before the next shard is pinned and when the worker's step
+/// ends: the ShardCache's one-pin-per-thread rule, so a one-shard budget
+/// cannot deadlock. Rows read in ascending id pin each shard once.
+template <>
+class RowReader<ShardedGraph> {
+ public:
+  explicit RowReader(const ShardedGraph& g) : g_(&g) {}
+
+  template <typename Fn>
+  void ForEachOutNeighbor(VertexId v, Fn&& fn) {
+    if (!pin_.Contains(v)) {
+      Release();
+      pin_ = g_->Pin(g_->ShardOf(v));
+    }
+    pin_.ForEachOutNeighbor(v, std::forward<Fn>(fn));
+  }
+  std::span<const VertexId> NeighborsInto(VertexId v,
+                                          std::vector<VertexId>& scratch) {
+    scratch.clear();
+    ForEachOutNeighbor(v, [&](VertexId u) { scratch.push_back(u); });
+    return {scratch.data(), scratch.size()};
+  }
+  void Release() { pin_ = PinnedShard(); }
+
+ private:
+  const ShardedGraph* g_;
+  PinnedShard pin_;
+};
+
+/// The store's placement for the BSP engines: a range partition aligned
+/// to its shards, each worker taking an ascending run of whole shards.
+inline VertexPartition DefaultPlacement(const ShardedGraph& g,
+                                        uint32_t workers) {
+  VertexPartition p{workers, std::vector<uint32_t>(g.NumVertices())};
+  for (uint32_t s = 0; s < g.NumShards(); ++s) {
+    std::fill(p.assignment.begin() + g.shard(s).begin,
+              p.assignment.begin() + g.shard(s).end,
+              static_cast<uint32_t>(uint64_t{s} * workers / g.NumShards()));
+  }
+  return p;
+}
 
 }  // namespace gal
 

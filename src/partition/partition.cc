@@ -108,55 +108,6 @@ VertexPartition LdgPartition(const Graph& g, uint32_t num_parts,
   return p;
 }
 
-VertexPartition RebalanceAway(const Graph& g, const VertexPartition& current,
-                              uint32_t from, double fraction,
-                              std::vector<VertexId>* moved) {
-  GAL_CHECK(from < current.num_parts);
-  VertexPartition p = current;
-  if (moved != nullptr) moved->clear();
-  if (current.num_parts < 2 || fraction <= 0.0) return p;
-
-  const VertexId n = static_cast<VertexId>(current.assignment.size());
-  std::vector<VertexId> owned;
-  std::vector<uint64_t> load(current.num_parts, 0);
-  for (VertexId v = 0; v < n; ++v) {
-    ++load[current.assignment[v]];
-    if (current.assignment[v] == from) owned.push_back(v);
-  }
-  const size_t count = std::min(
-      owned.size(),
-      static_cast<size_t>(static_cast<double>(owned.size()) * fraction));
-  if (count == 0) return p;
-
-  // The shed range: the tail of the overloaded part's id space. Placing
-  // streams it through LDG's greedy (affinity x capacity penalty) over
-  // the remaining parts.
-  const double capacity = static_cast<double>(n) / current.num_parts + 1.0;
-  std::vector<uint32_t> neighbor_count(current.num_parts, 0);
-  for (size_t i = owned.size() - count; i < owned.size(); ++i) {
-    const VertexId v = owned[i];
-    std::fill(neighbor_count.begin(), neighbor_count.end(), 0);
-    g.ForEachOutNeighbor(v, [&](VertexId u) { ++neighbor_count[p.assignment[u]]; });
-    double best_score = std::numeric_limits<double>::lowest();
-    uint32_t best_part = from == 0 ? 1 : 0;
-    for (uint32_t part = 0; part < current.num_parts; ++part) {
-      if (part == from) continue;
-      const double penalty =
-          1.0 - static_cast<double>(load[part]) / capacity;
-      const double score = (neighbor_count[part] + 1.0) * penalty;
-      if (score > best_score) {
-        best_score = score;
-        best_part = part;
-      }
-    }
-    p.assignment[v] = best_part;
-    --load[from];
-    ++load[best_part];
-    if (moved != nullptr) moved->push_back(v);
-  }
-  return p;
-}
-
 namespace {
 
 /// One level of the multilevel hierarchy.

@@ -1,17 +1,19 @@
 #include "tlav/algos/pagerank.h"
 
 #include "common/fixed_point.h"
+#include "ooc/sharded_graph.h"
 
 namespace gal {
 namespace {
 
 /// Rank contributions travel as 2^-50 fixed-point integers
 /// (common/fixed_point.h), so the reduction is exact in any order.
-struct PageRankProgram : public VertexProgram<double, uint64_t> {
+template <NeighborSource G>
+struct PageRankProgram : public VertexProgram<double, uint64_t, G> {
   PageRankProgram(uint32_t iterations, double damping, AggregatorId dangling)
       : iterations_(iterations), damping_(damping), dangling_(dangling) {}
 
-  void Compute(VertexHandle<double, uint64_t>& v,
+  void Compute(VertexHandle<double, uint64_t, G>& v,
                std::span<const uint64_t> messages) override {
     const double n = static_cast<double>(v.num_vertices());
     if (v.superstep() == 0) {
@@ -49,14 +51,18 @@ struct PageRankProgram : public VertexProgram<double, uint64_t> {
 
 }  // namespace
 
-PageRankResult PageRank(const Graph& g, const PageRankOptions& options) {
-  TlavEngine<double, uint64_t> engine(&g, options.engine);
-  PageRankProgram program(options.iterations, options.damping,
-                          engine.RegisterAggregator(AggregateOp::kSum));
+template <NeighborSource G>
+PageRankResult PageRank(const G& g, const PageRankOptions& options) {
+  TlavEngine<double, uint64_t, G> engine(&g, options.engine);
+  PageRankProgram<G> program(options.iterations, options.damping,
+                             engine.RegisterAggregator(AggregateOp::kSum));
   PageRankResult result;
   result.stats = engine.Run(program);
   result.ranks = g.MapToOriginal(engine.values());
   return result;
 }
+
+template PageRankResult PageRank(const Graph&, const PageRankOptions&);
+template PageRankResult PageRank(const ShardedGraph&, const PageRankOptions&);
 
 }  // namespace gal

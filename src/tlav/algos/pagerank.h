@@ -22,7 +22,10 @@ struct PageRankResult {
   TlavStats stats;
 };
 
-PageRankResult PageRank(const Graph& g, const PageRankOptions& options = {});
+/// Instantiated for an in-memory Graph and for a ShardedGraph, the store
+/// OocPageRank runs it over.
+template <NeighborSource G>
+PageRankResult PageRank(const G& g, const PageRankOptions& options = {});
 
 }  // namespace gal
 

@@ -10,7 +10,8 @@ WccResult Wcc(const Graph& g, const WccOptions& options) {
   result.status = CheckFrontierConfig(options.engine);
   if (!result.status.ok()) return result;
   result.component = CanonicalizeComponents(
-      g, FrontierWcc(g, options.engine, options.direction, result.stats));
+      g, FrontierWcc(g.UndirectedView(), options.engine, options.direction,
+                     result.stats));
   result.num_components = CountComponents(result.component);
   return result;
 }

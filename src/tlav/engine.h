@@ -3,7 +3,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <functional>
 #include <limits>
 #include <span>
 #include <type_traits>
@@ -14,6 +13,7 @@
 #include "cluster/exchange.h"
 #include "common/logging.h"
 #include "graph/graph.h"
+#include "graph/neighbor_source.h"
 #include "partition/partition.h"
 #include "tlav/bsp_runtime.h"
 
@@ -25,13 +25,13 @@ enum class AggregateOp : uint8_t { kSum, kMin, kMax };
 /// Handle of an aggregator, returned by TlavEngine::RegisterAggregator.
 using AggregatorId = uint32_t;
 
-template <typename V, typename M>
+template <typename V, typename M, NeighborSource G = Graph>
 class TlavEngine;
 
 /// The view of one vertex handed to a VertexProgram::Compute call.
 /// Mirrors Pregel's Vertex class: value access, message sending,
 /// VoteToHalt, and aggregator access.
-template <typename V, typename M>
+template <typename V, typename M, NeighborSource G = Graph>
 class VertexHandle {
  public:
   VertexId id() const { return id_; }
@@ -56,11 +56,12 @@ class VertexHandle {
   double GetAggregate(AggregatorId id) const;
 
  private:
-  friend class TlavEngine<V, M>;
-  VertexHandle(TlavEngine<V, M>* engine, uint32_t worker, VertexId id, V* value)
+  friend class TlavEngine<V, M, G>;
+  VertexHandle(TlavEngine<V, M, G>* engine, uint32_t worker, VertexId id,
+               V* value)
       : engine_(engine), worker_(worker), id_(id), value_(value) {}
 
-  TlavEngine<V, M>* engine_;
+  TlavEngine<V, M, G>* engine_;
   uint32_t worker_;
   VertexId id_;
   V* value_;
@@ -69,14 +70,14 @@ class VertexHandle {
 /// A user computation in the think-like-a-vertex model. Subclass and
 /// override Compute; optionally provide a commutative/associative
 /// combiner to shrink message traffic (Pregel's optimization).
-template <typename V, typename M>
+template <typename V, typename M, NeighborSource G = Graph>
 class VertexProgram {
  public:
   virtual ~VertexProgram() = default;
 
   /// Called on every active vertex each superstep. At superstep 0 all
   /// vertices are active and `messages` is empty.
-  virtual void Compute(VertexHandle<V, M>& vertex,
+  virtual void Compute(VertexHandle<V, M, G>& vertex,
                        std::span<const M> messages) = 0;
 
   /// Return true and implement Combine to enable sender-side combining.
@@ -99,14 +100,16 @@ class VertexProgram {
 /// ascending worker order. Delivery order and both folds depend only on
 /// the worker count, so results and stats are bit-identical at any host
 /// thread count (GAL_TASK_THREADS caps the host threads that execute the
-/// simulated workers; it never changes the math).
-template <typename V, typename M>
+/// simulated workers; it never changes the math). `G` is any neighbor
+/// source (graph/neighbor_source.h): an in-memory Graph, or a
+/// ShardedGraph whose rows each worker reads through its RowReader.
+template <typename V, typename M, NeighborSource G>
 class TlavEngine {
  public:
   /// `partition` must cover g's vertices with one part per cluster
-  /// worker; left empty (the default), vertices are hash-partitioned at
-  /// the cluster's width.
-  TlavEngine(const Graph* graph, TlavConfig config,
+  /// worker; left empty (the default), vertices are placed by
+  /// DefaultPlacement at the cluster's width.
+  TlavEngine(const G* graph, TlavConfig config,
              VertexPartition partition = {})
       : graph_(graph),
         config_(std::move(config)),
@@ -118,12 +121,6 @@ class TlavEngine {
     values_.resize(n);
     halted_.assign(n, 0);
     inbox_.resize(n);
-    next_inbox_.resize(n);
-  }
-
-  /// Sets every vertex value before the run.
-  void InitValues(const std::function<V(VertexId)>& init) {
-    for (VertexId v = 0; v < graph_->NumVertices(); ++v) values_[v] = init(v);
   }
 
   /// Registers an aggregator and returns its handle. Compute reads
@@ -139,16 +136,14 @@ class TlavEngine {
 
   /// Runs supersteps until every vertex has halted and no messages are
   /// in flight (or max_supersteps is hit). Returns accumulated stats.
-  TlavStats Run(VertexProgram<V, M>& program);
+  TlavStats Run(VertexProgram<V, M, G>& program);
 
   const std::vector<V>& values() const { return values_; }
-  std::vector<V>& mutable_values() { return values_; }
-  const Graph& graph() const { return *graph_; }
   const TlavStats& stats() const { return stats_; }
   ClusterRuntime& cluster() { return *rt_.cluster(); }
 
  private:
-  friend class VertexHandle<V, M>;
+  friend class VertexHandle<V, M, G>;
 
   struct Aggregator {
     AggregateOp op;
@@ -195,7 +190,7 @@ class TlavEngine {
     }
   }
 
-  /// A worker's adjacency decode buffer for compressed graphs,
+  /// A worker's adjacency decode buffer for compressed or pinned rows,
   /// cache-line separated. Exactly one VertexHandle is live per worker at
   /// a time, so the span VertexHandle::Neighbors() returns over it stays
   /// valid for the duration of a Compute call.
@@ -220,19 +215,21 @@ class TlavEngine {
 
   /// SendToAllNeighbors with Pregel+ mirroring for eligible hubs: one
   /// wire message per remote worker that hosts any neighbor. Streams the
-  /// adjacency (decoding in-register when compressed) without touching
-  /// the worker's decode scratch, so a span a Compute call still holds
-  /// from VertexHandle::Neighbors() stays valid across a send.
+  /// adjacency through the worker's reader (decoding in-register when
+  /// compressed) without touching the worker's decode scratch, so a span
+  /// a Compute call still holds from VertexHandle::Neighbors() stays
+  /// valid across a send.
   void Broadcast(uint32_t src_worker, VertexId src, const M& message) {
     const bool mirror = config_.mirror_degree_threshold > 0 &&
                         graph_->Degree(src) >= config_.mirror_degree_threshold;
+    RowReader<G>& rows = rt_.reader(src_worker);
     if (!mirror) {
-      graph_->ForEachOutNeighbor(
+      rows.ForEachOutNeighbor(
           src, [&](VertexId u) { Send(src_worker, u, message); });
       return;
     }
     std::vector<uint8_t> worker_touched(rt_.workers(), 0);
-    graph_->ForEachOutNeighbor(src, [&](VertexId u) {
+    rows.ForEachOutNeighbor(src, [&](VertexId u) {
       const uint32_t w = rt_.OwnerOf(u);
       if (!worker_touched[w]) {
         worker_touched[w] = 1;
@@ -249,18 +246,19 @@ class TlavEngine {
                        [](uint8_t h) { return h != 0; });
   }
 
-  const Graph* graph_;
+  const G* graph_;
   TlavConfig config_;
-  BspRuntime rt_;
+  BspRuntime<G> rt_;
   ExchangeChannel<M> channel_;
 
   std::vector<V> values_;
   std::vector<uint8_t> halted_;
-  std::vector<std::vector<M>> inbox_;       // messages for this superstep
-  std::vector<std::vector<M>> next_inbox_;  // being filled for next one
+  /// Each vertex's messages: the compute phase drains every inbox, and
+  /// the step's Flush fills them for the next superstep.
+  std::vector<std::vector<M>> inbox_;
   std::vector<DecodeScratch> decode_scratch_;
   /// The running program when it combines, else null.
-  const VertexProgram<V, M>* combiner_ = nullptr;
+  const VertexProgram<V, M, G>* combiner_ = nullptr;
   std::vector<Aggregator> aggregators_;  // [id]
   std::vector<double> aggregates_;       // [id], what GetAggregate reads
   std::vector<Partial> partials_;        // [id * workers + worker]
@@ -289,67 +287,68 @@ class TlavEngine {
     for (std::vector<M>& box : inbox_) box = r.template Vec<M>();
     aggregates_ = r.template Vec<double>();
     GAL_CHECK(aggregates_.size() == aggregators_.size());
-    for (std::vector<M>& box : next_inbox_) box.clear();
     channel_.Clear();
   }
 };
 
 // --- implementation --------------------------------------------------------
 
-template <typename V, typename M>
-uint32_t VertexHandle<V, M>::superstep() const { return engine_->rt_.step(); }
+template <typename V, typename M, NeighborSource G>
+uint32_t VertexHandle<V, M, G>::superstep() const {
+  return engine_->rt_.step();
+}
 
-template <typename V, typename M>
-VertexId VertexHandle<V, M>::num_vertices() const {
+template <typename V, typename M, NeighborSource G>
+VertexId VertexHandle<V, M, G>::num_vertices() const {
   return engine_->graph_->NumVertices();
 }
 
-template <typename V, typename M>
-std::span<const VertexId> VertexHandle<V, M>::Neighbors() const {
+template <typename V, typename M, NeighborSource G>
+std::span<const VertexId> VertexHandle<V, M, G>::Neighbors() const {
   engine_->rt_.counters(worker_).edges += engine_->graph_->Degree(id_);
-  // Raw layout: a direct span into the CSR. Compressed: decoded into
-  // this worker's scratch, valid until the worker's next Neighbors()
-  // call (i.e. for the rest of this Compute invocation).
-  return engine_->graph_->NeighborsInto(id_,
-                                        engine_->decode_scratch_[worker_].row);
+  // Raw layout: a direct span into the CSR. Compressed or pinned:
+  // decoded into this worker's scratch, valid until the worker's next
+  // Neighbors() call (i.e. for the rest of this Compute invocation).
+  return engine_->rt_.reader(worker_).NeighborsInto(
+      id_, engine_->decode_scratch_[worker_].row);
 }
 
-template <typename V, typename M>
-uint32_t VertexHandle<V, M>::Degree() const {
+template <typename V, typename M, NeighborSource G>
+uint32_t VertexHandle<V, M, G>::Degree() const {
   return engine_->graph_->Degree(id_);
 }
 
-template <typename V, typename M>
-void VertexHandle<V, M>::SendTo(VertexId target, const M& message) {
+template <typename V, typename M, NeighborSource G>
+void VertexHandle<V, M, G>::SendTo(VertexId target, const M& message) {
   engine_->Send(worker_, target, message);
 }
 
-template <typename V, typename M>
-void VertexHandle<V, M>::SendToAllNeighbors(const M& message) {
+template <typename V, typename M, NeighborSource G>
+void VertexHandle<V, M, G>::SendToAllNeighbors(const M& message) {
   engine_->rt_.counters(worker_).edges += engine_->graph_->Degree(id_);
   engine_->Broadcast(worker_, id_, message);
 }
 
-template <typename V, typename M>
-void VertexHandle<V, M>::VoteToHalt() { engine_->halted_[id_] = 1; }
+template <typename V, typename M, NeighborSource G>
+void VertexHandle<V, M, G>::VoteToHalt() { engine_->halted_[id_] = 1; }
 
-template <typename V, typename M>
-void VertexHandle<V, M>::Aggregate(AggregatorId id, double value) {
+template <typename V, typename M, NeighborSource G>
+void VertexHandle<V, M, G>::Aggregate(AggregatorId id, double value) {
   GAL_DCHECK(id < engine_->aggregators_.size());
   double& partial =
       engine_->partials_[id * engine_->rt_.workers() + worker_].value;
-  partial = TlavEngine<V, M>::Fold(engine_->aggregators_[id].op, partial,
-                                   value);
+  partial = TlavEngine<V, M, G>::Fold(engine_->aggregators_[id].op, partial,
+                                      value);
 }
 
-template <typename V, typename M>
-double VertexHandle<V, M>::GetAggregate(AggregatorId id) const {
+template <typename V, typename M, NeighborSource G>
+double VertexHandle<V, M, G>::GetAggregate(AggregatorId id) const {
   GAL_DCHECK(id < engine_->aggregates_.size());
   return engine_->aggregates_[id];
 }
 
-template <typename V, typename M>
-TlavStats TlavEngine<V, M>::Run(VertexProgram<V, M>& program) {
+template <typename V, typename M, NeighborSource G>
+TlavStats TlavEngine<V, M, G>::Run(VertexProgram<V, M, G>& program) {
   combiner_ = program.has_combiner() ? &program : nullptr;
   // A migrating vertex ships its value, halt flag and queued inbox.
   rt_.Start(&stats_,
@@ -368,7 +367,7 @@ TlavStats TlavEngine<V, M>::Run(VertexProgram<V, M>& program) {
       for (VertexId v : rt_.OwnedVertices(w)) {
         if (halted_[v] && inbox_[v].empty()) continue;
         halted_[v] = 0;
-        VertexHandle<V, M> handle(this, w, v, &values_[v]);
+        VertexHandle<V, M, G> handle(this, w, v, &values_[v]);
         program.Compute(handle, std::span<const M>(inbox_[v]));
         inbox_[v].clear();
         ++active;
@@ -377,13 +376,14 @@ TlavStats TlavEngine<V, M>::Run(VertexProgram<V, M>& program) {
 
     // Message delivery: the exchange channel charges the step's wire
     // traffic to the cluster ledger and routes every lane and combined
-    // slot to its destination worker's inboxes, with receiver-side
-    // combining when the program has a combiner.
+    // slot to its destination worker's inboxes, which the compute phase
+    // left empty, with receiver-side combining when the program has a
+    // combiner.
     stats_.mirrored_deliveries +=
         channel_
             .Flush(&rt_.pool(),
                    [&](uint32_t /*dst_worker*/, VertexId v, M&& m) {
-                     std::vector<M>& box = next_inbox_[v];
+                     std::vector<M>& box = inbox_[v];
                      if (combiner_ != nullptr && !box.empty()) {
                        // Receiver-side combining collapses the
                        // per-source slots.
@@ -393,7 +393,6 @@ TlavStats TlavEngine<V, M>::Run(VertexProgram<V, M>& program) {
                      }
                    })
             .mirrored;
-    std::swap(inbox_, next_inbox_);
 
     FoldAggregators();
 

@@ -456,69 +456,6 @@ TEST(PageRankTest, WorkerCountDoesNotChangeResult) {
   }
 }
 
-/// One input of the PageRank sweep: an edge list and the options it is
-/// built with on the raw layout.
-struct PageRankShape {
-  const char* name;
-  VertexId n;
-  std::vector<Edge> edges;
-  GraphOptions options;
-};
-
-std::vector<PageRankShape> PageRankShapes() {
-  std::vector<PageRankShape> shapes;
-  shapes.push_back({"empty", 0, {}, {}});
-  shapes.push_back({"one-vertex", 1, {}, {}});
-  {
-    std::vector<Edge> edges = ErdosRenyi(40, 0.2, 5).CollectEdges();
-    for (VertexId v = 0; v < 40; v += 3) edges.push_back({v, v});
-    GraphOptions options;
-    options.remove_self_loops = false;
-    shapes.push_back({"self-loops", 40, std::move(edges), options});
-  }
-  {
-    std::vector<Edge> edges;
-    const std::vector<Edge> base = BarabasiAlbert(60, 4, 3).CollectEdges();
-    for (size_t i = 0; i < base.size(); ++i) {
-      for (size_t copy = 0; copy <= i % 3; ++copy) edges.push_back(base[i]);
-    }
-    GraphOptions options;
-    options.dedup = false;
-    shapes.push_back({"parallel-edges", 60, std::move(edges), options});
-  }
-  {
-    // Every edge points to a higher id, so vertex 49 and the isolated
-    // vertices 50..59 have no out-edges and their rank is shared out.
-    GraphOptions options;
-    options.directed = true;
-    shapes.push_back({"directed-dangling", 60,
-                      ErdosRenyi(50, 0.1, 9).CollectEdges(), options});
-  }
-  {
-    // K5, a 6-cycle, a 4-path, two isolated vertices, an ER blob.
-    std::vector<Edge> edges;
-    for (VertexId a = 0; a < 5; ++a) {
-      for (VertexId b = a + 1; b < 5; ++b) edges.push_back({a, b});
-    }
-    for (VertexId i = 0; i < 6; ++i) edges.push_back({5 + i, 5 + (i + 1) % 6});
-    for (VertexId i = 0; i < 3; ++i) edges.push_back({11 + i, 12 + i});
-    for (const Edge& e : ErdosRenyi(20, 0.3, 7).CollectEdges()) {
-      edges.push_back({e.src + 17, e.dst + 17});
-    }
-    shapes.push_back({"disconnected", 37, std::move(edges), {}});
-  }
-  {
-    std::vector<Edge> edges = Star(61).CollectEdges();
-    for (VertexId leaf = 1; leaf + 1 < 61; leaf += 2) {
-      edges.push_back({leaf, leaf + 1});
-    }
-    shapes.push_back({"hub-star", 61, std::move(edges), {}});
-  }
-  shapes.push_back({"long-path", 300, Path(300).CollectEdges(), {}});
-  shapes.push_back({"rmat", 512, Rmat(9, 8, 17).CollectEdges(), {}});
-  return shapes;
-}
-
 TEST(PageRankTest, EqualsSerialPowerIteration) {
   // Fixed-point sums are exact, so the engine's ranks equal the serial
   // power iteration's bit for bit at every worker and thread count, on
