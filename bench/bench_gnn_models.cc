@@ -45,9 +45,8 @@ Scores RunAll(const NodeClassificationDataset& ds, uint32_t epochs) {
     SparseMatrix adj = NormalizedAdjacency(ds.graph, AdjNorm::kNeighborMean);
     AggregateFn agg = ExactAggregator(&adj);
     SageConcatModel model(config);
-    s.sage = TrainSageConcatClassifier(model, ds.features, ds.labels,
-                                       ds.train_mask, ds.test_mask, agg,
-                                       train)
+    s.sage = TrainNodeClassifier(model, ds.features, ds.labels,
+                                 ds.train_mask, ds.test_mask, agg, train)
                  .final_test_accuracy;
   }
   {

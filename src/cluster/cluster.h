@@ -1,13 +1,13 @@
 #ifndef GAL_CLUSTER_CLUSTER_H_
 #define GAL_CLUSTER_CLUSTER_H_
 
-#include <atomic>
 #include <cstdint>
 #include <thread>
 
 #include "cluster/ledger.h"
 #include "cluster/network.h"
 #include "cluster/virtual_clock.h"
+#include "common/env.h"
 #include "common/logging.h"
 #include "partition/partition.h"
 
@@ -21,9 +21,9 @@ namespace gal {
 inline uint32_t ResolveTaskThreads(uint32_t requested) {
   if (requested != 0) return requested;
   const unsigned hw = std::thread::hardware_concurrency();
-  static std::atomic<bool> warned{false};
-  return internal::PositiveEnvIntOr("GAL_TASK_THREADS", warned,
-                                    hw == 0 ? 1 : hw);
+  const uint32_t fallback = hw == 0 ? 1 : hw;
+  const auto env = env::Lookup(env::Knob::kTaskThreads, fallback);
+  return env ? static_cast<uint32_t>(env->integer) : fallback;
 }
 
 /// Simulated-cluster width: an explicit request wins, else the
@@ -34,8 +34,8 @@ inline uint32_t ResolveTaskThreads(uint32_t requested) {
 /// once and falls through to the default.
 inline uint32_t ResolveClusterWorkers(uint32_t requested) {
   if (requested != 0) return requested;
-  static std::atomic<bool> warned{false};
-  return internal::PositiveEnvIntOr("GAL_CLUSTER_WORKERS", warned, 4);
+  const auto env = env::Lookup(env::Knob::kClusterWorkers, 4);
+  return env ? static_cast<uint32_t>(env->integer) : 4;
 }
 
 struct ClusterOptions {

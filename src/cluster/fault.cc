@@ -1,156 +1,68 @@
 #include "cluster/fault.h"
 
-#include <atomic>
-#include <cstdlib>
-#include <string>
+#include <iterator>
+#include <optional>
 
 #include "cluster/cluster.h"
-#include "common/logging.h"
+#include "common/env.h"
 #include "common/rng.h"
 
 namespace gal {
 namespace {
 
-/// Strict full-string parse of a non-negative integer ("12abc" is
-/// malformed, unlike atoi's silent prefix parse).
-bool ParseU32(const std::string& text, uint32_t* out) {
-  if (text.empty()) return false;
-  char* end = nullptr;
-  const unsigned long v = std::strtoul(text.c_str(), &end, 10);
-  if (end != text.c_str() + text.size() || v > UINT32_MAX) return false;
-  *out = static_cast<uint32_t>(v);
-  return true;
-}
+constexpr env::Knob kFaultKnobs[] = {
+    env::Knob::kFaultCheckpoint, env::Knob::kFaultFail, env::Knob::kFaultSlow,
+    env::Knob::kFaultSeed, env::Knob::kFaultRebalance};
 
-bool ParseDouble(const std::string& text, double* out) {
-  if (text.empty()) return false;
-  char* end = nullptr;
-  const double v = std::strtod(text.c_str(), &end);
-  if (end != text.c_str() + text.size()) return false;
-  *out = v;
-  return true;
-}
-
-std::vector<std::string> SplitOn(const std::string& text, char sep) {
-  std::vector<std::string> parts;
-  size_t start = 0;
-  while (true) {
-    const size_t pos = text.find(sep, start);
-    if (pos == std::string::npos) {
-      parts.push_back(text.substr(start));
-      return parts;
+/// FromEnv's body; a rejected value names its row in *rejected.
+Result<FaultPlan> PlanFromEnv(env::Knob* rejected) {
+  std::optional<env::Value> values[std::size(kFaultKnobs)];
+  for (size_t i = 0; i < std::size(kFaultKnobs); ++i) {
+    Result<std::optional<env::Value>> value =
+        env::Parse(kFaultKnobs[i], env::Text(kFaultKnobs[i]));
+    if (!value.ok()) {
+      *rejected = kFaultKnobs[i];
+      return value.status();
     }
-    parts.push_back(text.substr(start, pos - start));
-    start = pos + 1;
+    values[i] = std::move(value).value();
   }
-}
+  const auto& [checkpoint, fail, slow, seed, rebalance] = values;
 
-Status Malformed(const char* var, const std::string& value) {
-  return Status::InvalidArgument(std::string(var) + "=\"" + value +
-                                 "\" is malformed");
-}
-
-/// "w@r[,w@r]*" -> failure events.
-Status ParseFailSpec(const std::string& spec, FaultPlan* plan) {
-  for (const std::string& item : SplitOn(spec, ',')) {
-    const size_t at = item.find('@');
-    uint32_t worker = 0;
-    uint32_t round = 0;
-    if (at == std::string::npos || !ParseU32(item.substr(0, at), &worker) ||
-        !ParseU32(item.substr(at + 1), &round)) {
-      return Malformed("GAL_CLUSTER_FAULT_FAIL", spec);
-    }
-    plan->FailWorkerAt(worker, round);
-  }
-  return Status::Ok();
-}
-
-/// "w:f[@a-b][,...]" -> slowdown events.
-Status ParseSlowSpec(const std::string& spec, FaultPlan* plan) {
-  for (const std::string& item : SplitOn(spec, ',')) {
-    const size_t colon = item.find(':');
-    if (colon == std::string::npos) {
-      return Malformed("GAL_CLUSTER_FAULT_SLOW", spec);
-    }
-    uint32_t worker = 0;
-    if (!ParseU32(item.substr(0, colon), &worker)) {
-      return Malformed("GAL_CLUSTER_FAULT_SLOW", spec);
-    }
-    std::string rest = item.substr(colon + 1);
-    uint32_t from_round = 0;
-    uint32_t until_round = UINT32_MAX;
-    const size_t at = rest.find('@');
-    if (at != std::string::npos) {
-      const std::string window = rest.substr(at + 1);
-      rest = rest.substr(0, at);
-      const size_t dash = window.find('-');
-      if (dash == std::string::npos ||
-          !ParseU32(window.substr(0, dash), &from_round) ||
-          !ParseU32(window.substr(dash + 1), &until_round) ||
-          until_round <= from_round) {
-        return Malformed("GAL_CLUSTER_FAULT_SLOW", spec);
-      }
-    }
-    double factor = 1.0;
-    if (!ParseDouble(rest, &factor) || factor < 1.0) {
-      return Malformed("GAL_CLUSTER_FAULT_SLOW", spec);
-    }
-    plan->SlowWorker(worker, factor, from_round, until_round);
-  }
-  return Status::Ok();
-}
-
-}  // namespace
-
-Result<FaultPlan> FaultPlan::FromEnv() {
   FaultPlan plan;
-  if (const char* env = std::getenv("GAL_CLUSTER_FAULT_CHECKPOINT")) {
-    uint32_t every = 0;
-    if (!ParseU32(env, &every)) {
-      return Malformed("GAL_CLUSTER_FAULT_CHECKPOINT", env);
+  if (checkpoint) {
+    plan.CheckpointEvery(static_cast<uint32_t>(checkpoint->integer));
+  }
+  if (fail) {
+    for (const env::Event& e : fail->events) {
+      plan.FailWorkerAt(e.worker, e.round);
     }
-    plan.CheckpointEvery(every);
   }
-  const char* fail_spec = std::getenv("GAL_CLUSTER_FAULT_FAIL");
-  const char* slow_spec = std::getenv("GAL_CLUSTER_FAULT_SLOW");
-  if (fail_spec != nullptr) {
-    GAL_RETURN_IF_ERROR(ParseFailSpec(fail_spec, &plan));
-  }
-  if (slow_spec != nullptr) {
-    GAL_RETURN_IF_ERROR(ParseSlowSpec(slow_spec, &plan));
-  }
-  if (const char* env = std::getenv("GAL_CLUSTER_FAULT_SEED")) {
-    uint32_t seed = 0;
-    if (!ParseU32(env, &seed)) {
-      return Malformed("GAL_CLUSTER_FAULT_SEED", env);
+  if (slow) {
+    for (const env::Event& e : slow->events) {
+      plan.SlowWorker(e.worker, e.factor, e.round, e.until);
     }
+  }
+  if (seed) {
     // Explicit events win over the seeded schedule; the seed only fills
     // in whatever FAIL/SLOW left unspecified.
-    RandomOptions options;
-    options.seed = seed;
+    FaultPlan::RandomOptions options;
+    options.seed = seed->integer;
     options.num_workers = ResolveClusterWorkers(0);
-    if (plan.checkpoint_every_ > 0) {
-      options.checkpoint_every = plan.checkpoint_every_;
+    if (plan.checkpoint_every() > 0) {
+      options.checkpoint_every = plan.checkpoint_every();
     }
-    options.failures = fail_spec == nullptr ? 1 : 0;
-    options.stragglers = slow_spec == nullptr ? 1 : 0;
-    FaultPlan seeded = Random(options);
-    plan.checkpoint_every_ = seeded.checkpoint_every_;
-    for (const FailureEvent& f : seeded.failures_) plan.failures_.push_back(f);
-    for (const SlowdownEvent& s : seeded.slowdowns_) {
-      plan.slowdowns_.push_back(s);
+    options.failures = fail ? 0 : 1;
+    options.stragglers = slow ? 0 : 1;
+    const FaultPlan seeded = FaultPlan::Random(options);
+    plan.CheckpointEvery(seeded.checkpoint_every());
+    for (const FailureEvent& f : seeded.failures()) {
+      plan.FailWorkerAt(f.worker, f.round);
     }
-  }
-  if (const char* env = std::getenv("GAL_CLUSTER_FAULT_REBALANCE")) {
-    const std::string value(env);
-    if (value == "1") {
-      RebalanceConfig config;
-      config.enabled = true;
-      plan.rebalance_ = config;
-    } else if (value != "0") {
-      return Malformed("GAL_CLUSTER_FAULT_REBALANCE", value);
+    for (const SlowdownEvent& s : seeded.slowdowns()) {
+      plan.SlowWorker(s.worker, s.factor, s.from_round, s.until_round);
     }
   }
+  if (rebalance && rebalance->choice == 1) plan.Rebalance(RebalanceConfig{});
   // A failure schedule needs a checkpoint cadence to bound recomputation;
   // recovery without one replays from the initial snapshot, which is
   // legal but almost never what an env user meant — so it is allowed,
@@ -158,14 +70,19 @@ Result<FaultPlan> FaultPlan::FromEnv() {
   return plan;
 }
 
+}  // namespace
+
+Result<FaultPlan> FaultPlan::FromEnv() {
+  env::Knob rejected{};
+  return PlanFromEnv(&rejected);
+}
+
 FaultPlan FaultPlan::FromEnvOrWarn() {
-  Result<FaultPlan> plan = FromEnv();
+  env::Knob rejected{};
+  Result<FaultPlan> plan = PlanFromEnv(&rejected);
   if (plan.ok()) return std::move(plan).value();
-  static std::atomic<bool> warned{false};
-  if (!warned.exchange(true)) {
-    GAL_LOG(Warning) << "ignoring fault-injection env: "
-                     << plan.status().message();
-  }
+  env::WarnOnce(rejected, "ignoring fault-injection env: " +
+                              plan.status().message());
   return FaultPlan{};
 }
 

@@ -50,16 +50,10 @@ struct RebalanceConfig {
 /// failures, slowdowns, and (for the order-independent programs shipped
 /// here) bit-identical results at any worker x host-thread combination.
 ///
-/// Env resolution (all optional; FromEnv returns InvalidArgument on a
-/// malformed value, FromEnvOrWarn warns once and ignores it):
-///   GAL_CLUSTER_FAULT_CHECKPOINT=N     checkpoint every N rounds
-///   GAL_CLUSTER_FAULT_FAIL=w@r[,w@r]*  fail worker w at round r
-///   GAL_CLUSTER_FAULT_SLOW=w:f[@a-b][,...]
-///                                      slow worker w by factor f
-///                                      (rounds [a,b), default all)
-///   GAL_CLUSTER_FAULT_SEED=s           random plan from seed s
-///                                      (ignored when FAIL/SLOW given)
-///   GAL_CLUSTER_FAULT_REBALANCE=0|1    straggler-triggered rebalancing
+/// Env resolution reads the five GAL_CLUSTER_FAULT_* rows of the knob
+/// table (common/env.h, README's knob table) under the strict policy: a
+/// checkpoint cadence, failures (w@r), slowdown windows (w:f[@a-b]), a
+/// seed that draws whatever FAIL/SLOW leave unset, and rebalancing.
 class FaultPlan {
  public:
   FaultPlan() = default;
@@ -114,8 +108,9 @@ class FaultPlan {
   /// Resolves the GAL_CLUSTER_FAULT_* variables; a malformed value is an
   /// InvalidArgument naming the variable and the offending text.
   static Result<FaultPlan> FromEnv();
-  /// Like FromEnv, but a malformed value logs one process-wide warning
-  /// and yields an empty plan — the default-config path engines take.
+  /// Like FromEnv, but a malformed value logs one warning per process
+  /// and rejected row, and yields an empty plan — the default-config
+  /// path engines take.
   static FaultPlan FromEnvOrWarn();
 
   struct RandomOptions {

@@ -1,9 +1,8 @@
 #include "common/simd.h"
 
 #include <atomic>
-#include <cstdlib>
 
-#include "common/logging.h"
+#include "common/env.h"
 
 namespace gal::simd {
 
@@ -31,8 +30,10 @@ bool CompiledAndSupported() {
 }
 
 std::atomic<bool>& EnabledFlag() {
-  static std::atomic<bool> flag(CompiledAndSupported() &&
-                                EnvAllows(std::getenv("GAL_SIMD")));
+  static std::atomic<bool> flag(CompiledAndSupported() && [] {
+    const std::optional<env::Value> env = env::Lookup(env::Knob::kSimd, "on");
+    return !env || env->on;
+  }());
   return flag;
 }
 
@@ -73,16 +74,6 @@ size_t ScalarIntersectInto(const uint32_t* a, size_t na, const uint32_t* b,
 }  // namespace
 
 bool Available() { return CompiledAndSupported(); }
-
-bool EnvAllows(const char* value) {
-  if (value == nullptr || *value == '\0') return true;
-  bool on = true;
-  if (internal::ParseEnvSwitch(value, &on)) return on;
-  static std::atomic<bool> warned{false};
-  internal::WarnOnceBadEnv(warned, "GAL_SIMD", value,
-                           internal::kEnvSwitchSpellings, "on");
-  return true;
-}
 
 bool Enabled() { return EnabledFlag().load(std::memory_order_relaxed); }
 

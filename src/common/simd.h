@@ -24,15 +24,9 @@ namespace gal::simd {
 bool Available();
 
 /// True iff vector kernels are active (Available, not killed by
-/// GAL_SIMD=0, not switched off via SetEnabled).
+/// GAL_SIMD=0, not switched off via SetEnabled). GAL_SIMD is read once
+/// per process, at the first call.
 bool Enabled();
-
-/// Reads a GAL_SIMD value (the kill switch is read once per process;
-/// this is its parser). Unset, empty or an on spelling ("1", "on",
-/// "true", "yes") allows vector kernels; an off spelling ("0", "off",
-/// "false", "no") kills them. Anything else warns once and keeps the
-/// default, on.
-bool EnvAllows(const char* value);
 
 /// Switches vector kernels on/off at runtime (capped by Available).
 /// Returns the previous setting. Thread-safe.

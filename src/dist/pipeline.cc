@@ -1,7 +1,6 @@
 #include "dist/pipeline.h"
 
 #include <algorithm>
-#include <atomic>
 #include <condition_variable>
 #include <deque>
 #include <mutex>
@@ -9,6 +8,7 @@
 #include <thread>
 
 #include "common/core_budget.h"
+#include "common/env.h"
 #include "common/logging.h"
 #include "common/metrics.h"
 #include "common/threadpool.h"
@@ -18,8 +18,8 @@ namespace gal {
 
 uint32_t ResolveStageExecutors(uint32_t configured) {
   if (configured > 0) return configured;
-  static std::atomic<bool> warned{false};
-  return internal::PositiveEnvIntOr("GAL_STAGE_EXECUTORS", warned, 1);
+  const auto env = env::Lookup(env::Knob::kStageExecutors, 1);
+  return env ? static_cast<uint32_t>(env->integer) : 1;
 }
 
 ModeledStageSpec ModeledNetworkStage(const std::string& name,

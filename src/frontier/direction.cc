@@ -1,42 +1,23 @@
 #include "frontier/direction.h"
 
-#include <atomic>
-#include <cstdlib>
-#include <cstring>
-
-#include "common/logging.h"
+#include "common/env.h"
 
 namespace gal {
-namespace {
-
-/// Overrides `*value` from `var` when it holds a positive number; a
-/// malformed value warns once and keeps the default.
-void OverrideThreshold(const char* var, std::atomic<bool>& warned,
-                       double* value) {
-  const char* env = std::getenv(var);
-  if (env == nullptr || internal::ParsePositiveEnvDouble(env, value)) return;
-  internal::WarnOnceBadEnv(warned, var, env, "a positive number", *value);
-}
-
-}  // namespace
 
 DirectionConfig DirectionConfig::FromEnv() {
   DirectionConfig config;
-  if (const char* env = std::getenv("GAL_FRONTIER_MODE")) {
-    if (std::strcmp(env, "push") == 0) {
-      config.mode = DirectionMode::kPushOnly;
-    } else if (std::strcmp(env, "pull") == 0) {
-      config.mode = DirectionMode::kPullOnly;
-    } else if (std::strcmp(env, "auto") != 0) {
-      static std::atomic<bool> warned{false};
-      internal::WarnOnceBadEnv(warned, "GAL_FRONTIER_MODE", env,
-                               "one of auto|push|pull", "auto");
-    }
+  // In the row's spelling order: auto|push|pull.
+  constexpr DirectionMode kModes[] = {
+      DirectionMode::kAuto, DirectionMode::kPushOnly, DirectionMode::kPullOnly};
+  if (const auto env = env::Lookup(env::Knob::kFrontierMode, "auto")) {
+    config.mode = kModes[env->choice];
   }
-  static std::atomic<bool> alpha_warned{false};
-  static std::atomic<bool> beta_warned{false};
-  OverrideThreshold("GAL_FRONTIER_ALPHA", alpha_warned, &config.alpha);
-  OverrideThreshold("GAL_FRONTIER_BETA", beta_warned, &config.beta);
+  if (const auto env = env::Lookup(env::Knob::kFrontierAlpha, config.alpha)) {
+    config.alpha = env->number;
+  }
+  if (const auto env = env::Lookup(env::Knob::kFrontierBeta, config.beta)) {
+    config.beta = env->number;
+  }
   return config;
 }
 

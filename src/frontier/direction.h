@@ -30,13 +30,11 @@ struct DirectionConfig {
   double alpha = 15.0;
   double beta = 18.0;
 
-  /// Defaults with environment overrides applied:
+  /// Defaults with environment overrides applied (common/env.h):
   ///   GAL_FRONTIER_MODE  ∈ {auto, push, pull}
   ///   GAL_FRONTIER_ALPHA > 0 (push→pull aggressiveness; higher = later)
   ///   GAL_FRONTIER_BETA  > 0 (pull→push switch-back; higher = later)
-  /// Each value must match in full ("pul", "abc" and "15x" are all
-  /// malformed); a malformed value warns once per process and keeps the
-  /// default, the policy ResolveTaskThreads uses.
+  /// A malformed value warns once per process and keeps the default.
   static DirectionConfig FromEnv();
 };
 

@@ -5,7 +5,6 @@
 
 #include "common/logging.h"
 #include "graph/intersect.h"
-#include "nn/optimizer.h"
 #include "tensor/kernel_context.h"
 
 namespace gal {
@@ -138,8 +137,6 @@ GraphClassifierReport TrainGraphClassifier(
 
   std::vector<Matrix*> params = gcn.Parameters();
   params.push_back(&head);
-  Adam opt(config.lr);
-  opt.Attach(params);
 
   std::vector<int32_t> labels(db.size());
   std::vector<uint8_t> train_mask(db.size(), 0);
@@ -151,43 +148,36 @@ GraphClassifierReport TrainGraphClassifier(
     (t < train_count ? train_mask : test_mask)[t] = 1;
   }
 
+  Matrix pooled;  // graphs x hidden, from the last forward
+  const ClassifierModel model{
+      params,
+      [&] {
+        pooled = pool.Multiply(gcn.Forward(x, agg));
+        return Matmul(pooled, head);  // graphs x classes
+      },
+      [&](const Matrix& grad_logits) {
+        // Backward: head, then through the pool into the GCN.
+        Matrix dhead = MatmulTransposeA(pooled, grad_logits);
+        Matrix dpooled = MatmulTransposeB(grad_logits, head);
+        std::vector<Matrix> grads =
+            gcn.Backward(pool.TransposeMultiply(dpooled), agg);
+        grads.push_back(std::move(dhead));
+        return grads;
+      }};
+  TrainConfig train_config;
+  train_config.epochs = config.epochs;
+  train_config.lr = config.lr;
+  train_config.weight_decay = config.weight_decay;
+  const TrainReport trained =
+      TrainClassifier(model, labels, train_mask, test_mask, train_config);
+
   GraphClassifierReport report;
   report.feature_dim = dim;
-  SoftmaxXentResult train_eval;
-  for (uint32_t epoch = 0; epoch < config.epochs; ++epoch) {
-    Matrix emb = gcn.Forward(x, agg);       // total x hidden
-    Matrix pooled = pool.Multiply(emb);     // graphs x hidden
-    Matrix logits = Matmul(pooled, head);   // graphs x classes
-    train_eval = SoftmaxCrossEntropy(logits, labels, train_mask);
-    // Backward: head, then through the pool into the GCN.
-    Matrix dhead = MatmulTransposeA(pooled, train_eval.grad);
-    Matrix dpooled = MatmulTransposeB(train_eval.grad, head);
-    Matrix demb = pool.TransposeMultiply(dpooled);
-    std::vector<Matrix> grads = gcn.Backward(demb, agg);
-    grads.push_back(std::move(dhead));
-    if (config.weight_decay > 0.0f) {
-      for (size_t i = 0; i < grads.size(); ++i) {
-        grads[i].AddScaled(*params[i], config.weight_decay);
-      }
-    }
-    opt.Step(grads);
-    report.epoch_loss.push_back(train_eval.loss);
+  for (const EpochMetrics& m : trained.epochs) {
+    report.epoch_loss.push_back(m.loss);
   }
-
-  Matrix emb = gcn.Forward(x, agg);
-  Matrix logits = Matmul(pool.Multiply(emb), head);
-  SoftmaxXentResult train_final =
-      SoftmaxCrossEntropy(logits, labels, train_mask);
-  SoftmaxXentResult test_final =
-      SoftmaxCrossEntropy(logits, labels, test_mask);
-  report.train_accuracy =
-      train_final.total
-          ? static_cast<double>(train_final.correct) / train_final.total
-          : 0.0;
-  report.test_accuracy =
-      test_final.total
-          ? static_cast<double>(test_final.correct) / test_final.total
-          : 0.0;
+  report.train_accuracy = trained.final_train_accuracy;
+  report.test_accuracy = trained.final_test_accuracy;
   return report;
 }
 

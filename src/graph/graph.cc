@@ -1,40 +1,21 @@
 #include "graph/graph.h"
 
 #include <algorithm>
-#include <atomic>
-#include <cstdlib>
 #include <sstream>
 #include <string>
-#include <string_view>
 #include <unordered_map>
 
+#include "common/env.h"
 #include "common/logging.h"
 #include "graph/reorder.h"
 
 namespace gal {
 
-CompressionMode ResolveCompressionMode(CompressionMode requested,
-                                       const char* env_value) {
-  if (env_value == nullptr || *env_value == '\0') return requested;
-  const std::string_view text = env_value;
-  bool on = false;
-  if (text == "delta-varint" || text == "none") {
-    on = text == "delta-varint";
-  } else if (!internal::ParseEnvSwitch(text, &on)) {
-    static std::atomic<bool> warned{false};
-    internal::WarnOnceBadEnv(
-        warned, "GAL_GRAPH_COMPRESSION", env_value,
-        (std::string("delta-varint, none or ") + internal::kEnvSwitchSpellings)
-            .c_str(),
-        "the build option");
-    return requested;
-  }
-  return on ? CompressionMode::kDeltaVarint : CompressionMode::kNone;
-}
-
 CompressionMode ResolveCompressionMode(CompressionMode requested) {
-  return ResolveCompressionMode(requested,
-                                std::getenv("GAL_GRAPH_COMPRESSION"));
+  const std::optional<env::Value> env =
+      env::Lookup(env::Knob::kGraphCompression, "the build option");
+  if (!env) return requested;
+  return env->on ? CompressionMode::kDeltaVarint : CompressionMode::kNone;
 }
 
 Result<Graph> Graph::FromEdges(VertexId num_vertices, std::vector<Edge> edges,

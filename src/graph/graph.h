@@ -89,17 +89,11 @@ struct GraphOptions {
 };
 
 /// Resolves the effective compression mode: the `GAL_GRAPH_COMPRESSION`
-/// env override if set (consulted at every FromEdges call, like
-/// GAL_SIMD's kill switch), else `requested`.
+/// env override if set (consulted at every FromEdges call), else
+/// `requested`. "delta-varint" or an on spelling forces kDeltaVarint,
+/// "none" or an off spelling forces kNone; a malformed value warns once
+/// and keeps `requested` (common/env.h).
 CompressionMode ResolveCompressionMode(CompressionMode requested);
-
-/// The override's parser, given the variable's value (null when unset).
-/// "delta-varint" or an on spelling ("1", "on", "true", "yes") forces
-/// kDeltaVarint; "none" or an off spelling ("0", "off", "false", "no")
-/// forces kNone. Unset or empty keeps `requested`, and so does any
-/// other value, after one warning per process.
-CompressionMode ResolveCompressionMode(CompressionMode requested,
-                                       const char* env_value);
 
 /// An immutable graph in Compressed Sparse Row form with sorted adjacency
 /// lists, the shared substrate for every engine in the framework:

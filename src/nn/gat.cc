@@ -1,10 +1,8 @@
 #include "nn/gat.h"
 
 #include <cmath>
-#include <memory>
 
 #include "common/logging.h"
-#include "nn/optimizer.h"
 #include "tensor/kernel_context.h"
 
 namespace gal {
@@ -283,41 +281,10 @@ TrainReport TrainGatClassifier(GatModel& model, const Matrix& features,
                                const std::vector<uint8_t>& train_mask,
                                const std::vector<uint8_t>& test_mask,
                                const TrainConfig& config) {
-  std::unique_ptr<Optimizer> opt;
-  if (config.use_adam) {
-    opt = std::make_unique<Adam>(config.lr);
-  } else {
-    opt = std::make_unique<Sgd>(config.lr);
-  }
-  opt->Attach(model.Parameters());
-
-  TrainReport report;
-  for (uint32_t epoch = 0; epoch < config.epochs; ++epoch) {
-    Matrix logits = model.Forward(features);
-    SoftmaxXentResult train = SoftmaxCrossEntropy(logits, labels, train_mask);
-    std::vector<Matrix> grads = model.Backward(train.grad);
-    if (config.weight_decay > 0.0f) {
-      std::vector<Matrix*> params = model.Parameters();
-      for (size_t i = 0; i < grads.size(); ++i) {
-        grads[i].AddScaled(*params[i], config.weight_decay);
-      }
-    }
-    opt->Step(grads);
-
-    SoftmaxXentResult test = SoftmaxCrossEntropy(logits, labels, test_mask);
-    EpochMetrics m;
-    m.loss = train.loss;
-    m.train_accuracy =
-        train.total ? static_cast<double>(train.correct) / train.total : 0.0;
-    m.test_accuracy =
-        test.total ? static_cast<double>(test.correct) / test.total : 0.0;
-    report.epochs.push_back(m);
-  }
-  Matrix logits = model.Forward(features);
-  SoftmaxXentResult test = SoftmaxCrossEntropy(logits, labels, test_mask);
-  report.final_test_accuracy =
-      test.total ? static_cast<double>(test.correct) / test.total : 0.0;
-  return report;
+  return TrainClassifier(
+      {model.Parameters(), [&] { return model.Forward(features); },
+       [&](const Matrix& g) { return model.Backward(g); }},
+      labels, train_mask, test_mask, config);
 }
 
 }  // namespace gal

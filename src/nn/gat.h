@@ -73,7 +73,7 @@ class GatModel {
   std::vector<uint32_t> in_edge_slot_;    // slot j within i's row
 };
 
-/// Training driver mirroring TrainNodeClassifier.
+/// TrainClassifier over a GatModel.
 TrainReport TrainGatClassifier(GatModel& model, const Matrix& features,
                                const std::vector<int32_t>& labels,
                                const std::vector<uint8_t>& train_mask,

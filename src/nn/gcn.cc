@@ -64,51 +64,47 @@ std::vector<Matrix> GcnModel::Backward(const Matrix& grad_logits,
   return grads;
 }
 
-TrainReport TrainNodeClassifier(GcnModel& model, const Matrix& features,
-                                const std::vector<int32_t>& labels,
-                                const std::vector<uint8_t>& train_mask,
-                                const std::vector<uint8_t>& test_mask,
-                                const AggregateFn& aggregate,
-                                const TrainConfig& config) {
+TrainReport TrainClassifier(const ClassifierModel& model,
+                            const std::vector<int32_t>& labels,
+                            const std::vector<uint8_t>& train_mask,
+                            const std::vector<uint8_t>& test_mask,
+                            const TrainConfig& config) {
   std::unique_ptr<Optimizer> opt;
   if (config.use_adam) {
     opt = std::make_unique<Adam>(config.lr);
   } else {
     opt = std::make_unique<Sgd>(config.lr);
   }
-  opt->Attach(model.Parameters());
+  opt->Attach(model.params);
 
   // Pre-warm the shared kernel pool so worker spawn cost lands before
   // the first epoch, not inside it (same policy as the pipeline benches).
   KernelContext::Get();
 
+  auto accuracy = [](const SoftmaxXentResult& r) {
+    return r.total ? static_cast<double>(r.correct) / r.total : 0.0;
+  };
   TrainReport report;
   for (uint32_t epoch = 0; epoch < config.epochs; ++epoch) {
-    Matrix logits = model.Forward(features, aggregate);
+    Matrix logits = model.forward();
     SoftmaxXentResult train = SoftmaxCrossEntropy(logits, labels, train_mask);
-    std::vector<Matrix> grads = model.Backward(train.grad, aggregate);
+    std::vector<Matrix> grads = model.backward(train.grad);
     if (config.weight_decay > 0.0f) {
-      std::vector<Matrix*> params = model.Parameters();
       for (size_t i = 0; i < grads.size(); ++i) {
-        grads[i].AddScaled(*params[i], config.weight_decay);
+        grads[i].AddScaled(*model.params[i], config.weight_decay);
       }
     }
     opt->Step(grads);
 
     SoftmaxXentResult test = SoftmaxCrossEntropy(logits, labels, test_mask);
-    EpochMetrics m;
-    m.loss = train.loss;
-    m.train_accuracy =
-        train.total ? static_cast<double>(train.correct) / train.total : 0.0;
-    m.test_accuracy =
-        test.total ? static_cast<double>(test.correct) / test.total : 0.0;
-    report.epochs.push_back(m);
+    report.epochs.push_back({train.loss, accuracy(train), accuracy(test)});
   }
   // Final evaluation with trained weights.
-  Matrix logits = model.Forward(features, aggregate);
-  SoftmaxXentResult test = SoftmaxCrossEntropy(logits, labels, test_mask);
+  const Matrix logits = model.forward();
+  report.final_train_accuracy =
+      accuracy(SoftmaxCrossEntropy(logits, labels, train_mask));
   report.final_test_accuracy =
-      test.total ? static_cast<double>(test.correct) / test.total : 0.0;
+      accuracy(SoftmaxCrossEntropy(logits, labels, test_mask));
   return report;
 }
 

@@ -75,16 +75,43 @@ struct EpochMetrics {
 
 struct TrainReport {
   std::vector<EpochMetrics> epochs;
+  double final_train_accuracy = 0.0;
   double final_test_accuracy = 0.0;
 };
 
-/// Trains on rows with train_mask set; evaluates on test_mask rows.
-TrainReport TrainNodeClassifier(GcnModel& model, const Matrix& features,
+/// What the node-classifier training loop needs of a model: its
+/// parameters, a forward pass returning logits, and a backward pass
+/// from dL/dlogits returning gradients aligned with `params`.
+struct ClassifierModel {
+  std::vector<Matrix*> params;
+  std::function<Matrix()> forward;
+  std::function<std::vector<Matrix>(const Matrix& grad_logits)> backward;
+};
+
+/// The one node-classifier training loop, which every model runs:
+/// trains on rows with train_mask set, evaluates on test_mask rows each
+/// epoch, then once more with the trained weights.
+TrainReport TrainClassifier(const ClassifierModel& model,
+                            const std::vector<int32_t>& labels,
+                            const std::vector<uint8_t>& train_mask,
+                            const std::vector<uint8_t>& test_mask,
+                            const TrainConfig& config);
+
+/// TrainClassifier over a model whose passes run under `aggregate`
+/// (GcnModel, SageConcatModel).
+template <typename Model>
+TrainReport TrainNodeClassifier(Model& model, const Matrix& features,
                                 const std::vector<int32_t>& labels,
                                 const std::vector<uint8_t>& train_mask,
                                 const std::vector<uint8_t>& test_mask,
                                 const AggregateFn& aggregate,
-                                const TrainConfig& config);
+                                const TrainConfig& config) {
+  return TrainClassifier(
+      {model.Parameters(),
+       [&] { return model.Forward(features, aggregate); },
+       [&](const Matrix& g) { return model.Backward(g, aggregate); }},
+      labels, train_mask, test_mask, config);
+}
 
 }  // namespace gal
 

@@ -42,15 +42,6 @@ class SageConcatModel {
   std::vector<Matrix> relu_masks_;
 };
 
-/// Same training driver as TrainNodeClassifier, for the concat model.
-TrainReport TrainSageConcatClassifier(SageConcatModel& model,
-                                      const Matrix& features,
-                                      const std::vector<int32_t>& labels,
-                                      const std::vector<uint8_t>& train_mask,
-                                      const std::vector<uint8_t>& test_mask,
-                                      const AggregateFn& aggregate,
-                                      const TrainConfig& config);
-
 }  // namespace gal
 
 #endif  // GAL_NN_SAGE_CONCAT_H_

@@ -1,12 +1,11 @@
 #include "ooc/sharded_graph.h"
 
-#include <atomic>
-#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
 
+#include "common/env.h"
 #include "common/logging.h"
 #include "graph/compressed_csr.h"
 
@@ -53,20 +52,6 @@ class ByteReader {
   bool ok_ = true;
 };
 
-/// Reads a byte-count knob into *bytes: true when `name` holds a whole
-/// non-negative integer. Any other value ("64M", "1e6", "-1", "abc")
-/// warns once per variable and returns false, so the caller keeps
-/// `requested`.
-bool EnvBytes(const char* name, std::atomic<bool>& warned, uint64_t requested,
-              uint64_t* bytes) {
-  const char* value = std::getenv(name);
-  if (value == nullptr) return false;
-  if (internal::ParseEnvUint64(value, bytes)) return true;
-  internal::WarnOnceBadEnv(warned, name, value, "a non-negative integer",
-                           requested);
-  return false;
-}
-
 /// Whether every adjacency row is strictly ascending (no repeated
 /// neighbor) — decides the gap-minus-one bias exactly like FromEdges'
 /// dedup path does, and uniformly for raw and compressed layouts, so
@@ -89,28 +74,22 @@ bool RowsStrictlyAscending(const Graph& g) {
 }  // namespace
 
 uint64_t ResolveOocShardBytes(uint64_t requested) {
-  static std::atomic<bool> warned{false};
-  uint64_t env = 0;
-  const bool present =
-      EnvBytes("GAL_OOC_SHARD_BYTES", warned, requested, &env);
-  const uint64_t bytes = present && env > 0 ? env : requested;
-  return bytes == 0 ? 1 : bytes;
+  const auto env = env::Lookup(env::Knob::kOocShardBytes, requested);
+  if (env) return env->integer;
+  return requested == 0 ? 1 : requested;
 }
 
 uint64_t ResolveOocBudgetBytes(uint64_t requested, uint64_t min_feasible,
                                bool* env_forced) {
-  static std::atomic<bool> warned{false};
-  uint64_t env = 0;
-  const bool present =
-      EnvBytes("GAL_OOC_BUDGET_BYTES", warned, requested, &env);
-  if (env_forced != nullptr) *env_forced = present;
-  if (!present) return requested;
-  if (env == 0) return 0;  // "0" = unlimited, like an unset budget option
+  const auto env = env::Lookup(env::Knob::kOocBudgetBytes, requested);
+  if (env_forced != nullptr) *env_forced = env.has_value();
+  if (!env) return requested;
+  if (env->integer == 0) return 0;  // "0" = unlimited, like an unset option
   // Kill-switch semantics: a forced budget below feasibility clamps UP
   // to the smallest budget that can run (one largest shard), so
   // GAL_OOC_BUDGET_BYTES=1 forces every shard to be evicted between
   // touches without making any store unopenable.
-  return std::max(env, min_feasible);
+  return std::max(env->integer, min_feasible);
 }
 
 Result<ShardWriteSummary> WriteShardedGraph(const Graph& g,

@@ -1,9 +1,9 @@
 #include "tensor/kernel_context.h"
 
 #include <algorithm>
-#include <atomic>
 #include <thread>
 
+#include "common/env.h"
 #include "common/logging.h"
 
 namespace gal {
@@ -23,10 +23,9 @@ KernelContext& KernelContext::Get() {
 KernelContext::KernelContext() { SetNumThreads(0); }
 
 size_t KernelContext::DefaultNumThreads() {
-  static std::atomic<bool> warned{false};
-  return internal::PositiveEnvIntOr(
-      "GAL_KERNEL_THREADS", warned,
-      std::max(1u, std::thread::hardware_concurrency()));
+  const uint32_t fallback = std::max(1u, std::thread::hardware_concurrency());
+  const auto env = env::Lookup(env::Knob::kKernelThreads, fallback);
+  return env ? env->integer : fallback;
 }
 
 void KernelContext::SetNumThreads(size_t n) {

@@ -1,10 +1,13 @@
 #include <atomic>
 #include <cstdint>
+#include <optional>
 #include <set>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/env.h"
 #include "common/logging.h"
 #include "common/metrics.h"
 #include "common/rng.h"
@@ -213,48 +216,84 @@ TEST(ThreadPoolTest, TasksCanSubmitTasks) {
 }
 
 // ---------------------------------------------------------------------------
-// Metrics
+// Env knobs: the table's parsers, through its one pure entry point
+
+// The value `knob`'s row reads from `text`: nullopt when it reads the
+// text as unset or rejects it.
+std::optional<env::Value> Parsed(env::Knob knob, const char* text) {
+  Result<std::optional<env::Value>> value = env::Parse(knob, text);
+  return value.ok() ? std::move(value).value() : std::nullopt;
+}
+
+bool Rejected(env::Knob knob, const char* text) {
+  return !env::Parse(knob, text).ok();
+}
 
 TEST(EnvSwitchTest, MatchesWholeSpellingsOnly) {
-  bool on = false;
+  constexpr env::Knob kSwitch = env::Knob::kSimd;
   for (const char* text : {"1", "on", "true", "yes"}) {
-    on = false;
-    EXPECT_TRUE(internal::ParseEnvSwitch(text, &on)) << text;
-    EXPECT_TRUE(on) << text;
+    const std::optional<env::Value> value = Parsed(kSwitch, text);
+    ASSERT_TRUE(value.has_value()) << text;
+    EXPECT_TRUE(value->on) << text;
   }
   for (const char* text : {"0", "off", "false", "no"}) {
-    on = true;
-    EXPECT_TRUE(internal::ParseEnvSwitch(text, &on)) << text;
-    EXPECT_FALSE(on) << text;
+    const std::optional<env::Value> value = Parsed(kSwitch, text);
+    ASSERT_TRUE(value.has_value()) << text;
+    EXPECT_FALSE(value->on) << text;
   }
-  for (const char* text : {"", "of", "o", "offf", "10", " 1", "On", "y"}) {
-    on = true;
-    EXPECT_FALSE(internal::ParseEnvSwitch(text, &on)) << text;
-    EXPECT_TRUE(on) << "left alone: " << text;
+  // Empty reads as unset; prefixes, typos and padding are rejected.
+  EXPECT_FALSE(Rejected(kSwitch, ""));
+  EXPECT_FALSE(Parsed(kSwitch, "").has_value());
+  for (const char* text : {"of", "o", "offf", "10", " 1", "On", "y"}) {
+    EXPECT_TRUE(Rejected(kSwitch, text)) << text;
   }
 }
 
 TEST(EnvNumberTest, ParsesWholeIntegersOnly) {
-  uint64_t bytes = 7;
-  EXPECT_TRUE(internal::ParseEnvUint64("0", &bytes));
-  EXPECT_EQ(bytes, 0u);
-  EXPECT_TRUE(internal::ParseEnvUint64("18446744073709551615", &bytes));
-  EXPECT_EQ(bytes, UINT64_MAX);
+  // A byte count: any whole 64-bit integer, 0 included.
+  constexpr env::Knob kBytes = env::Knob::kOocBudgetBytes;
+  ASSERT_TRUE(Parsed(kBytes, "0").has_value());
+  EXPECT_EQ(Parsed(kBytes, "0")->integer, 0u);
+  ASSERT_TRUE(Parsed(kBytes, "18446744073709551615").has_value());
+  EXPECT_EQ(Parsed(kBytes, "18446744073709551615")->integer, UINT64_MAX);
   for (const char* text : {"", "abc", "-1", "+1", " 1", "64M", "1e6",
                            "18446744073709551616"}) {
-    bytes = 7;
-    EXPECT_FALSE(internal::ParseEnvUint64(text, &bytes)) << text;
-    EXPECT_EQ(bytes, 7u) << "left alone: " << text;
+    EXPECT_TRUE(Rejected(kBytes, text)) << text;
   }
-  uint32_t count = 7;
-  EXPECT_TRUE(internal::ParsePositiveEnvInt("4294967295", &count));
-  EXPECT_EQ(count, UINT32_MAX);
+  // A positive integer that fits in 32 bits.
+  constexpr env::Knob kCount = env::Knob::kTaskThreads;
+  ASSERT_TRUE(Parsed(kCount, "4294967295").has_value());
+  EXPECT_EQ(Parsed(kCount, "4294967295")->integer, UINT32_MAX);
   for (const char* text : {"0", "4294967296", "two", "3x", "-3", ""}) {
-    count = 7;
-    EXPECT_FALSE(internal::ParsePositiveEnvInt(text, &count)) << text;
-    EXPECT_EQ(count, 7u) << "left alone: " << text;
+    EXPECT_TRUE(Rejected(kCount, text)) << text;
+  }
+  // A shard size is a positive byte count: 0 is malformed, not ignored.
+  EXPECT_TRUE(Rejected(env::Knob::kOocShardBytes, "0"));
+  ASSERT_TRUE(Parsed(env::Knob::kOocShardBytes, "512").has_value());
+  EXPECT_EQ(Parsed(env::Knob::kOocShardBytes, "512")->integer, 512u);
+}
+
+TEST(EnvNumberTest, ParsesWholeDecimalNumbersOnly) {
+  constexpr env::Knob kNumber = env::Knob::kFrontierAlpha;
+  const std::pair<const char*, double> good[] = {
+      {"3.5", 3.5}, {"7", 7.0},  {"1e3", 1000.0},
+      {".5", 0.5},  {"5.", 5.0}, {"2.5E-1", 0.25}};
+  for (const auto& [text, expected] : good) {
+    const std::optional<env::Value> value = Parsed(kNumber, text);
+    ASSERT_TRUE(value.has_value()) << text;
+    EXPECT_DOUBLE_EQ(value->number, expected) << text;
+  }
+  // Padding, signs, hex, words and non-finite or non-positive values: a
+  // strtod prefix parse read " 3" as 3 and "0x10" as 16.
+  for (const char* text : {" 3", "\t4", "0x10", "3 ", "+3", "-2", "0", "0.0",
+                           "3.5x", "abc", "", ".", "e5", "1e", "1.2.3",
+                           "inf", "nan", "1e999", "1e-400"}) {
+    EXPECT_TRUE(Rejected(kNumber, text)) << text;
   }
 }
+
+// ---------------------------------------------------------------------------
+// Metrics
 
 TEST(MetricsTest, CounterAccumulatesConcurrently) {
   Counter c;

@@ -6,10 +6,12 @@
 #include <algorithm>
 #include <cstdlib>
 #include <limits>
+#include <optional>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/env.h"
 #include "common/rng.h"
 #include "graph/compressed_csr.h"
 #include "graph/generators.h"
@@ -221,23 +223,32 @@ TEST(CompressedCsrTest, EnvOverrideForcesAndDisablesCompression) {
   EXPECT_TRUE(unforced.IsCompressed());
 }
 
-// The override's parser on strings: the whole value must be a listed
-// spelling; a typo such as "of" keeps the build option (after one
-// warning) instead of forcing compression on.
+// The override's parser on strings, through the knob table's pure
+// entry point: the whole value must be a listed spelling; a typo such
+// as "of" keeps the build option (after one warning) instead of forcing
+// compression on.
 TEST(CompressedCsrTest, EnvOverrideIsParsedWhole) {
   constexpr CompressionMode kRaw = CompressionMode::kNone;
   constexpr CompressionMode kPacked = CompressionMode::kDeltaVarint;
+  // The mode a build resolves when the variable reads `text`.
+  auto resolve = [](CompressionMode requested, const char* text) {
+    const Result<std::optional<env::Value>> value =
+        env::Parse(env::Knob::kGraphCompression, text);
+    if (!value.ok() || !value->has_value()) return requested;
+    return (*value)->on ? kPacked : kRaw;
+  };
   for (const char* on : {"1", "on", "true", "yes", "delta-varint"}) {
-    EXPECT_EQ(ResolveCompressionMode(kRaw, on), kPacked) << on;
+    EXPECT_EQ(resolve(kRaw, on), kPacked) << on;
   }
   for (const char* off : {"0", "off", "false", "no", "none"}) {
-    EXPECT_EQ(ResolveCompressionMode(kPacked, off), kRaw) << off;
+    EXPECT_EQ(resolve(kPacked, off), kRaw) << off;
   }
   for (CompressionMode requested : {kRaw, kPacked}) {
-    EXPECT_EQ(ResolveCompressionMode(requested, nullptr), requested);
-    EXPECT_EQ(ResolveCompressionMode(requested, ""), requested);
+    EXPECT_EQ(resolve(requested, nullptr), requested);
+    EXPECT_EQ(resolve(requested, ""), requested);
     for (const char* bad : {"of", "nonee", "2", "delta", "ON", "1 "}) {
-      EXPECT_EQ(ResolveCompressionMode(requested, bad), requested) << bad;
+      EXPECT_EQ(resolve(requested, bad), requested) << bad;
+      EXPECT_FALSE(env::Parse(env::Knob::kGraphCompression, bad).ok()) << bad;
     }
   }
 }

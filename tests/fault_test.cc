@@ -138,6 +138,17 @@ TEST_F(FaultEnvTest, FromEnvRejectsMalformedValues) {
       {"GAL_CLUSTER_FAULT_SLOW", "0:2@9-4"}, // empty window
       {"GAL_CLUSTER_FAULT_SEED", "abc"},
       {"GAL_CLUSTER_FAULT_REBALANCE", "yes"},
+      // Numbers parse whole: no padding, sign, hex or non-finite factor
+      // (a nan factor would drop its worker from every modeled round).
+      {"GAL_CLUSTER_FAULT_SLOW", "0:nan"},
+      {"GAL_CLUSTER_FAULT_SLOW", "0:inf"},
+      {"GAL_CLUSTER_FAULT_SLOW", "0:0x10"},
+      {"GAL_CLUSTER_FAULT_SLOW", " 1:2"},
+      {"GAL_CLUSTER_FAULT_CHECKPOINT", " 5"},
+      {"GAL_CLUSTER_FAULT_CHECKPOINT", "+5"},
+      {"GAL_CLUSTER_FAULT_CHECKPOINT", "-0"},
+      {"GAL_CLUSTER_FAULT_FAIL", "+1@ 3"},
+      {"GAL_CLUSTER_FAULT_SEED", " 7"},
   };
   for (const auto& [var, value] : cases) {
     ASSERT_EQ(setenv(var, value, 1), 0);

@@ -223,7 +223,7 @@ TEST(SageConcatTest, LearnsHomophilousCommunities) {
   SageConcatModel model(config);
   TrainConfig train;
   train.epochs = 60;
-  TrainReport report = TrainSageConcatClassifier(
+  TrainReport report = TrainNodeClassifier(
       model, ds.features, ds.labels, ds.train_mask, ds.test_mask, agg, train);
   EXPECT_GT(report.final_test_accuracy, 0.85);
 }
@@ -260,7 +260,7 @@ TEST(SageConcatTest, ConcatChannelRescuesSelfSignalLostByPureAggregation) {
                           ds.train_mask, ds.test_mask, nbr_agg, train);
 
   SageConcatModel concat_model(config);
-  TrainReport concat = TrainSageConcatClassifier(
+  TrainReport concat = TrainNodeClassifier(
       concat_model, ds.features, ds.labels, ds.train_mask, ds.test_mask,
       nbr_agg, train);
 

@@ -255,6 +255,10 @@ TEST_F(ShardedGraphTest, MalformedByteKnobsWarnOnceAndKeepTheRequest) {
   constexpr uint64_t kGiB = uint64_t{1} << 30;
   constexpr uint64_t kOneShard = 4096;
   testing::internal::CaptureStderr();
+  // A zero shard size is malformed too: it warns (first, so the warning
+  // names it) and keeps the request instead of being dropped silently.
+  setenv("GAL_OOC_SHARD_BYTES", "0", 1);
+  EXPECT_EQ(ResolveOocShardBytes(kGiB), kGiB);
   for (const char* bad : {"abc", "-1", "64M", "1e6"}) {
     setenv("GAL_OOC_BUDGET_BYTES", bad, 1);
     setenv("GAL_OOC_SHARD_BYTES", bad, 1);
@@ -269,6 +273,7 @@ TEST_F(ShardedGraphTest, MalformedByteKnobsWarnOnceAndKeepTheRequest) {
     EXPECT_NE(first, std::string::npos) << log;
     EXPECT_EQ(log.find(var, first + 1), std::string::npos) << log;  // once
   }
+  EXPECT_NE(log.find("GAL_OOC_SHARD_BYTES=\"0\""), std::string::npos) << log;
   // Whole integers still apply: 0 is an unlimited budget, a tiny budget
   // clamps up to one shard.
   bool forced = false;

@@ -13,11 +13,13 @@
 #include <algorithm>
 #include <cstdlib>
 #include <cstring>
+#include <optional>
 #include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/env.h"
 #include "common/rng.h"
 #include "common/simd.h"
 #include "common/timer.h"
@@ -502,20 +504,28 @@ TEST(SimdTest, KillSwitchAndIsaReporting) {
   simd::SetEnabled(prev);
 }
 
-// GAL_SIMD is read once per process, so its parser is tested on strings.
-// A value off the fixed list keeps SIMD on (after one warning) instead
-// of being read by its first character.
+// GAL_SIMD is read once per process, so its parser is tested on strings
+// through the knob table's pure entry point. A value off the fixed list
+// keeps SIMD on (after one warning) instead of being read by its first
+// character.
 TEST(SimdTest, EnvValueIsParsedWhole) {
+  // Whether vector kernels stay allowed when the variable reads `text`.
+  auto allows = [](const char* text) {
+    const Result<std::optional<env::Value>> value =
+        env::Parse(env::Knob::kSimd, text);
+    return !value.ok() || !value->has_value() || (*value)->on;
+  };
   for (const char* on : {"1", "on", "true", "yes"}) {
-    EXPECT_TRUE(simd::EnvAllows(on)) << on;
+    EXPECT_TRUE(allows(on)) << on;
   }
   for (const char* off : {"0", "off", "false", "no"}) {
-    EXPECT_FALSE(simd::EnvAllows(off)) << off;
+    EXPECT_FALSE(allows(off)) << off;
   }
-  EXPECT_TRUE(simd::EnvAllows(nullptr));
-  EXPECT_TRUE(simd::EnvAllows(""));
+  EXPECT_TRUE(allows(nullptr));
+  EXPECT_TRUE(allows(""));
   for (const char* bad : {"of", "00", "0x", "1 ", "OFF", "disable"}) {
-    EXPECT_TRUE(simd::EnvAllows(bad)) << bad;
+    EXPECT_TRUE(allows(bad)) << bad;
+    EXPECT_FALSE(env::Parse(env::Knob::kSimd, bad).ok()) << bad;
   }
 }
 
