@@ -133,7 +133,8 @@ BENCHMARK(BM_SpmmThreadSweep)->Apply(KernelThreadArgs)->UseRealTime();
 // pass: each benchmark below carries `reorder` (0=none 1=degree-desc
 // 2=hub-cluster), `compressed` (0=raw CSR 1=delta-varint), and `simd`
 // (0=scalar 1=active ISA) counters so the speedup matrix is a recorded
-// artifact, not a one-off measurement. Compressed rows also report
+// artifact, not a one-off measurement. The triangle join has no vector
+// path, so its sweep has no `simd` axis. Compressed rows also report
 // `B/edge` (adjacency bytes per entry; raw CSR is 4.00) — the time
 // delta against the raw row at the same (reorder, simd) is the
 // streaming-decode overhead.
@@ -147,29 +148,25 @@ Graph WithLayout(const Graph& g, ReorderMode mode,
   return Graph::FromEdges(g.NumVertices(), g.CollectEdges(), options).value();
 }
 
-void BM_TriangleReorderSimdSweep(benchmark::State& state) {
+void BM_TriangleLayoutSweep(benchmark::State& state) {
   const auto mode = static_cast<ReorderMode>(state.range(0));
-  const bool want_simd = state.range(1) != 0;
-  const auto codec = static_cast<CompressionMode>(state.range(2));
+  const auto codec = static_cast<CompressionMode>(state.range(1));
   Graph raw = Rmat(12, 8, 3);
   const uint64_t expect = SerialTriangleCount(raw).triangles;
   Graph g = WithLayout(raw, mode, codec);
-  const bool prev = simd::SetEnabled(want_simd);
   for (auto _ : state) {
     const uint64_t triangles = SerialTriangleCount(g).triangles;
     GAL_CHECK(triangles == expect);
     benchmark::DoNotOptimize(triangles);
   }
-  simd::SetEnabled(prev);
   state.counters["reorder"] = static_cast<double>(state.range(0));
-  state.counters["simd"] = simd::Available() && want_simd ? 1.0 : 0.0;
   state.counters["compressed"] = g.IsCompressed() ? 1.0 : 0.0;
   state.counters["B/edge"] =
       static_cast<double>(g.AdjacencyBytes()) /
       std::max<uint64_t>(1, g.NumAdjacencyEntries());
   state.SetItemsProcessed(state.iterations() * g.NumEdges());
 }
-BENCHMARK(BM_TriangleReorderSimdSweep)->ArgsProduct({{0, 1, 2}, {0, 1}, {0, 1}});
+BENCHMARK(BM_TriangleLayoutSweep)->ArgsProduct({{0, 1, 2}, {0, 1}});
 
 void BM_GemmSimdSweep(benchmark::State& state) {
   const uint32_t n = 256;

@@ -12,7 +12,6 @@
 #include <thread>
 
 #include "bench_util.h"
-#include "common/simd.h"
 #include "graph/generators.h"
 #include "tlag/algos/triangles.h"
 #include "tlav/algos/triangle_tlav.h"
@@ -63,20 +62,21 @@ int main() {
   }
   table.Print();
 
-  // Second table: the cache-layout x codec x SIMD matrix on the serial
-  // intersection kernel itself. Rows are {reorder} x {raw/delta-varint}
-  // x {SIMD off/on}; the baseline (none/raw/scalar) row is the
-  // "before", everything else is "after". Triangle counts must agree
-  // across all cells — the knobs are layout/codec/ISA policy only. The
-  // B/edge column is AdjacencyBytes()/NumAdjacencyEntries(): 4.00 for
-  // raw CSR, and the delta-varint rows show the compression ratio the
-  // reordered, sorted adjacency admits (hub-cluster shrinks the gaps,
-  // so the codec and the reorder compose). The ms delta between a raw
-  // row and its compressed twin at the same (layout, simd) is the
-  // streaming-decode overhead.
+  // Second table: the cache-layout x codec matrix on the serial
+  // triangle join itself. Rows are {reorder} x {raw/delta-varint}; the
+  // baseline (none/raw) row is the "before", everything else is
+  // "after". Triangle counts must agree across all cells — the knobs are
+  // layout/codec policy only, and the join has no vector path, so
+  // GAL_SIMD changes no cell. The B/edge column is
+  // AdjacencyBytes()/NumAdjacencyEntries(): 4.00 for raw CSR, and the
+  // delta-varint rows show the compression ratio the reordered, sorted
+  // adjacency admits (hub-cluster shrinks the gaps, so the codec and the
+  // reorder compose). The ms delta between a raw row and its compressed
+  // twin at the same layout is the streaming-decode overhead of the
+  // orientation pass.
   std::printf("\n");
-  Banner("C1b", "reorder x compression x SIMD sweep: serial intersection kernel");
-  Table sweep({"layout", "codec", "simd", "triangles", "ops", "B/edge", "ms",
+  Banner("C1b", "reorder x compression sweep: serial triangle join");
+  Table sweep({"layout", "codec", "triangles", "ops", "B/edge", "ms",
                "speedup"});
   Graph base = Rmat(13, 8, 42);
   const uint64_t expect_triangles = SerialTriangleCount(base).triangles;
@@ -94,25 +94,18 @@ int main() {
       const double bytes_per_edge =
           static_cast<double>(g.AdjacencyBytes()) /
           std::max<uint64_t>(1, g.NumAdjacencyEntries());
-      for (bool want_simd : {false, true}) {
-        const bool prev = simd::SetEnabled(want_simd);
-        TriangleCountResult r = SerialTriangleCount(g);
-        simd::SetEnabled(prev);
-        GAL_CHECK(r.triangles == expect_triangles);
-        const double ms = r.wall_seconds * 1e3;
-        if (mode == ReorderMode::kNone && codec == CompressionMode::kNone &&
-            !want_simd) {
-          baseline_ms = ms;
-        }
-        sweep.AddRow({ReorderName(mode),
-                      codec == CompressionMode::kDeltaVarint ? "delta-varint"
-                                                             : "raw",
-                      want_simd && simd::Available() ? simd::ActiveIsa()
-                                                     : "scalar",
-                      Human(r.triangles), Human(r.intersection_ops),
-                      Fmt("%.2f", bytes_per_edge), Fmt("%.1f", ms),
-                      Fmt("%.2fx", baseline_ms / std::max(1e-9, ms))});
+      TriangleCountResult r = SerialTriangleCount(g);
+      GAL_CHECK(r.triangles == expect_triangles);
+      const double ms = r.wall_seconds * 1e3;
+      if (mode == ReorderMode::kNone && codec == CompressionMode::kNone) {
+        baseline_ms = ms;
       }
+      sweep.AddRow({ReorderName(mode),
+                    codec == CompressionMode::kDeltaVarint ? "delta-varint"
+                                                           : "raw",
+                    Human(r.triangles), Human(r.intersection_ops),
+                    Fmt("%.2f", bytes_per_edge), Fmt("%.1f", ms),
+                    Fmt("%.2fx", baseline_ms / std::max(1e-9, ms))});
     }
   }
   sweep.Print();

@@ -26,7 +26,10 @@ echo "== tsan: pipeline / threadpool / task-engine / tensor-kernel tests =="
 # Both sanitizer builds treat compiler warnings as errors: the
 # instrumented optimizer reaches paths the plain build does not (GCC
 # 12's -Wmaybe-uninitialized among them), and those builds must stay as
-# warning-clean as the plain one.
+# warning-clean as the plain one. So test code must not instantiate
+# std::regex: under -fsanitize=address,undefined GCC 12 reports
+# -Wmaybe-uninitialized inside libstdc++'s bits/regex_automaton.h, which
+# fails the ASan+UBSan build while the tier-1 build passes.
 cmake -B build-tsan -S . \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     -DCMAKE_COMPILE_WARNING_AS_ERROR=ON \
@@ -62,8 +65,11 @@ cmake --build build-tsan --target gal_tests -j "${JOBS}"
 # two-source gathers dist-GCN runs under staleness, lossy codecs and EC,
 # at one and four kernel threads; KernelReferenceTest.* runs every GEMM
 # and SpMM at one and eight kernel threads against its reference loop.
+# TriangleJoinTest.* runs every triangle counter against the serial
+# reference at up to eight threads: TSan watches the per-thread marks
+# and per-home row sums while tasks are stolen.
 ./build-tsan/tests/gal_tests \
-    --gtest_filter='PipelineTest.*:ThreadPoolTest.*:TaskEngineTest.*:WorkDequeTest.*:MatchDeterminismTest.*:MatchSweepTest.*:KernelContextTest.*:KernelParityTest.*:KernelReferenceTest.*:TensorTest.*:MatrixTest.*:SparseTest.*:CoreBudgetTest.*:TrafficLedgerTest.*:VirtualClockTest.*:ClusterRuntimeTest.*:ExchangeChannelTest.*:ClusterExchangeTest.*:PageRankTest.*:FrontierBitmapTest.*:SlidingQueueTest.*:VertexFrontierTest.*:Workers/FrontierParityTest.*:FrontierTraversalTest.*:GraphReorderTest.*:ReorderSimdParityTest.*:IntersectTest.*:SimdTest.*:CompressedCsrTest.*:DistGcnTest.OverlapReducesSimulatedTime:DistGcnTest.ReportExposesTracesAndOverlapOccupancy:DistGcnTest.CommChannelsRelieveCommBoundOverlap'
+    --gtest_filter='PipelineTest.*:ThreadPoolTest.*:TaskEngineTest.*:TriangleJoinTest.*:WorkDequeTest.*:MatchDeterminismTest.*:MatchSweepTest.*:KernelContextTest.*:KernelParityTest.*:KernelReferenceTest.*:TensorTest.*:MatrixTest.*:SparseTest.*:CoreBudgetTest.*:TrafficLedgerTest.*:VirtualClockTest.*:ClusterRuntimeTest.*:ExchangeChannelTest.*:ClusterExchangeTest.*:PageRankTest.*:FrontierBitmapTest.*:SlidingQueueTest.*:VertexFrontierTest.*:Workers/FrontierParityTest.*:FrontierTraversalTest.*:GraphReorderTest.*:ReorderSimdParityTest.*:IntersectTest.*:SimdTest.*:CompressedCsrTest.*:DistGcnTest.OverlapReducesSimulatedTime:DistGcnTest.ReportExposesTracesAndOverlapOccupancy:DistGcnTest.CommChannelsRelieveCommBoundOverlap'
 
 echo
 echo "== asan+ubsan: every test but the wall-clock ones =="
@@ -110,11 +116,12 @@ echo "== forced tiny budget: every shard evicted between touches =="
 # The out-of-core kill switch: GAL_OOC_BUDGET_BYTES=1 clamps every open
 # to a single-largest-shard budget and GAL_OOC_SHARD_BYTES=512 makes
 # shards tiny, so each superstep churns the whole cache. Only the
-# parity and shape suites run here — they assert results and
+# parity, shape and triangle suites run here — they assert results and
 # budget-respect, not exact load/eviction counts (which these knobs
-# deliberately change; the shape suite keeps its own shard size).
+# deliberately change; the shape and triangle suites keep their own
+# shard size).
 GAL_OOC_BUDGET_BYTES=1 GAL_OOC_SHARD_BYTES=512 ./build/tests/gal_tests \
-    --gtest_filter='OocParityTest.*:OocShapeTest.*'
+    --gtest_filter='OocParityTest.*:OocShapeTest.*:TriangleJoinTest.*'
 
 echo
 echo "== tsan + forced compression: parity and matcher suites with GAL_GRAPH_COMPRESSION=1 =="

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "graph/intersect.h"
 #include "graph/kcore.h"
 #include "tlag/algos/triangles.h"
 #include "tlav/algos/pagerank.h"
@@ -16,15 +15,16 @@ std::vector<uint64_t> PerVertexTriangles(const Graph& g) {
   // The oriented join finds each triangle once: credit all three corners.
   OrientedRows oriented;
   oriented.Build(g, g, 0, n);
-  std::vector<VertexId> common;  // scratch, reused across edges
+  MarkedRow marks(n);
+  uint64_t ops = 0;
   for (VertexId v = 0; v < n; ++v) {
-    const std::span<const VertexId> row = oriented.Row(v);
-    for (VertexId u : row) {
-      IntersectInto(row, oriented.Row(u), common);
-      count[v] += common.size();
-      count[u] += common.size();
-      for (const VertexId w : common) ++count[w];
-    }
+    count[v] += marks.Join(
+        oriented.Row(v), oriented, ops,
+        [&](VertexId u, std::span<const VertexId> target, uint64_t closed) {
+          if (closed == 0) return;
+          count[u] += closed;
+          for (const VertexId w : target) count[w] += marks.Marked(w);
+        });
   }
   return count;
 }

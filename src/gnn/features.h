@@ -20,7 +20,8 @@ namespace gal {
 ///   5: PageRank, scaled by |V| (≈1 for average vertices)
 Matrix StructuralFeatures(const Graph& g);
 
-/// Distinct triangles through each vertex (exact, oriented intersections).
+/// Distinct triangles through each vertex (exact, the oriented MarkedRow
+/// join of tlag/algos/triangles.h).
 std::vector<uint64_t> PerVertexTriangles(const Graph& g);
 
 /// Local clustering coefficient per vertex.

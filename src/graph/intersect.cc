@@ -1,7 +1,6 @@
 #include "graph/intersect.h"
 
 #include <algorithm>
-#include <bit>
 
 #include "common/simd.h"
 
@@ -12,14 +11,11 @@ namespace {
 /// merging (merge is O(na+nb); gallop is O(na log nb) for na << nb).
 constexpr size_t kGallopRatio = 32;
 
-uint64_t MergeCount(std::span<const VertexId> a, std::span<const VertexId> b,
-                    uint64_t* ops) {
+uint64_t MergeCount(std::span<const VertexId> a, std::span<const VertexId> b) {
   uint64_t count = 0;
-  uint64_t work = 0;
   size_t i = 0;
   size_t j = 0;
   while (i < a.size() && j < b.size()) {
-    ++work;
     if (a[i] < b[j]) {
       ++i;
     } else if (a[i] > b[j]) {
@@ -30,18 +26,15 @@ uint64_t MergeCount(std::span<const VertexId> a, std::span<const VertexId> b,
       ++j;
     }
   }
-  if (ops != nullptr) *ops += work;
   return count;
 }
 
 size_t MergeInto(std::span<const VertexId> a, std::span<const VertexId> b,
-                 VertexId* out, uint64_t* ops) {
-  uint64_t work = 0;
+                 VertexId* out) {
   size_t i = 0;
   size_t j = 0;
   size_t count = 0;
   while (i < a.size() && j < b.size()) {
-    ++work;
     if (a[i] < b[j]) {
       ++i;
     } else if (a[i] > b[j]) {
@@ -52,7 +45,6 @@ size_t MergeInto(std::span<const VertexId> a, std::span<const VertexId> b,
       ++j;
     }
   }
-  if (ops != nullptr) *ops += work;
   return count;
 }
 
@@ -62,23 +54,19 @@ size_t MergeInto(std::span<const VertexId> a, std::span<const VertexId> b,
 /// called per common element; returns the number of matches.
 template <typename Emit>
 uint64_t Gallop(std::span<const VertexId> small_side,
-                std::span<const VertexId> large_side, uint64_t* ops,
-                Emit&& emit) {
+                std::span<const VertexId> large_side, Emit&& emit) {
   uint64_t count = 0;
-  uint64_t work = 0;
   size_t pos = 0;  // invariant: large_side[0..pos) < current x
   for (const VertexId x : small_side) {
     size_t bound = 1;
     while (pos + bound < large_side.size() && large_side[pos + bound] < x) {
       bound <<= 1;
-      ++work;
     }
     const size_t lo = pos + bound / 2;
     const size_t hi = std::min(pos + bound, large_side.size());
     pos = static_cast<size_t>(
         std::lower_bound(large_side.begin() + lo, large_side.begin() + hi, x) -
         large_side.begin());
-    work += std::bit_width(hi - lo);
     if (pos < large_side.size() && large_side[pos] == x) {
       ++count;
       emit(x);
@@ -86,7 +74,6 @@ uint64_t Gallop(std::span<const VertexId> small_side,
     }
     if (pos >= large_side.size()) break;
   }
-  if (ops != nullptr) *ops += work;
   return count;
 }
 
@@ -97,31 +84,29 @@ bool PreferGallop(size_t na, size_t nb) {
 }  // namespace
 
 uint64_t IntersectCount(std::span<const VertexId> a,
-                        std::span<const VertexId> b, uint64_t* ops) {
-  if (!simd::Enabled()) return MergeCount(a, b, ops);
+                        std::span<const VertexId> b) {
+  if (!simd::Enabled()) return MergeCount(a, b);
   if (PreferGallop(a.size(), b.size())) {
     if (a.size() > b.size()) std::swap(a, b);
-    return Gallop(a, b, ops, [](VertexId) {});
+    return Gallop(a, b, [](VertexId) {});
   }
-  if (ops != nullptr) *ops += a.size() + b.size();
   return simd::IntersectCountU32(a.data(), a.size(), b.data(), b.size());
 }
 
 void IntersectInto(std::span<const VertexId> a, std::span<const VertexId> b,
-                   std::vector<VertexId>& out, uint64_t* ops) {
+                   std::vector<VertexId>& out) {
   out.resize(std::min(a.size(), b.size()));
   size_t count;
   if (!simd::Enabled()) {
-    count = MergeInto(a, b, out.data(), ops);
+    count = MergeInto(a, b, out.data());
   } else if (PreferGallop(a.size(), b.size())) {
     // Gallop emits the short side's matches, which are the common
     // elements regardless of which side is which.
     std::span<const VertexId> s = a.size() <= b.size() ? a : b;
     std::span<const VertexId> l = a.size() <= b.size() ? b : a;
     VertexId* dst = out.data();
-    count = Gallop(s, l, ops, [&dst](VertexId x) { *dst++ = x; });
+    count = Gallop(s, l, [&dst](VertexId x) { *dst++ = x; });
   } else {
-    if (ops != nullptr) *ops += a.size() + b.size();
     count = simd::IntersectIntoU32(a.data(), a.size(), b.data(), b.size(),
                                    out.data());
   }
@@ -178,20 +163,19 @@ std::span<const VertexId> NeighborSetInto(const Graph& g, VertexId v,
 }
 
 uint64_t IntersectCount(const Graph& g, VertexId u, VertexId v,
-                        NeighborScratch& scratch, uint64_t* ops) {
+                        NeighborScratch& scratch) {
   return IntersectCount(NeighborSetInto(g, u, scratch.a),
-                        NeighborSetInto(g, v, scratch.b), ops);
+                        NeighborSetInto(g, v, scratch.b));
 }
 
 uint64_t IntersectCount(std::span<const VertexId> a, const Graph& g,
-                        VertexId v, NeighborScratch& scratch, uint64_t* ops) {
-  return IntersectCount(a, NeighborSetInto(g, v, scratch.b), ops);
+                        VertexId v, NeighborScratch& scratch) {
+  return IntersectCount(a, NeighborSetInto(g, v, scratch.b));
 }
 
 void IntersectInto(std::span<const VertexId> a, const Graph& g, VertexId v,
-                   std::vector<VertexId>& out, NeighborScratch& scratch,
-                   uint64_t* ops) {
-  IntersectInto(a, NeighborSetInto(g, v, scratch.b), out, ops);
+                   std::vector<VertexId>& out, NeighborScratch& scratch) {
+  IntersectInto(a, NeighborSetInto(g, v, scratch.b), out);
 }
 
 bool IntersectAny(std::span<const VertexId> a, const Graph& g, VertexId v,

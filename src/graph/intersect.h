@@ -10,7 +10,8 @@
 namespace gal {
 
 /// Unified sorted-adjacency intersection, the shared inner loop of
-/// triangles, cliques, k-truss, matching, and GNN structural features.
+/// cliques, k-truss and matching (triangle counters run MarkedRow in
+/// tlag/algos/triangles.h instead).
 /// Inputs are strictly-ascending sorted id arrays (CSR adjacency rows
 /// qualify). Strategy is adaptive:
 ///   - scalar two-pointer merge — the reference path, and the only one
@@ -19,30 +20,23 @@ namespace gal {
 ///     longer than the other — hub-vs-leaf intersections;
 ///   - AVX2 8x8 block compare otherwise.
 /// All paths return identical elements/counts; only speed differs.
-///
-/// `ops`, when non-null, accumulates a work diagnostic. On the scalar
-/// merge path it counts loop iterations — exactly the historical
-/// `intersection_ops` semantics, so GAL_SIMD=0 runs reproduce old
-/// numbers. Vector/galloping paths count elements touched or probes
-/// made; the diagnostic is path-dependent by design (it measures work
-/// actually done), while counts/elements never vary.
 
 /// Number of common elements of a and b.
 uint64_t IntersectCount(std::span<const VertexId> a,
-                        std::span<const VertexId> b, uint64_t* ops = nullptr);
+                        std::span<const VertexId> b);
 
 /// Replaces `out` with the (ascending) common elements of a and b.
 /// Reuses out's capacity — the scratch-buffer form for tight loops.
 void IntersectInto(std::span<const VertexId> a, std::span<const VertexId> b,
-                   std::vector<VertexId>& out, uint64_t* ops = nullptr);
+                   std::vector<VertexId>& out);
 
 /// Returns the (ascending) common elements of a and b.
 std::vector<VertexId> Intersect(std::span<const VertexId> a,
                                 std::span<const VertexId> b);
 
-/// True iff a and b share at least one element (early-exit merge; no
-/// ops accounting — the membership-probe form matching uses for witness
-/// checks where only existence matters).
+/// True iff a and b share at least one element (early-exit merge — the
+/// membership-probe form matching uses for witness checks where only
+/// existence matters).
 bool IntersectAny(std::span<const VertexId> a, std::span<const VertexId> b);
 
 // --- decode-into-scratch forms (compressed CSR) ----------------------------
@@ -73,18 +67,16 @@ struct NeighborScratch {
 
 /// |N(u) ∩ N(v)| over graph rows.
 uint64_t IntersectCount(const Graph& g, VertexId u, VertexId v,
-                        NeighborScratch& scratch, uint64_t* ops = nullptr);
+                        NeighborScratch& scratch);
 
 /// |a ∩ N(v)| — one materialized side, one graph row.
 uint64_t IntersectCount(std::span<const VertexId> a, const Graph& g,
-                        VertexId v, NeighborScratch& scratch,
-                        uint64_t* ops = nullptr);
+                        VertexId v, NeighborScratch& scratch);
 
 /// out = a ∩ N(v). `out` must not alias scratch.b (it may be scratch.a's
 /// sibling in a different NeighborScratch).
 void IntersectInto(std::span<const VertexId> a, const Graph& g, VertexId v,
-                   std::vector<VertexId>& out, NeighborScratch& scratch,
-                   uint64_t* ops = nullptr);
+                   std::vector<VertexId>& out, NeighborScratch& scratch);
 
 /// True iff a ∩ N(v) is non-empty.
 bool IntersectAny(std::span<const VertexId> a, const Graph& g, VertexId v,

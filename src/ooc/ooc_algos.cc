@@ -1,6 +1,5 @@
 #include "ooc/ooc_algos.h"
 
-#include <algorithm>
 #include <numeric>
 #include <utility>
 
@@ -8,7 +7,6 @@
 #include "common/timer.h"
 #include "frontier/traversal.h"
 #include "graph/components.h"
-#include "graph/intersect.h"
 #include "tlag/algos/triangles.h"
 #include "tlav/algos/pagerank.h"
 
@@ -99,16 +97,19 @@ OocTriangleResult OocTriangleCount(const ShardedGraph& g,
   OocTriangleResult result;
   const uint32_t threads = ResolveTaskThreads(options.engine.num_threads);
 
-  /// Per-thread workspace, cache-line padded like the in-memory tally:
-  /// two shards' oriented rows and the shards the task's rows reach.
+  /// Per-thread workspace, cache-line padded like the in-memory state:
+  /// two shards' oriented rows, the marks, and the shards the task's
+  /// rows reach.
   struct alignas(64) Scratch {
+    explicit Scratch(VertexId num_vertices) : marks(num_vertices) {}
     OrientedRows own;
     OrientedRows other;
+    MarkedRow marks;
     std::vector<uint8_t> reached;
     uint64_t triangles = 0;
     uint64_t ops = 0;
   };
-  std::vector<Scratch> scratch(threads);
+  std::vector<Scratch> scratch(threads, Scratch(g.NumVertices()));
 
   // Orients shard s into `block`, pinned only while its rows are built.
   const auto orient = [&g](uint32_t s, OrientedRows& block) {
@@ -128,18 +129,14 @@ OocTriangleResult OocTriangleCount(const ShardedGraph& g,
           for (VertexId u : sc.own.Row(v)) sc.reached[g.ShardOf(u)] = 1;
         }
         // Orient each reached shard once, ascending (the task's own block
-        // serves itself). Rows ascend and shards are contiguous ranges, so
-        // a row's targets in shard t are one run of it.
+        // serves itself), and join every row with its targets there: a
+        // row is marked once per block that holds some of its targets.
         for (uint32_t t = 0; t < g.NumShards(); ++t) {
           if (sc.reached[t] == 0) continue;
           if (t != s) orient(t, sc.other);
           const OrientedRows& block = t == s ? sc.own : sc.other;
           for (VertexId v = sc.own.begin(); v < sc.own.end(); ++v) {
-            const std::span<const VertexId> row = sc.own.Row(v);
-            auto u = std::lower_bound(row.begin(), row.end(), block.begin());
-            for (; u != row.end() && *u < block.end(); ++u) {
-              sc.triangles += IntersectCount(row, block.Row(*u), &sc.ops);
-            }
+            sc.triangles += sc.marks.Join(sc.own.Row(v), block, sc.ops);
           }
         }
       });

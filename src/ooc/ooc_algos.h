@@ -85,14 +85,14 @@ struct OocTriangleResult {
 };
 
 /// Degree-ordered triangle counting on the task engine, one task per
-/// shard, over the in-memory counters' OrientedRows: a task orients its
-/// shard, then each shard its rows reach (once, ascending), and
-/// intersects every row with its targets' rows there. A shard is pinned
-/// only while its rows are built: a thread holds at most one pin (a
-/// one-shard budget cannot deadlock), a task at most NumShards() pins,
-/// and a thread's scratch is two shards' rows. Every IntersectCount sees
-/// TaskTriangleCount's operand rows, so triangles AND intersection_ops
-/// are identical.
+/// shard, over the in-memory counters' OrientedRows and MarkedRow join:
+/// a task orients its shard, then each shard its rows reach (once,
+/// ascending), and joins every row with its targets' rows there. A shard
+/// is pinned only while its rows are built: a thread holds at most one
+/// pin (a one-shard budget cannot deadlock), a task at most NumShards()
+/// pins, and a thread's scratch is two shards' rows plus |V| bytes of
+/// marks. Every oriented edge probes the target row TaskTriangleCount's
+/// does, so triangles AND intersection_ops are identical.
 OocTriangleResult OocTriangleCount(const ShardedGraph& g,
                                    const OocTriangleOptions& options = {});
 

@@ -1,6 +1,7 @@
 #include "tensor/matrix.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <sstream>
 
@@ -181,20 +182,27 @@ Matrix MatmulTransposeB(const Matrix& a, const Matrix& b) {
 }
 
 Matrix ReluForward(const Matrix& z, Matrix* mask) {
-  Matrix h = z;
+  Matrix h(z.rows(), z.cols());
   if (mask != nullptr) *mask = Matrix(z.rows(), z.cols());
   KernelContext& ctx = KernelContext::Get();
   ScopedSpan span(ctx.elementwise_hist());
   float* hd = h.data().data();
   float* md = mask != nullptr ? mask->data().data() : nullptr;
   const float* zd = z.data().data();
+  // A select, not a branch per element: `keep` is all ones where z > 0
+  // and all zeros elsewhere (+0, -0, NaN, negatives), so h takes z's
+  // bits or +0, and the mask 1.0f's bits or +0.
+  constexpr uint32_t kOne = std::bit_cast<uint32_t>(1.0f);
+  const auto keep = [zd](size_t i) {
+    return 0u - static_cast<uint32_t>(zd[i] > 0.0f);
+  };
   ctx.ParallelFor1D(h.size(), 1, [&](size_t begin, size_t end) {
     for (size_t i = begin; i < end; ++i) {
-      if (zd[i] > 0.0f) {
-        if (md != nullptr) md[i] = 1.0f;
-      } else {
-        hd[i] = 0.0f;
-      }
+      hd[i] = std::bit_cast<float>(std::bit_cast<uint32_t>(zd[i]) & keep(i));
+    }
+    if (md == nullptr) return;
+    for (size_t i = begin; i < end; ++i) {
+      md[i] = std::bit_cast<float>(kOne & keep(i));
     }
   });
   return h;

@@ -8,17 +8,23 @@
 #include "cluster/cluster.h"
 #include "cluster/round_barrier.h"
 #include "common/timer.h"
-#include "graph/intersect.h"
 #include "partition/partition.h"
 
 namespace gal {
 namespace {
 
-/// Per-worker triangle/ops tally, padded to a cache line so concurrent
-/// workers never share one — the ledger idiom; folded once at the end.
-struct alignas(64) WorkerTally {
+/// Per-thread join state, padded to a cache line so concurrent workers
+/// never share one — the ledger idiom: the thread's marks, its
+/// triangle/ops tally (folded after each round), and the running task's
+/// row bytes and row count per home worker (charged at task end).
+struct alignas(64) WorkerState {
+  WorkerState(VertexId num_vertices, uint32_t num_homes)
+      : marks(num_vertices), home_bytes(num_homes), home_rows(num_homes) {}
+  MarkedRow marks;
   uint64_t triangles = 0;
   uint64_t ops = 0;
+  std::vector<uint64_t> home_bytes;
+  std::vector<uint64_t> home_rows;
 };
 
 /// Chunk-rounds a run under a fault plan slices its vertices into (fewer
@@ -54,12 +60,10 @@ TriangleCountResult SerialTriangleCount(const Graph& g) {
   TriangleCountResult result;
   OrientedRows oriented;
   oriented.Build(g, g, 0, g.NumVertices());
+  MarkedRow marks(g.NumVertices());
   for (VertexId v = 0; v < g.NumVertices(); ++v) {
-    const std::span<const VertexId> row = oriented.Row(v);
-    for (VertexId u : row) {
-      result.triangles +=
-          IntersectCount(row, oriented.Row(u), &result.intersection_ops);
-    }
+    result.triangles +=
+        marks.Join(oriented.Row(v), oriented, result.intersection_ops);
   }
   result.wall_seconds = timer.ElapsedSeconds();
   return result;
@@ -71,9 +75,6 @@ TriangleCountResult TaskTriangleCount(const Graph& g,
   TriangleCountResult result;
   OrientedRows oriented;
   oriented.Build(g, g, 0, g.NumVertices());
-  // One padded tally per engine thread; contention-free during a round,
-  // folded into the result's running totals after the engine drains.
-  std::vector<WorkerTally> tallies(ResolveTaskThreads(config.num_threads));
 
   // Simulated-cluster attribution: make sure the runtime has a placement
   // for this graph (hash by default, or whatever a caller pre-installed),
@@ -103,18 +104,33 @@ TriangleCountResult TaskTriangleCount(const Graph& g,
                     nullptr, nullptr});
   }
 
+  // One state per engine thread; contention-free during a round, its
+  // tally folded into the result's running totals after the engine
+  // drains.
+  const uint32_t num_homes = parts != nullptr ? cluster->num_workers() : 0;
+  std::vector<WorkerState> states(ResolveTaskThreads(config.num_threads),
+                                  WorkerState(g.NumVertices(), num_homes));
+
   const auto process = [&](VertexId& v, TaskEngine<VertexId>::Context& ctx) {
-    WorkerTally& tally = tallies[ctx.thread_id()];
+    WorkerState& state = states[ctx.thread_id()];
+    const auto touch = [&](VertexId x, std::span<const VertexId> row) {
+      if (parts == nullptr) return;
+      const uint32_t home = parts->assignment[x];
+      state.home_bytes[home] += row.size_bytes();
+      ++state.home_rows[home];
+    };
     const std::span<const VertexId> row = oriented.Row(v);
-    if (parts != nullptr) {
-      ctx.TouchPartition(parts->assignment[v], row.size_bytes());
-    }
-    for (VertexId u : row) {
-      const std::span<const VertexId> target = oriented.Row(u);
-      if (parts != nullptr) {
-        ctx.TouchPartition(parts->assignment[u], target.size_bytes());
-      }
-      tally.triangles += IntersectCount(row, target, &tally.ops);
+    touch(v, row);
+    state.triangles += state.marks.Join(
+        row, oriented, state.ops,
+        [&](VertexId u, std::span<const VertexId> target, uint64_t) {
+          touch(u, target);
+        });
+    for (uint32_t home = 0; home < num_homes; ++home) {
+      if (state.home_rows[home] == 0) continue;
+      ctx.TouchPartition(home, state.home_bytes[home], state.home_rows[home]);
+      state.home_bytes[home] = 0;
+      state.home_rows[home] = 0;
     }
   };
 
@@ -133,13 +149,13 @@ TriangleCountResult TaskTriangleCount(const Graph& g,
     const VertexId end = std::min<VertexId>(n, begin + chunk);
     std::vector<VertexId> tasks(end - begin);
     std::iota(tasks.begin(), tasks.end(), begin);
-    for (WorkerTally& tally : tallies) tally = WorkerTally{};
+    for (WorkerState& state : states) state.triangles = state.ops = 0;
 
     TaskEngine<VertexId> engine(config);
     const TaskEngineStats round_stats = engine.Run(std::move(tasks), process);
-    for (const WorkerTally& tally : tallies) {
-      result.triangles += tally.triangles;
-      result.intersection_ops += tally.ops;
+    for (const WorkerState& state : states) {
+      result.triangles += state.triangles;
+      result.intersection_ops += state.ops;
     }
     AddRoundStats(round_stats, &result.task_stats);
     if (!barrier.has_value()) break;  // no cluster: one round, no barrier

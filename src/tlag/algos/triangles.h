@@ -1,6 +1,7 @@
 #ifndef GAL_TLAG_ALGOS_TRIANGLES_H_
 #define GAL_TLAG_ALGOS_TRIANGLES_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -13,8 +14,9 @@ namespace gal {
 /// The degree-oriented rows of a vertex range as one flat CSR, the one
 /// orientation step every triangle counter shares: row v holds v's
 /// neighbors u with (deg(u), u) > (deg(v), v), ascending and once each.
-/// Intersecting v's row with the row of each u in it finds every
-/// triangle once, and out-degrees stay O(sqrt(|E|)) on any graph.
+/// Probing the row of each u in v's row against v's row (MarkedRow
+/// below) finds every triangle once, and out-degrees stay O(sqrt(|E|))
+/// on any graph.
 class OrientedRows {
  public:
   /// Rebuilds the block over [begin, end) from any `rows` whose
@@ -57,22 +59,92 @@ class OrientedRows {
   std::vector<VertexId> cols_;
 };
 
+/// The mark-and-probe join every triangle counter runs over OrientedRows:
+/// one byte per vertex id, zero between joins, one per thread (|V| bytes
+/// of vertex state, like PageRank's ranks, not adjacency). A join marks
+/// v's oriented row once, reads the row of each u in it once and sums
+/// that row's marks, then clears v's row: an oriented edge (v, u) costs
+/// |Row(u)| byte loads and no branch per element.
+class MarkedRow {
+ public:
+  explicit MarkedRow(VertexId num_vertices) : marks_(num_vertices, 0) {}
+
+  /// Joins v's oriented `row` with the rows `block` holds: the u of `row`
+  /// in [block.begin(), block.end()) are one run, as rows ascend, and
+  /// each has block.Row(u) probed against row's marks. Marks `row` only
+  /// when that run is non-empty, adds |block.Row(u)| to `ops` per u (one
+  /// op per probed element), calls on_edge(u, block.Row(u), closed) while
+  /// `row` is still marked, and returns the triangles closed.
+  template <typename OnEdge>
+  uint64_t Join(std::span<const VertexId> row, const OrientedRows& block,
+                uint64_t& ops, OnEdge&& on_edge) {
+    const auto first = std::lower_bound(row.begin(), row.end(), block.begin());
+    const auto last = std::lower_bound(first, row.end(), block.end());
+    if (first == last) return 0;
+    uint8_t* marks = marks_.data();
+    for (const VertexId w : row) marks[w] = 1;
+    uint64_t triangles = 0;
+    for (auto u = first; u != last; ++u) {
+      const std::span<const VertexId> target = block.Row(*u);
+      const uint64_t closed = Probe(target);
+      ops += target.size();
+      on_edge(*u, target, closed);
+      triangles += closed;
+    }
+    for (const VertexId w : row) marks[w] = 0;
+    return triangles;
+  }
+
+  uint64_t Join(std::span<const VertexId> row, const OrientedRows& block,
+                uint64_t& ops) {
+    return Join(row, block, ops,
+                [](VertexId, std::span<const VertexId>, uint64_t) {});
+  }
+
+  /// 1 if w lies in the row being joined, else 0; valid inside on_edge.
+  uint8_t Marked(VertexId w) const { return marks_[w]; }
+
+ private:
+  /// The marks of `target`'s elements, summed in four accumulators.
+  uint64_t Probe(std::span<const VertexId> target) const {
+    const uint8_t* marks = marks_.data();
+    const VertexId* t = target.data();
+    const size_t n = target.size();
+    uint64_t c0 = 0, c1 = 0, c2 = 0, c3 = 0;
+    size_t i = 0;
+    for (; i + 4 <= n; i += 4) {
+      c0 += marks[t[i]];
+      c1 += marks[t[i + 1]];
+      c2 += marks[t[i + 2]];
+      c3 += marks[t[i + 3]];
+    }
+    for (; i < n; ++i) c0 += marks[t[i]];
+    return c0 + c1 + c2 + c3;
+  }
+
+  std::vector<uint8_t> marks_;
+};
+
 /// Intersection-based triangle counting — the "one machine beats 1636"
-/// side of the survey's §1 anecdote. Work is Σ_v d+(v)² intersections
-/// over OrientedRows with *zero* messages, versus the TLAV formulation's
-/// one message per wedge.
+/// side of the survey's §1 anecdote. Work is one mark probe per element
+/// of Row(u) for every oriented edge (v, u) of OrientedRows, with *zero*
+/// messages, versus the TLAV formulation's one message per wedge.
 struct TriangleCountResult {
   uint64_t triangles = 0;
-  /// Adjacency elements touched by the merge intersections; the unit to
-  /// compare against TlavStats::total_messages.
+  /// Target-row elements probed by MarkedRow: the sum over oriented
+  /// edges (v, u) of |Row(u)|. It depends only on the oriented rows, so
+  /// the serial, task and out-of-core counters report the same value on
+  /// one layout at any thread count, budget and GAL_SIMD setting; the
+  /// unit to compare against TlavStats::total_messages.
   uint64_t intersection_ops = 0;
   double wall_seconds = 0.0;
   TaskEngineStats task_stats;  // zeroed for the serial variant
 
   /// Simulated-cluster attribution, populated only when
   /// TaskEngineConfig::cluster is set: every oriented adjacency row a
-  /// task intersects is charged to the row's home partition on the
-  /// runtime's ledger. `migrated_bytes` is the subset homed off the
+  /// task reads is charged to the row's home partition on the runtime's
+  /// ledger, one message per row (a task sums its rows per home and
+  /// charges each home once). `migrated_bytes` is the subset homed off the
   /// executing worker — what a real cluster would move. Each of the
   /// job's rounds (one in a clean run) ends on the RoundBarrier as a
   /// VirtualClock round of max worker busy + transfer time.

@@ -142,18 +142,20 @@ class TaskEngine {
     uint32_t ParkedWorkers() const {
       return engine_->parked_.load(std::memory_order_relaxed);
     }
-    /// Simulated-cluster attribution: this task read `bytes` of data
-    /// whose home partition is `home_worker`. Host thread t executes on
-    /// simulated worker t mod W; a read from the executing worker's own
-    /// partition books as local on the runtime's ledger, a read of rows
-    /// homed elsewhere is charged as cross-worker traffic — the data
-    /// movement a steal (or a cross-partition probe) would really cost.
-    /// No-op when the engine has no cluster configured.
-    void TouchPartition(uint32_t home_worker, uint64_t bytes) {
+    /// Simulated-cluster attribution: this task read `rows` rows, `bytes`
+    /// in all, whose home partition is `home_worker`; the ledger books
+    /// each row as one message. Host thread t executes on simulated
+    /// worker t mod W; a read from the executing worker's own partition
+    /// books as local on the runtime's ledger, a read of rows homed
+    /// elsewhere is charged as cross-worker traffic — the data movement
+    /// a steal (or a cross-partition probe) would really cost. No-op
+    /// when the engine has no cluster configured.
+    void TouchPartition(uint32_t home_worker, uint64_t bytes, uint64_t rows) {
       ClusterRuntime* cluster = engine_->config_.cluster;
       if (cluster == nullptr) return;
       cluster->ledger().Charge(home_worker,
-                               thread_id_ % cluster->num_workers(), bytes);
+                               thread_id_ % cluster->num_workers(), bytes,
+                               rows);
     }
     /// The simulated worker this task executes on (thread id mod cluster
     /// width), or 0 without a cluster.

@@ -5,11 +5,14 @@
 // 1-col) and the KernelContext thread-count policy itself.
 // KernelReferenceTest pins that order: every GEMM and SpMM equals, by
 // memcmp, a naive loop written here in the documented per-element
-// order, with SIMD off and on and at 1 and 8 kernel threads.
+// order, with SIMD off and on and at 1 and 8 kernel threads; ReLU
+// equals a branch-per-element loop the same way.
 
 #include <algorithm>
+#include <bit>
 #include <cstdlib>
 #include <cstring>
+#include <iterator>
 #include <limits>
 #include <string>
 #include <thread>
@@ -590,6 +593,59 @@ TEST(KernelReferenceTest, SpmmMatchesNaiveLoops) {
                          ("two-source SpMM^T" + shape + config).c_str());
     });
   }
+}
+
+/// ReLU as one branch per element: h = z where z > 0 and +0 elsewhere,
+/// with the mask 1 where z > 0 and +0 elsewhere.
+Matrix BranchyRelu(const Matrix& z, Matrix* mask) {
+  Matrix h = z;
+  *mask = Matrix(z.rows(), z.cols());
+  for (size_t i = 0; i < z.size(); ++i) {
+    if (z.data()[i] > 0.0f) {
+      mask->data()[i] = 1.0f;
+    } else {
+      h.data()[i] = 0.0f;
+    }
+  }
+  return h;
+}
+
+TEST(KernelReferenceTest, ReluMatchesTheBranchyLoop) {
+  ThreadCountGuard guard;
+  Rng rng(67);
+  // Random signs and magnitudes, with every eleventh element one of the
+  // values a sign test can get wrong: signed zeros, infinities, NaNs of
+  // both signs and a payload NaN, denormals, and the normal extremes.
+  // Large enough for eight shards, with ragged shard boundaries.
+  const float special[] = {0.0f,
+                           -0.0f,
+                           std::numeric_limits<float>::infinity(),
+                           -std::numeric_limits<float>::infinity(),
+                           std::numeric_limits<float>::quiet_NaN(),
+                           -std::numeric_limits<float>::quiet_NaN(),
+                           std::bit_cast<float>(uint32_t{0x7fc12345}),
+                           std::numeric_limits<float>::denorm_min(),
+                           -std::numeric_limits<float>::denorm_min(),
+                           1e-40f,
+                           -1e-40f,
+                           std::numeric_limits<float>::min(),
+                           -std::numeric_limits<float>::min(),
+                           std::numeric_limits<float>::max(),
+                           std::numeric_limits<float>::lowest()};
+  Matrix z = Matrix::Xavier(4099, 67, rng);
+  for (size_t i = 0; i < z.size(); i += 11) {
+    z.data()[i] = special[rng.Uniform(std::size(special))];
+  }
+  Matrix want_mask;
+  const Matrix want = BranchyRelu(z, &want_mask);
+  ForEachKernelConfig([&](const std::string& config) {
+    Matrix mask;
+    ExpectBitIdentical(want, ReluForward(z, &mask),
+                       ("ReLU " + config).c_str());
+    ExpectBitIdentical(want_mask, mask, ("ReLU mask " + config).c_str());
+    ExpectBitIdentical(want, ReluForward(z, nullptr),
+                       ("ReLU without a mask " + config).c_str());
+  });
 }
 
 // Wall-clock scaling check behind the acceptance criterion: >1.5x GEMM

@@ -2,8 +2,10 @@
 // roundtrips across shard sizes and layouts, corrupt/truncated-file
 // Status behavior, ShardCache LRU determinism / budget enforcement /
 // pin safety, bit-identity of the out-of-core engines against their
-// in-memory counterparts across budgets and thread counts, and out-of-core
-// PageRank and WCC against the serial references on adversarial shapes.
+// in-memory counterparts across budgets and thread counts, out-of-core
+// PageRank and WCC against the serial references on adversarial shapes,
+// and every triangle counter, in memory and out of core, against the
+// serial edge-iterator reference.
 
 #include <cstdint>
 #include <cstdlib>
@@ -16,6 +18,8 @@
 
 #include <gtest/gtest.h>
 
+#include "cluster/cluster.h"
+#include "gnn/features.h"
 #include "graph/generators.h"
 #include "graph/graph.h"
 #include "match/pattern.h"
@@ -875,6 +879,118 @@ TEST(OocShapeTest, EqualsSerialReferences) {
         }
       }
       RemoveShardedGraphFiles(base);
+    }
+  }
+}
+
+TEST(TriangleJoinTest, EveryCounterEqualsTheSerialReference) {
+  // R-MAT, ER and the undirected shapes of the PageRank sweep, raw and
+  // delta-varint, with and without hub-cluster reordering. The serial
+  // count, the task count at 1 and 4 threads (alone and on a cluster),
+  // the out-of-core count at a one-shard and an unlimited budget at 1
+  // and 8 threads, and the per-vertex counts all equal the edge-iterator
+  // reference. intersection_ops equals the elements of the target rows,
+  // summed off OrientedRows here, so a mark left set or a block joined
+  // twice fails. On a cluster, the ledger books every row a task reads
+  // once: its bytes to the row's home worker, and one message per row.
+  std::vector<PageRankShape> shapes = PageRankShapes();
+  shapes.push_back({"rmat-10", 1024, Rmat(10, 8, 29).CollectEdges(), {}});
+  shapes.push_back({"er", 200, ErdosRenyi(200, 0.06, 23).CollectEdges(), {}});
+  for (const PageRankShape& shape : shapes) {
+    if (shape.options.directed) continue;
+    for (const ReorderMode reorder : {ReorderMode::kNone,
+                                      ReorderMode::kHubCluster}) {
+      for (const CompressionMode compression :
+           {CompressionMode::kNone, CompressionMode::kDeltaVarint}) {
+        GraphOptions options = shape.options;
+        options.reorder = reorder;
+        options.compression = compression;
+        const Graph g = Graph::FromEdges(shape.n, shape.edges, options).value();
+        const std::string layout =
+            std::string(shape.name) +
+            (reorder == ReorderMode::kNone ? " plain" : " hub-cluster") +
+            (g.IsCompressed() ? " packed" : " raw");
+        const SerialTriangles want = SerialTriangleCounts(g);
+        OrientedRows oriented;
+        oriented.Build(g, g, 0, g.NumVertices());
+        uint64_t want_ops = 0;
+        for (VertexId v = 0; v < g.NumVertices(); ++v) {
+          for (VertexId u : oriented.Row(v)) want_ops += oriented.Row(u).size();
+        }
+
+        const TriangleCountResult serial = SerialTriangleCount(g);
+        EXPECT_EQ(want.total, serial.triangles) << layout << " serial";
+        EXPECT_EQ(want_ops, serial.intersection_ops) << layout << " serial";
+        EXPECT_EQ(want.per_vertex, PerVertexTriangles(g)) << layout;
+
+        for (const uint32_t threads : {1u, 4u}) {
+          for (const bool on_cluster : {false, true}) {
+            const std::string where = layout + " task threads=" +
+                                      std::to_string(threads) +
+                                      (on_cluster ? " cluster" : "");
+            ClusterRuntime cluster(ClusterOptions{4, {}});
+            TaskEngineConfig config;
+            config.num_threads = threads;
+            config.faults = FaultPlan();
+            if (on_cluster) config.cluster = &cluster;
+            const TriangleCountResult task = TaskTriangleCount(g, config);
+            EXPECT_EQ(want.total, task.triangles) << where;
+            EXPECT_EQ(want_ops, task.intersection_ops) << where;
+            if (!on_cluster) continue;
+            const std::vector<uint32_t>& home = cluster.partition().assignment;
+            std::vector<uint64_t> home_bytes(4, 0);
+            uint64_t rows = 0;
+            for (VertexId v = 0; v < g.NumVertices(); ++v) {
+              home_bytes[home[v]] += oriented.Row(v).size_bytes();
+              ++rows;
+              for (VertexId u : oriented.Row(v)) {
+                home_bytes[home[u]] += oriented.Row(u).size_bytes();
+                ++rows;
+              }
+            }
+            const TrafficLedger& ledger = cluster.ledger();
+            for (uint32_t w = 0; w < 4; ++w) {
+              const WorkerTraffic t = ledger.Worker(w);
+              EXPECT_EQ(home_bytes[w], t.sent_bytes + t.local_bytes)
+                  << where << " home " << w;
+            }
+            EXPECT_EQ(rows,
+                      ledger.TotalMessages() + ledger.TotalLocalMessages())
+                << where;
+          }
+        }
+
+        const std::string base =
+            TempBase(std::string("gal_tri_join_") + shape.name + "_" +
+                     std::to_string(static_cast<int>(reorder)) + "_" +
+                     std::to_string(static_cast<int>(compression)));
+        const Result<ShardWriteSummary> summary = [&] {
+          OocEnvGuard fixed_geometry;
+          ShardWriterOptions wopt;
+          wopt.target_shard_bytes = 64;
+          return WriteShardedGraph(g, base, wopt);
+        }();
+        ASSERT_TRUE(summary.ok()) << layout << " " << summary.status();
+        for (const uint64_t budget :
+             {summary.value().max_shard_resident_bytes, uint64_t{0}}) {
+          for (const uint32_t threads : {1u, 8u}) {
+            OocOptions oopt;
+            oopt.memory_budget_bytes = budget;
+            auto opened = ShardedGraph::Open(base, oopt);
+            ASSERT_TRUE(opened.ok()) << layout << " " << opened.status();
+            OocTriangleOptions topt;
+            topt.engine.num_threads = threads;
+            const OocTriangleResult got =
+                OocTriangleCount(opened.value(), topt);
+            const std::string where = layout + " ooc budget=" +
+                                      std::to_string(budget) + " threads=" +
+                                      std::to_string(threads);
+            EXPECT_EQ(want.total, got.triangles) << where;
+            EXPECT_EQ(want_ops, got.intersection_ops) << where;
+          }
+        }
+        RemoveShardedGraphFiles(base);
+      }
     }
   }
 }

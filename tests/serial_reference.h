@@ -1,8 +1,9 @@
 // Plain serial references the engine suites compare against: queue BFS,
 // binary-heap Dijkstra under SyntheticEdgeWeight, flood-fill components,
-// power-iteration PageRank and brute-force subgraph-match counting. Each
-// walks g's out-neighbors in its own id space. PageRankShapes() are the
-// adversarial inputs the PageRank and out-of-core sweeps run them on.
+// power-iteration PageRank, edge-iterator triangle counting and
+// brute-force subgraph-match counting. Each walks g's out-neighbors in
+// its own id space. PageRankShapes() are the adversarial inputs the
+// PageRank, out-of-core and triangle sweeps run them on.
 
 #ifndef GAL_TESTS_SERIAL_REFERENCE_H_
 #define GAL_TESTS_SERIAL_REFERENCE_H_
@@ -10,6 +11,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <functional>
+#include <iterator>
 #include <limits>
 #include <queue>
 #include <set>
@@ -117,6 +119,49 @@ inline std::vector<double> SerialPageRank(const Graph& g, uint32_t iterations,
     }
   }
   return g.MapToOriginal(std::move(rank));
+}
+
+/// Triangle counts of an undirected graph: the total and the triangles
+/// through each vertex, indexed by g's own (layout) ids.
+struct SerialTriangles {
+  uint64_t total = 0;
+  std::vector<uint64_t> per_vertex;
+};
+
+/// Edge iteration over neighbor sets: each vertex's set is its row with
+/// self-loops and repeats dropped, and each edge {v, u} with v < u meets
+/// std::set_intersection of the two sets, so the triangle v < u < w is
+/// found once, at its smallest edge. Nothing here comes from src/tlag/ or
+/// graph/intersect.h.
+inline SerialTriangles SerialTriangleCounts(const Graph& g) {
+  const VertexId n = g.NumVertices();
+  std::vector<std::vector<VertexId>> adj(n);
+  for (VertexId v = 0; v < n; ++v) {
+    g.ForEachOutNeighbor(v, [&](VertexId u) {
+      if (u != v) adj[v].push_back(u);
+    });
+    std::sort(adj[v].begin(), adj[v].end());
+    adj[v].erase(std::unique(adj[v].begin(), adj[v].end()), adj[v].end());
+  }
+  SerialTriangles out;
+  out.per_vertex.assign(n, 0);
+  std::vector<VertexId> common;
+  for (VertexId v = 0; v < n; ++v) {
+    for (VertexId u : adj[v]) {
+      if (u <= v) continue;
+      common.clear();
+      std::set_intersection(adj[v].begin(), adj[v].end(), adj[u].begin(),
+                            adj[u].end(), std::back_inserter(common));
+      for (VertexId w : common) {
+        if (w <= u) continue;
+        ++out.total;
+        ++out.per_vertex[v];
+        ++out.per_vertex[u];
+        ++out.per_vertex[w];
+      }
+    }
+  }
+  return out;
 }
 
 /// One input of the PageRank sweep: an edge list and the options it is
