@@ -185,13 +185,14 @@ echo "== forced fault schedule: parity suites with an injected failure =="
 # picks up a checkpoint-every-2 schedule with worker 0 failing at
 # superstep 3, and all the bit-identity assertions must still hold —
 # recovery is invisible to results by construction. Both engines take
-# the schedule through the same BSP runtime barrier. The three dist-GCN
-# cases leave DistGcnConfig::faults at the environment's plan, so every
-# run they compare recovers from the failure while they assert that BSP
-# training equals the centralized trainer at every worker count,
-# partitioner and P3 split.
+# the schedule through the same BSP runtime barrier. The whole dist-GCN
+# suite runs too: a case that leaves DistGcnConfig::faults at the
+# environment's plan recovers from the failure in every run it compares,
+# so BSP training must still equal the centralized trainer at every
+# worker count, partitioner and P3 split; the cases that measure a
+# fault-free run's bytes or rounds set an empty plan.
 GAL_CLUSTER_FAULT_CHECKPOINT=2 GAL_CLUSTER_FAULT_FAIL=0@3 ./build/tests/gal_tests \
-    --gtest_filter='GraphReorderTest.*:ReorderSimdParityTest.*:IntersectTest.*:SimdTest.*:CompressedCsrTest.*:Workers/FrontierParityTest.*:FrontierTraversalTest.*:TraversalTest.*:WccTest.*:TlavEngineTest.*:PageRankTest.*:BatchedQueriesTest.*:ClusterExchangeTest.*:DistGcnTest.WorkerCountDoesNotChangeTheMathUnderBsp:DistGcnTest.P3SplitChangesLayer0Traffic:DistGcnTest.BspEqualsTheCentralizedTrainerAtEveryPlacement'
+    --gtest_filter='GraphReorderTest.*:ReorderSimdParityTest.*:IntersectTest.*:SimdTest.*:CompressedCsrTest.*:Workers/FrontierParityTest.*:FrontierTraversalTest.*:TraversalTest.*:WccTest.*:TlavEngineTest.*:PageRankTest.*:BatchedQueriesTest.*:ClusterExchangeTest.*:DistGcnTest.*'
 
 echo
 echo "== benchmark smoke: every galbench workload at tiny size =="

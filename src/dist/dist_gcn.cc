@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <memory>
+#include <optional>
 #include <unordered_set>
 
 #include "cluster/round_barrier.h"
@@ -82,20 +83,6 @@ std::vector<std::vector<VertexId>> ComputeHalos(const Graph& g,
   return halos;
 }
 
-namespace {
-
-/// Per-(layer, direction) stale store + codec state. (Not to be confused
-/// with the cluster ExchangeChannel<M>, which moves typed BSP messages —
-/// this is the *staleness* side of a halo exchange: the receiver-view
-/// copy a sync policy may decline to refresh.)
-struct StaleChannel {
-  Matrix stale;              // last transmitted version (receiver view)
-  bool initialized = false;
-  std::unique_ptr<ErrorCompensatedCodec> codec;  // when EC is on
-};
-
-}  // namespace
-
 DistGcnReport TrainDistGcn(const NodeClassificationDataset& dataset,
                            const DistGcnConfig& config) {
   DistGcnReport report;
@@ -139,26 +126,34 @@ DistGcnReport TrainDistGcn(const NodeClassificationDataset& dataset,
   Adam opt(config.lr);
   opt.Attach(model.Parameters());
 
+  // The state a halo exchange carries into a later epoch: the
+  // receivers' view where the sync mode may skip a refresh (bounded
+  // staleness, Sancus), and the sender's residual under EC. BSP without
+  // EC refreshes every exchange and keeps neither. Forward layer l is
+  // slot l, backward layer l slot num_layers + l; only an exchange that
+  // runs keeps state, so backward layer 0 (GcnModel::Backward stops
+  // before it) and forward layer 0 under P3 (it all-reduces instead)
+  // keep none.
   const uint32_t num_layers = model.num_layers();
-  std::vector<StaleChannel> forward_channels(num_layers);
-  std::vector<StaleChannel> backward_channels(num_layers);
-  if (config.error_compensation) {
-    for (uint32_t l = 0; l < num_layers; ++l) {
-      forward_channels[l].codec =
-          std::make_unique<ErrorCompensatedCodec>(config.quantization);
-      backward_channels[l].codec =
-          std::make_unique<ErrorCompensatedCodec>(config.quantization);
-    }
+  std::vector<std::optional<Matrix>> views(2 * num_layers);
+  std::vector<std::optional<ErrorCompensatedCodec>> codecs(2 * num_layers);
+  auto keep = [&](uint32_t slot) {
+    if (config.sync != SyncMode::kBsp) views[slot].emplace();
+    if (config.error_compensation) codecs[slot].emplace(config.quantization);
+  };
+  if (!config.p3_feature_split) keep(0);
+  for (uint32_t l = 1; l < num_layers; ++l) {
+    keep(l);
+    keep(num_layers + l);
   }
 
   uint32_t epoch = 0;
 
   // --- elastic cluster runtime: checkpoint serialization ----------------
   // The recovery-relevant trainer state is the model weights, the Adam
-  // step count + moments, and every stale channel (its receiver-view
-  // matrix, initialized flag, and — under EC — the codec's carried
-  // residual). Training is epoch-deterministic given that state, so a
-  // rollback + replay reproduces the failure-free run bit-for-bit.
+  // step count + moments, and the kept views and residuals. Training is
+  // epoch-deterministic given that state, so a rollback + replay
+  // reproduces the failure-free run bit-for-bit.
   auto write_matrix = [](BlobWriter& w, const Matrix& m) {
     w.Pod<uint32_t>(m.rows());
     w.Pod<uint32_t>(m.cols());
@@ -179,15 +174,12 @@ DistGcnReport TrainDistGcn(const NodeClassificationDataset& dataset,
     w.Pod<uint64_t>(opt.first_moments().size());
     for (const Matrix& m : opt.first_moments()) write_matrix(w, m);
     for (const Matrix& m : opt.second_moments()) write_matrix(w, m);
-    auto write_channels = [&](const std::vector<StaleChannel>& channels) {
-      for (const StaleChannel& ch : channels) {
-        w.Pod<uint8_t>(ch.initialized ? 1 : 0);
-        write_matrix(w, ch.stale);
-        if (ch.codec != nullptr) write_matrix(w, ch.codec->residual());
-      }
-    };
-    write_channels(forward_channels);
-    write_channels(backward_channels);
+    for (const std::optional<Matrix>& view : views) {
+      if (view) write_matrix(w, *view);
+    }
+    for (const std::optional<ErrorCompensatedCodec>& codec : codecs) {
+      if (codec) write_matrix(w, codec->residual());
+    }
   };
   auto load_state = [&](BlobReader& r) {
     for (Matrix* p : model.Parameters()) *p = read_matrix(r);
@@ -198,15 +190,12 @@ DistGcnReport TrainDistGcn(const NodeClassificationDataset& dataset,
     for (Matrix& mm : m) mm = read_matrix(r);
     for (Matrix& vv : v) vv = read_matrix(r);
     opt.RestoreState(t, std::move(m), std::move(v));
-    auto read_channels = [&](std::vector<StaleChannel>& channels) {
-      for (StaleChannel& ch : channels) {
-        ch.initialized = r.Pod<uint8_t>() != 0;
-        ch.stale = read_matrix(r);
-        if (ch.codec != nullptr) ch.codec->set_residual(read_matrix(r));
-      }
-    };
-    read_channels(forward_channels);
-    read_channels(backward_channels);
+    for (std::optional<Matrix>& view : views) {
+      if (view) view = read_matrix(r);
+    }
+    for (std::optional<ErrorCompensatedCodec>& codec : codecs) {
+      if (codec) codec->set_residual(read_matrix(r));
+    }
   };
 
   // Charges one cluster-wide halo exchange of `mat` to the ledger.
@@ -228,40 +217,20 @@ DistGcnReport TrainDistGcn(const NodeClassificationDataset& dataset,
     ++report.broadcasts_sent;
   };
 
-  // Policy: should this (epoch, channel) refresh its stale copy?
-  auto should_refresh = [&](const StaleChannel& ch,
-                            const Matrix& fresh) -> bool {
-    if (!ch.initialized) return true;
-    switch (config.sync) {
-      case SyncMode::kBsp:
-        return true;
-      case SyncMode::kBoundedStaleness:
-        return epoch % std::max(1u, config.staleness_bound) == 0;
-      case SyncMode::kSancus: {
-        // Drift of the fresh activations vs the last broadcast copy,
-        // relative to the activation scale.
-        const double drift = fresh.MeanAbsDiff(ch.stale);
-        double scale = 0.0;
-        for (float v : fresh.data()) scale += std::abs(v);
-        scale = fresh.size() ? scale / static_cast<double>(fresh.size()) : 0.0;
-        return drift > config.sancus_drift_threshold * std::max(scale, 1e-12);
-      }
+  // Policy: does this epoch refresh a kept view? Epoch 0 is every
+  // view's first exchange, so it always does.
+  auto should_refresh = [&](const Matrix& view, const Matrix& fresh) -> bool {
+    if (epoch == 0) return true;
+    if (config.sync == SyncMode::kBoundedStaleness) {
+      return epoch % std::max(1u, config.staleness_bound) == 0;
     }
-    return true;
-  };
-
-  auto exchange = [&](StaleChannel& ch, const Matrix& fresh) -> Matrix* {
-    if (should_refresh(ch, fresh)) {
-      Matrix received = ch.codec
-                            ? ch.codec->Transmit(fresh)
-                            : QuantizeDequantize(fresh, config.quantization);
-      ch.stale = std::move(received);
-      ch.initialized = true;
-      charge_exchange(fresh.cols());
-    } else {
-      ++report.broadcasts_skipped;
-    }
-    return &ch.stale;
+    // Sancus: drift of the fresh activations vs the last broadcast copy,
+    // relative to the activation scale.
+    const double drift = fresh.MeanAbsDiff(view);
+    double scale = 0.0;
+    for (float v : fresh.data()) scale += std::abs(v);
+    scale = fresh.size() ? scale / static_cast<double>(fresh.size()) : 0.0;
+    return drift > config.sancus_drift_threshold * std::max(scale, 1e-12);
   };
 
   // BSP on a lossless wire: every received row equals its sender's
@@ -273,8 +242,6 @@ DistGcnReport TrainDistGcn(const NodeClassificationDataset& dataset,
                         !config.error_compensation;
   AggregateFn aggregate = [&](const Matrix& h, uint32_t layer,
                               bool backward) -> Matrix {
-    StaleChannel& ch =
-        backward ? backward_channels[layer] : forward_channels[layer];
     if (!backward && layer == 0 && config.p3_feature_split) {
       // P3 hybrid parallelism: features are dimension-partitioned, so no
       // raw-feature halo exchange happens at all; instead each worker
@@ -292,12 +259,25 @@ DistGcnReport TrainDistGcn(const NodeClassificationDataset& dataset,
       ++report.broadcasts_sent;
       return adj.Multiply(h);
     }
-    const Matrix& received = *exchange(ch, h);
+    auto gather = [&](const Matrix& received) {
+      return backward ? adj.TransposeMultiply(h, received, parts.assignment)
+                      : adj.Multiply(h, received, parts.assignment);
+    };
+    const uint32_t slot = backward * num_layers + layer;
+    std::optional<Matrix>& view = views[slot];
+    if (view && !should_refresh(*view, h)) {
+      ++report.broadcasts_skipped;
+      return gather(*view);
+    }
+    charge_exchange(h.cols());
     if (lossless) {
       return backward ? adj.TransposeMultiply(h) : adj.Multiply(h);
     }
-    return backward ? adj.TransposeMultiply(h, received, parts.assignment)
-                    : adj.Multiply(h, received, parts.assignment);
+    Matrix received = codecs[slot] ? codecs[slot]->Transmit(h)
+                                   : QuantizeDequantize(h, config.quantization);
+    if (!view) return gather(received);
+    *view = std::move(received);
+    return gather(*view);
   };
 
   // Per-epoch span histograms: the GNN "stages" of one training step.

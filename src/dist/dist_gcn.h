@@ -70,11 +70,13 @@ struct DistGcnConfig {
 
   /// Shared fault-tolerance schedule (cluster/fault.h), driven at the
   /// epoch barrier: checkpoints snapshot model weights, Adam moments,
-  /// and every stale channel (matrix + EC residual); a worker failure
-  /// rolls the trainer back to the last checkpoint and replays, with
-  /// checkpoint/restore bytes on the ledger and their transfer time on
-  /// the clock. Training is epoch-deterministic, so a recovered run's
-  /// losses and accuracy are bit-identical to the failure-free run.
+  /// and the halo state a later epoch reads (stale receiver views under
+  /// bounded staleness and Sancus, residuals under EC; BSP without EC
+  /// keeps none); a worker failure rolls the trainer back to the last
+  /// checkpoint and replays, with checkpoint/restore bytes on the ledger
+  /// and their transfer time on the clock. Training is
+  /// epoch-deterministic, so a recovered run's losses and accuracy are
+  /// bit-identical to the failure-free run.
   /// BSP on a lossless wire (fp32, no EC; P3 or not) computes the
   /// centralized model bit-for-bit at any worker count, partitioner or
   /// migration, so only those runs rebalance; staleness, lossy codecs

@@ -26,16 +26,16 @@ std::vector<uint64_t> PerVertexTriangles(const Graph& g) {
           for (const VertexId w : target) count[w] += marks.Marked(w);
         });
   }
-  return count;
+  return g.MapToOriginal(std::move(count));
 }
 
 std::vector<double> ClusteringCoefficients(const Graph& g) {
   const std::vector<uint64_t> triangles = PerVertexTriangles(g);
   std::vector<double> cc(g.NumVertices(), 0.0);
-  for (VertexId v = 0; v < g.NumVertices(); ++v) {
-    const uint64_t d = g.Degree(v);
+  for (VertexId o = 0; o < g.NumVertices(); ++o) {
+    const uint64_t d = g.Degree(g.InternalId(o));
     if (d < 2) continue;
-    cc[v] = 2.0 * static_cast<double>(triangles[v]) /
+    cc[o] = 2.0 * static_cast<double>(triangles[o]) /
             (static_cast<double>(d) * (d - 1));
   }
   return cc;
@@ -53,15 +53,16 @@ Matrix StructuralFeatures(const Graph& g) {
   pr_options.iterations = 15;
   const PageRankResult pr = PageRank(g, pr_options);
 
-  for (VertexId v = 0; v < n; ++v) {
-    x.at(v, 0) = 1.0f;
-    x.at(v, 1) = static_cast<float>(g.Degree(v) / max_degree);
-    x.at(v, 2) = static_cast<float>(std::log1p(g.Degree(v)) / log_max);
-    x.at(v, 3) = static_cast<float>(cc[v]);
-    x.at(v, 4) = static_cast<float>(degen.core_numbers[v] / degeneracy);
-    // PageRank reports ranks in original-id space; feature rows here
-    // are per layout vertex, so translate when the graph is reordered.
-    x.at(v, 5) = static_cast<float>(pr.ranks[g.OriginalId(v)] * n);
+  // Row o is original vertex o; the degree and the core number are
+  // read at its layout id.
+  for (VertexId o = 0; o < n; ++o) {
+    const VertexId v = g.InternalId(o);
+    x.at(o, 0) = 1.0f;
+    x.at(o, 1) = static_cast<float>(g.Degree(v) / max_degree);
+    x.at(o, 2) = static_cast<float>(std::log1p(g.Degree(v)) / log_max);
+    x.at(o, 3) = static_cast<float>(cc[o]);
+    x.at(o, 4) = static_cast<float>(degen.core_numbers[v] / degeneracy);
+    x.at(o, 5) = static_cast<float>(pr.ranks[o] * n);
   }
   return x;
 }

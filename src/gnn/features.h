@@ -18,6 +18,7 @@ namespace gal {
 ///   3: local clustering coefficient
 ///   4: core number / degeneracy
 ///   5: PageRank, scaled by |V| (≈1 for average vertices)
+/// Rows, like the per-vertex results below, are indexed by original id.
 Matrix StructuralFeatures(const Graph& g);
 
 /// Distinct triangles through each vertex (exact, the oriented MarkedRow

@@ -12,6 +12,10 @@ namespace gal {
 /// subgraph — the "dense subgraph mining" building blocks of the survey's
 /// structure-analytics path, also used to prune clique search (a k-clique
 /// lives inside the (k-1)-core).
+///
+/// Unlike the analytics wrappers, these answer in the graph's layout ids
+/// (internal ids, which differ from original ids on a reordered build),
+/// and the clique search reads them that way.
 
 /// Returns the core number of every vertex (bucket peeling, O(|E|)).
 /// Precondition: undirected graph.

@@ -563,6 +563,7 @@ TEST(DistGcnTest, QuantizationCutsBytesAtSmallAccuracyCost) {
   NodeClassificationDataset ds = SmallDataset();
   DistGcnConfig fp32;
   fp32.epochs = 40;
+  fp32.faults = FaultPlan{};  // comm_bytes here is the halo wire alone
   DistGcnConfig int8 = fp32;
   int8.quantization = Quantization::kInt8;
   DistGcnReport r32 = TrainDistGcn(ds, fp32);
@@ -682,6 +683,7 @@ TEST(DistGcnTest, ReportExposesTracesAndOverlapOccupancy) {
   DistGcnConfig config;
   config.epochs = 6;
   config.overlap_comm_compute = true;
+  config.faults = FaultPlan{};  // one round per epoch, none for recovery
   DistGcnReport r = TrainDistGcn(ds, config);
   // Per-round traces (every epoch, then the final evaluation pass) back
   // the modeled overlap and are re-modelable.

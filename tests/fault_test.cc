@@ -9,6 +9,7 @@
 // rebalance and round-barrier suites are also run under ThreadSanitizer
 // by scripts/check.sh.
 
+#include <algorithm>
 #include <cstdlib>
 #include <span>
 #include <string>
@@ -517,30 +518,117 @@ TEST(FaultParityTest, DistGcnRecoveryIsBitIdentical) {
   }
 }
 
+// One dist-GCN wire mode: sync paradigm, codec, EC and P3's split.
+struct WireMode {
+  const char* name;
+  SyncMode sync;
+  Quantization quantization;
+  bool error_compensation;
+  bool p3_feature_split;
+};
+
+DistGcnConfig WireModeConfig(const WireMode& mode) {
+  DistGcnConfig config;
+  config.num_workers = 3;
+  config.epochs = 8;
+  config.sync = mode.sync;
+  config.staleness_bound = 4;
+  config.sancus_drift_threshold = 0.2;
+  config.quantization = mode.quantization;
+  config.error_compensation = mode.error_compensation;
+  config.p3_feature_split = mode.p3_feature_split;
+  config.faults = FaultPlan{};
+  return config;
+}
+
 TEST(FaultParityTest, DistGcnRecoveryUnderStalenessAndEc) {
-  // The checkpoint blob carries the stale channels and EC residuals, so
-  // recovery is bit-identical even when the wire is lossy and stale.
+  // A snapshot holds what the next epoch reads: the stale views where a
+  // refresh may be skipped and the EC residuals. So in every wire mode a
+  // run that fails before its first checkpoint (restoring the initial
+  // snapshot), mid-run, or one epoch after a checkpoint equals its
+  // fault-free run bit for bit.
   PlantedDatasetOptions data;
   data.num_vertices = 250;
   data.num_classes = 3;
   NodeClassificationDataset ds = MakePlantedDataset(data);
 
-  DistGcnConfig clean;
-  clean.num_workers = 2;
-  clean.epochs = 8;
-  clean.sync = SyncMode::kBoundedStaleness;
-  clean.staleness_bound = 3;
-  clean.quantization = Quantization::kInt8;
-  clean.error_compensation = true;
-  clean.faults = FaultPlan{};
-  const DistGcnReport clean_report = TrainDistGcn(ds, clean);
+  const SyncMode bsp = SyncMode::kBsp;
+  const SyncMode stale = SyncMode::kBoundedStaleness;
+  const SyncMode sancus = SyncMode::kSancus;
+  const Quantization fp32 = Quantization::kNone;
+  const Quantization int8 = Quantization::kInt8;
+  const WireMode modes[] = {
+      {"bsp fp32", bsp, fp32, false, false},
+      {"bsp int8", bsp, int8, false, false},
+      {"bsp fp32+ec", bsp, fp32, true, false},
+      {"bsp int8+ec", bsp, int8, true, false},
+      {"bsp fp32 p3", bsp, fp32, false, true},
+      {"bsp fp16 p3", bsp, Quantization::kFp16, false, true},
+      {"stale fp32", stale, fp32, false, false},
+      {"stale int4+ec p3", stale, Quantization::kInt4, true, true},
+      {"sancus fp32", sancus, fp32, false, false},
+      {"sancus int8", sancus, int8, false, false},
+  };
+  for (const WireMode& mode : modes) {
+    const DistGcnConfig clean = WireModeConfig(mode);
+    const DistGcnReport clean_report = TrainDistGcn(ds, clean);
+    // A replay must read a view it did not refresh itself.
+    if (clean.sync != SyncMode::kBsp) {
+      EXPECT_GT(clean_report.broadcasts_skipped, 0u) << mode.name;
+    }
+    for (const uint32_t fail_epoch : {0u, 4u, 6u}) {
+      DistGcnConfig faulty = clean;
+      faulty.faults =
+          FaultPlan{}.CheckpointEvery(3).FailWorkerAt(1, fail_epoch);
+      const DistGcnReport r = TrainDistGcn(ds, faulty);
+      const std::string what =
+          std::string(mode.name) + " fail@" + std::to_string(fail_epoch);
+      EXPECT_EQ(r.epoch_loss, clean_report.epoch_loss) << what;
+      EXPECT_EQ(r.epoch_test_accuracy, clean_report.epoch_test_accuracy)
+          << what;
+      EXPECT_EQ(r.final_test_accuracy, clean_report.final_test_accuracy)
+          << what;
+      EXPECT_EQ(r.failures_recovered, 1u) << what;
+      // Checkpoints follow epochs 2 and 5, so a failure at 4 replays two
+      // epochs; one at 0 restores the initial snapshot.
+      EXPECT_EQ(r.recomputed_epochs, fail_epoch == 4 ? 2u : 1u) << what;
+    }
+  }
+}
 
-  DistGcnConfig faulty = clean;
-  faulty.faults = FaultPlan{}.CheckpointEvery(2).FailWorkerAt(1, 4);
-  const DistGcnReport r = TrainDistGcn(ds, faulty);
-  EXPECT_EQ(r.epoch_loss, clean_report.epoch_loss);
-  EXPECT_EQ(r.final_test_accuracy, clean_report.final_test_accuracy);
-  EXPECT_EQ(r.failures_recovered, 1u);
+TEST(FaultParityTest, DistGcnBspSnapshotsDoNotGrowWithTheGraph) {
+  // BSP without EC refreshes every exchange, so a later epoch reads no
+  // halo state and a snapshot is the weights and the Adam state alone:
+  // its size follows the model's dims, not |V|. The lossy and stale
+  // modes keep |V|-row views or residuals, so theirs grow.
+  auto bytes_per_snapshot = [](VertexId n, const WireMode& mode) {
+    PlantedDatasetOptions data;
+    data.num_vertices = n;
+    data.num_classes = 3;
+    DistGcnConfig config = WireModeConfig(mode);
+    config.faults = FaultPlan{}.CheckpointEvery(3).FailWorkerAt(1, 4);
+    const DistGcnReport r = TrainDistGcn(MakePlantedDataset(data), config);
+    EXPECT_GT(r.checkpoints_taken, 0u) << mode.name;
+    return r.checkpoint_bytes / std::max(1u, r.checkpoints_taken);
+  };
+  const WireMode bsp_modes[] = {
+      {"bsp fp32", SyncMode::kBsp, Quantization::kNone, false, false},
+      {"bsp int8", SyncMode::kBsp, Quantization::kInt8, false, false},
+      {"bsp fp16 p3", SyncMode::kBsp, Quantization::kFp16, false, true},
+  };
+  for (const WireMode& mode : bsp_modes) {
+    EXPECT_EQ(bytes_per_snapshot(250, mode), bytes_per_snapshot(500, mode))
+        << mode.name;
+  }
+  const WireMode kept_modes[] = {
+      {"bsp int8+ec", SyncMode::kBsp, Quantization::kInt8, true, false},
+      {"stale fp32", SyncMode::kBoundedStaleness, Quantization::kNone, false,
+       false},
+  };
+  for (const WireMode& mode : kept_modes) {
+    EXPECT_LT(bytes_per_snapshot(250, mode), bytes_per_snapshot(500, mode))
+        << mode.name;
+  }
 }
 
 TEST(FaultParityTest, TriangleCountBitIdenticalUnderFaults) {

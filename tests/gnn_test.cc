@@ -1,6 +1,8 @@
 #include <algorithm>
 #include <cmath>
 #include <set>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -88,6 +90,60 @@ TEST(FeaturesTest, StructuralFeatureMatrixShapeAndRanges) {
     EXPECT_LE(x.at(v, 3), 1.0f);
     EXPECT_GE(x.at(v, 4), 0.0f);
     EXPECT_LE(x.at(v, 4), 1.0f + 1e-6f);
+  }
+}
+
+TEST(FeaturesTest, PerVertexResultsDoNotDependOnTheLayout) {
+  // Every per-vertex result is indexed by original id, so a reordered or
+  // delta-varint build returns the raw unordered build's values, entry
+  // for entry, on an R-MAT graph, a hub-star and a multigraph.
+  struct Shape {
+    const char* name;
+    VertexId n;
+    std::vector<Edge> edges;
+    bool dedup;
+  };
+  std::vector<Shape> shapes;
+  shapes.push_back({"rmat", 256, Rmat(8, 6, 5).CollectEdges(), true});
+  {
+    std::vector<Edge> edges = Star(61).CollectEdges();
+    for (VertexId leaf = 1; leaf + 1 < 61; leaf += 2) {
+      edges.push_back({leaf, leaf + 1});
+    }
+    shapes.push_back({"hub-star", 61, std::move(edges), true});
+  }
+  {
+    std::vector<Edge> edges;
+    const std::vector<Edge> simple = BarabasiAlbert(60, 4, 3).CollectEdges();
+    for (size_t i = 0; i < simple.size(); ++i) {
+      for (size_t copy = 0; copy <= i % 3; ++copy) edges.push_back(simple[i]);
+    }
+    shapes.push_back({"multigraph", 60, std::move(edges), false});
+  }
+  for (const Shape& shape : shapes) {
+    GraphOptions options;
+    options.dedup = shape.dedup;
+    const Graph raw = Graph::FromEdges(shape.n, shape.edges, options).value();
+    const std::vector<uint64_t> triangles = PerVertexTriangles(raw);
+    const std::vector<double> cc = ClusteringCoefficients(raw);
+    const std::vector<float> features = StructuralFeatures(raw).data();
+    for (const ReorderMode reorder : {ReorderMode::kNone,
+                                      ReorderMode::kHubCluster,
+                                      ReorderMode::kDegreeDesc}) {
+      for (const CompressionMode compression :
+           {CompressionMode::kNone, CompressionMode::kDeltaVarint}) {
+        options.reorder = reorder;
+        options.compression = compression;
+        const Graph g = Graph::FromEdges(shape.n, shape.edges, options).value();
+        const std::string layout =
+            std::string(shape.name) + " reorder=" +
+            std::to_string(static_cast<int>(reorder)) +
+            (g.IsCompressed() ? " packed" : " raw");
+        EXPECT_EQ(triangles, PerVertexTriangles(g)) << layout;
+        EXPECT_EQ(cc, ClusteringCoefficients(g)) << layout;
+        EXPECT_EQ(features, StructuralFeatures(g).data()) << layout;
+      }
+    }
   }
 }
 
