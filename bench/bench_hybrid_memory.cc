@@ -90,8 +90,9 @@ int main() {
   RemoveShardedGraphFiles(store);
   std::printf("\n* out-of-core row: triangle counting over the sharded "
               "store; its budget caps resident adjacency (spilled KB = "
-              "shard bytes re-read from disk), where the matching rows "
-              "cap partial embeddings.\n");
+              "shard bytes read from disk: each raw shard once, then the "
+              "job's oriented shard set), where the matching rows cap "
+              "partial embeddings.\n");
 
   // Reference: the pure-DFS executor needs no budget at all.
   MatchResult dfs = SubgraphMatch(data, query);

@@ -130,6 +130,8 @@ int main() {
       "trade). PageRank reads each shard once per sending superstep. WCC's "
       "dense supersteps pull and read every shard; its push supersteps read "
       "only the shards that hold frontier vertices, so its sparse late "
-      "supersteps read almost nothing.\n");
+      "supersteps read almost nothing. Triangles pin each raw shard once, "
+      "to orient it into the job's private oriented shard set, then read "
+      "oriented shards under the same budget.\n");
   return 0;
 }

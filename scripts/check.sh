@@ -102,26 +102,28 @@ echo "== tsan: shard-cache suites =="
 # BSP engines over the store: each worker reads its rows through its
 # own RowReader, which holds one pin and drops it when the worker's
 # step ends, and sends through its own exchange-channel slots and
-# lanes. Triangle counting pins a shard only inside the row builder,
-# once per task for its own shard and once per shard its rows reach,
-# into per-thread oriented blocks. The parity and shape suites run the
-# three out-of-core jobs at 1 and 8 threads, so TSan watches the
-# per-worker readers, channel slots and per-thread tallies and blocks
-# against concurrent shard loads/evictions.
+# lanes. Triangle counting pins each raw shard once to orient and
+# write it to the job's private set, then pins oriented shards from a
+# second cache under the same budget, once per task for its own shard
+# and once per shard its rows reach, decoding into per-thread blocks.
+# The parity, private-set and shape suites run the three out-of-core
+# jobs at 1 and 8 threads, so TSan watches the per-worker readers,
+# channel slots, per-thread tallies and blocks, and the per-thread write
+# status, against concurrent shard loads/evictions in both caches.
 ./build-tsan/tests/gal_tests \
-    --gtest_filter='ShardCacheTest.*:OocParityTest.*:OocShapeTest.*'
+    --gtest_filter='ShardCacheTest.*:OocParityTest.*:OocOrientedSetTest.*:OocShapeTest.*'
 
 echo
 echo "== forced tiny budget: every shard evicted between touches =="
 # The out-of-core kill switch: GAL_OOC_BUDGET_BYTES=1 clamps every open
 # to a single-largest-shard budget and GAL_OOC_SHARD_BYTES=512 makes
 # shards tiny, so each superstep churns the whole cache. Only the
-# parity, shape and triangle suites run here — they assert results and
-# budget-respect, not exact load/eviction counts (which these knobs
-# deliberately change; the shape and triangle suites keep their own
-# shard size).
+# parity, private-set, shape and triangle suites run here — they assert
+# results, pins and budget-respect, not exact load/eviction counts
+# (which these knobs deliberately change; the shape and triangle suites
+# keep their own shard size).
 GAL_OOC_BUDGET_BYTES=1 GAL_OOC_SHARD_BYTES=512 ./build/tests/gal_tests \
-    --gtest_filter='OocParityTest.*:OocShapeTest.*:TriangleJoinTest.*'
+    --gtest_filter='OocParityTest.*:OocOrientedSetTest.*:OocShapeTest.*:TriangleJoinTest.*'
 
 echo
 echo "== tsan + forced compression: parity and matcher suites with GAL_GRAPH_COMPRESSION=1 =="

@@ -13,17 +13,23 @@ namespace gal {
 
 /// What one out-of-core run cost: the cache traffic it caused (deltas
 /// over the store's counters, so back-to-back runs on one store don't
-/// bleed into each other), host wall time, and the one round it charged
-/// the store's disk-priced VirtualClock — `modeled_io_seconds` is the
-/// bytes/bandwidth + latency·loads share, the number that grows as the
-/// budget shrinks while results stay bit-identical.
+/// bleed into each other, plus the traffic of a job-private shard set),
+/// the shard files it wrote, host wall time, and the one round it
+/// charged the store's disk-priced VirtualClock — `modeled_io_seconds`
+/// is the (read + written bytes)/bandwidth + latency·(loads + writes)
+/// share, the number that grows as the budget shrinks while results
+/// stay bit-identical.
 struct OocStats {
   uint32_t supersteps = 0;
   uint64_t shard_loads = 0;
   uint64_t shard_load_bytes = 0;
   uint64_t cache_hits = 0;
   uint64_t evictions = 0;
-  uint64_t peak_resident_bytes = 0;  // store-lifetime gauge; never > budget
+  uint64_t shard_writes = 0;         // files of a job-private set
+  uint64_t shard_write_bytes = 0;    // their bytes, footers included
+  /// Store-lifetime gauge, and a private set's peak on top of what the
+  /// store held beside it; never > budget.
+  uint64_t peak_resident_bytes = 0;
   uint64_t budget_bytes = 0;         // 0 = unlimited
   double wall_seconds = 0.0;
   double modeled_io_seconds = 0.0;
@@ -81,18 +87,26 @@ struct OocTriangleResult {
   uint64_t triangles = 0;
   uint64_t intersection_ops = 0;
   OocStats stats;
-  TaskEngineStats task_stats;
+  TaskEngineStats task_stats;  // both engine passes, folded
+  Status status;  // IOError, counts zero, when the private set's write fails
 };
 
-/// Degree-ordered triangle counting on the task engine, one task per
-/// shard, over the in-memory counters' OrientedRows and MarkedRow join:
-/// a task orients its shard, then each shard its rows reach (once,
-/// ascending), and joins every row with its targets' rows there. A shard
-/// is pinned only while its rows are built: a thread holds at most one
-/// pin (a one-shard budget cannot deadlock), a task at most NumShards()
-/// pins, and a thread's scratch is two shards' rows plus |V| bytes of
-/// marks. Every oriented edge probes the target row TaskTriangleCount's
-/// does, so triangles AND intersection_ops are identical.
+/// Degree-ordered triangle counting on the task engine over the
+/// in-memory counters' OrientedRows and MarkedRow join, in two passes of
+/// one task per shard. The orient pass pins raw shard s once, orients
+/// it, and writes it (delta-varint, bias 1) to a set private to the job,
+/// `<base>.oriented-<pid>-<n>` next to the store. The join pass runs
+/// over a private ShardCache of that set with the store's budget (the
+/// store's cache first drops its unpinned shards): a task decodes its
+/// own oriented shard, then each shard its rows reach (once, ascending),
+/// and joins every row with its targets' rows there. So each raw shard
+/// is pinned once per job, a task pins at most NumShards() oriented
+/// shards, a thread holds at most one pin (a one-shard budget cannot
+/// deadlock), and a thread's scratch is two shards' oriented rows plus
+/// |V| bytes of marks. Every oriented edge probes the target row
+/// TaskTriangleCount's does, so triangles AND intersection_ops are
+/// identical. The private files are removed on every return; a failed
+/// write returns its Status.
 OocTriangleResult OocTriangleCount(const ShardedGraph& g,
                                    const OocTriangleOptions& options = {});
 

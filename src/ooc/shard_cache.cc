@@ -5,11 +5,12 @@
 namespace gal {
 
 ShardCache::ShardCache(std::string base_path, std::vector<ShardInfo> shards,
-                       uint64_t budget_bytes)
+                       uint64_t budget_bytes, Histogram* load_spans)
     : base_path_(std::move(base_path)),
       infos_(std::move(shards)),
       budget_bytes_(budget_bytes),
-      entries_(infos_.size()) {
+      entries_(infos_.size()),
+      load_hist_(load_spans != nullptr ? load_spans : &own_load_hist_) {
   for (size_t s = 0; s < infos_.size(); ++s) {
     entries_[s].shard.info = infos_[s];
     GAL_CHECK(budget_bytes_ == 0 || infos_[s].ResidentBytes() <= budget_bytes_)
@@ -43,13 +44,23 @@ void ShardCache::EvictToFitLocked(uint64_t incoming) {
     GAL_CHECK(victim != entries_.size())
         << "ooc eviction found no unpinned shard (caller holds multiple "
            "pins per thread under a too-small budget?)";
-    Entry& e = entries_[victim];
-    stats_.resident_bytes -= e.shard.info.ResidentBytes();
-    // Swap-with-empty actually returns the memory, unlike clear().
-    std::vector<uint8_t>().swap(e.shard.bytes);
-    std::vector<uint32_t>().swap(e.shard.row_offsets);
-    e.resident = false;
-    ++stats_.evictions;
+    EvictLocked(entries_[victim]);
+  }
+}
+
+void ShardCache::EvictLocked(Entry& e) {
+  stats_.resident_bytes -= e.shard.info.ResidentBytes();
+  // Swap-with-empty actually returns the memory, unlike clear().
+  std::vector<uint8_t>().swap(e.shard.bytes);
+  std::vector<uint32_t>().swap(e.shard.row_offsets);
+  e.resident = false;
+  ++stats_.evictions;
+}
+
+void ShardCache::DropUnpinned() {
+  std::lock_guard<std::mutex> lock(mu_);
+  for (Entry& e : entries_) {
+    if (e.resident && e.pins == 0) EvictLocked(e);
   }
 }
 
@@ -71,12 +82,12 @@ const LoadedShard* ShardCache::Acquire(uint32_t s) {
   }
   EvictToFitLocked(incoming);
   {
-    ScopedSpan span(&load_hist_);
-    const Status st =
-        ReadShardFile(ShardFileName(base_path_, s), s, infos_[s],
-                      &e.shard.bytes, &e.shard.row_offsets);
-    // Open() validated every shard file; failing here means the file
-    // changed (or vanished) mid-run, which is unrecoverable.
+    ScopedSpan span(load_hist_);
+    const Status st = ReadShardFile(ShardFileName(base_path_, s), s, infos_[s],
+                                    e.shard.bytes, e.shard.row_offsets);
+    // Open() validated every shard file (a job's private set was just
+    // written); failing here means the file changed (or vanished)
+    // mid-run, which is unrecoverable.
     GAL_CHECK(st.ok()) << "shard load failed after open-time validation: "
                        << st;
   }

@@ -52,9 +52,12 @@ struct ShardCacheStats {
 /// OocStats can report p50/p95 load spans.
 class ShardCache {
  public:
-  /// budget_bytes == 0 means unlimited.
+  /// budget_bytes == 0 means unlimited. Load spans go to `load_spans`
+  /// when given (a job's private cache records into its store's, so the
+  /// store's LoadTimings cover every shard file its jobs read), else to
+  /// the cache's own histogram.
   ShardCache(std::string base_path, std::vector<ShardInfo> shards,
-             uint64_t budget_bytes);
+             uint64_t budget_bytes, Histogram* load_spans = nullptr);
 
   ShardCache(const ShardCache&) = delete;
   ShardCache& operator=(const ShardCache&) = delete;
@@ -63,15 +66,20 @@ class ShardCache {
   /// Every Acquire must be paired with a Release (use PinnedShard).
   const LoadedShard* Acquire(uint32_t s);
   void Release(uint32_t s);
+  /// Evicts every unpinned resident shard (each counts as an eviction),
+  /// freeing the budget for another cache of the same job.
+  void DropUnpinned();
 
   ShardCacheStats Stats() const;
   StageTimingStat LoadTimings() const {
-    return StageTimingStat::FromHistogram("shard_load", load_hist_);
+    return StageTimingStat::FromHistogram("shard_load", *load_hist_);
   }
+  Histogram* load_histogram() const { return load_hist_; }
   /// Ascending ids of currently resident shards (tests assert the LRU
   /// eviction trace through this).
   std::vector<uint32_t> ResidentShards() const;
 
+  const std::string& base_path() const { return base_path_; }
   uint64_t budget_bytes() const { return budget_bytes_; }
   uint32_t num_shards() const { return static_cast<uint32_t>(entries_.size()); }
 
@@ -89,6 +97,7 @@ class ShardCache {
   uint64_t PinnedBytesLocked() const;
   /// Evicts LRU unpinned shards until `incoming` more bytes fit.
   void EvictToFitLocked(uint64_t incoming);
+  void EvictLocked(Entry& e);
 
   const std::string base_path_;
   const std::vector<ShardInfo> infos_;
@@ -99,7 +108,8 @@ class ShardCache {
   std::vector<Entry> entries_;
   uint64_t use_counter_ = 0;
   ShardCacheStats stats_;
-  Histogram load_hist_;
+  Histogram own_load_hist_;
+  Histogram* const load_hist_;
 };
 
 /// RAII pin over one shard, exposing the compression-oblivious access

@@ -22,15 +22,18 @@ namespace gal {
 /// of compressed_csr.h byte-for-byte, so sharding a compressed graph is
 /// a slice, not a transcode, and the bytes/edge economics PR 8 measured
 /// carry over to disk unchanged. Footers live at the END of shard files
-/// so the writer streams; every payload is checksummed (FNV-1a) and the
-/// open path validates before anything is trusted — corrupt or
-/// truncated files surface as Status, never as a crash.
+/// so the writer streams; every shard payload and the manifest are
+/// checksummed (Xxh64, eight bytes a step) and every load validates
+/// before anything is trusted — corrupt, truncated or version-1 files
+/// surface as Status, never as a crash.
 
 inline constexpr char kOocManifestMagic[8] = {'G', 'A', 'L', 'O',
                                               'O', 'C', 'M', '1'};
 inline constexpr char kOocShardMagic[8] = {'G', 'A', 'L', 'O',
                                            'O', 'C', 'S', '1'};
-inline constexpr uint32_t kOocFormatVersion = 1;
+/// Version 2 checksums with Xxh64; version 1 (FNV-1a) files are
+/// rejected as unsupported.
+inline constexpr uint32_t kOocFormatVersion = 2;
 /// magic(8) + version(4) + shard_index(4) + begin(4) + end(4) +
 /// adj_bytes(8) + checksum(8).
 inline constexpr size_t kOocShardFooterBytes = 40;
@@ -42,7 +45,7 @@ struct ShardInfo {
   VertexId end = 0;          // one past the last vertex
   uint64_t adj_bytes = 0;    // varint adjacency stream length
   uint64_t edge_count = 0;   // adjacency entries in the range
-  uint64_t checksum = 0;     // FNV-1a over stream + row-offset bytes
+  uint64_t checksum = 0;     // Xxh64 over stream, then row-offset bytes
 
   VertexId NumVertices() const { return end - begin; }
 
@@ -56,6 +59,8 @@ struct ShardInfo {
 };
 
 /// FNV-1a 64-bit; chainable by passing the previous digest as `seed`.
+/// One byte per step: galbench's result digests use it, the shard
+/// format does not.
 inline uint64_t Fnv1a(const void* data, size_t len,
                       uint64_t seed = 1469598103934665603ull) {
   const uint8_t* p = static_cast<const uint8_t*>(data);
@@ -67,6 +72,14 @@ inline uint64_t Fnv1a(const void* data, size_t len,
   return h;
 }
 
+/// XXH64 (the xxHash 64-bit digest): four lanes of 64-bit
+/// multiply-rotate rounds over little-endian words, then an avalanche;
+/// chainable by passing the previous digest as `seed`. The checksum of
+/// every shard payload and manifest: a flipped bit anywhere in the
+/// input reaches every output bit, where a bare FNV step per word lets
+/// flips of bit 63 in any two words cancel.
+uint64_t Xxh64(const void* data, size_t len, uint64_t seed = 0);
+
 /// `<base>.manifest` and `<base>.shard00042` — a shard set is one base
 /// path, so temp-dir cleanup is a prefix glob.
 std::string ManifestFileName(const std::string& base_path);
@@ -77,15 +90,16 @@ std::string ShardFileName(const std::string& base_path, uint32_t shard);
 void AppendU32(std::vector<uint8_t>& out, uint32_t v);
 void AppendU64(std::vector<uint8_t>& out, uint64_t v);
 
-/// Reads one shard file and validates it against its manifest entry:
-/// exact file size, footer magic/version/index/range/length, and the
-/// payload checksum. On success fills `bytes` (the varint stream) and
-/// `row_offsets` (NumVertices()+1 offsets relative to the stream start);
-/// either may be null when the caller only wants validation. Any
-/// mismatch — missing file, truncation, flipped byte — is a Status.
+/// Reads one shard file in one pass, straight into `bytes` (the varint
+/// stream) and `row_offsets` (NumVertices()+1 offsets relative to the
+/// stream start), and validates it against its manifest entry: exact
+/// file size, footer magic/version/index/range/length, the checksum of
+/// every payload byte, and the offsets' span. Any mismatch — missing
+/// file, truncation, flipped bit, older format — is a Status, and the
+/// buffers' contents are then unspecified.
 Status ReadShardFile(const std::string& path, uint32_t expected_index,
-                     const ShardInfo& expected, std::vector<uint8_t>* bytes,
-                     std::vector<uint32_t>* row_offsets);
+                     const ShardInfo& expected, std::vector<uint8_t>& bytes,
+                     std::vector<uint32_t>& row_offsets);
 
 /// Writes one shard file (stream + relative offsets + footer) and
 /// returns the payload checksum through `info` (info's range/bytes/edge

@@ -1,5 +1,6 @@
 #include "ooc/sharded_graph.h"
 
+#include <algorithm>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -179,7 +180,7 @@ Result<ShardWriteSummary> WriteShardedGraph(const Graph& g,
   if (g.IsReordered()) {
     for (VertexId v = 0; v < n; ++v) AppendU32(m, g.OriginalId(v));
   }
-  AppendU64(m, Fnv1a(m.data(), m.size()));
+  AppendU64(m, Xxh64(m.data(), m.size()));
 
   const std::string manifest_path = ManifestFileName(base_path);
   std::ofstream out(manifest_path, std::ios::binary | std::ios::trunc);
@@ -193,12 +194,25 @@ Result<ShardWriteSummary> WriteShardedGraph(const Graph& g,
 }
 
 void RemoveShardedGraphFiles(const std::string& base_path) {
+  namespace fs = std::filesystem;
   std::error_code ec;
-  std::filesystem::remove(ManifestFileName(base_path), ec);
-  for (uint32_t s = 0;; ++s) {
-    const std::string path = ShardFileName(base_path, s);
-    if (!std::filesystem::remove(path, ec)) break;
+  fs::remove(ManifestFileName(base_path), ec);
+  // Every `<base>.shard<digits>` in the directory, whatever the gaps: a
+  // set whose write failed partway, or with a shard removed, still goes.
+  const fs::path base(base_path);
+  const std::string prefix = base.filename().string() + ".shard";
+  const fs::path dir = base.has_parent_path() ? base.parent_path() : ".";
+  std::vector<fs::path> doomed;
+  for (fs::directory_iterator it(dir, ec), end; !ec && it != end;
+       it.increment(ec)) {
+    const std::string name = it->path().filename().string();
+    if (name.size() > prefix.size() && name.starts_with(prefix) &&
+        std::all_of(name.begin() + static_cast<std::ptrdiff_t>(prefix.size()),
+                    name.end(), [](char c) { return c >= '0' && c <= '9'; })) {
+      doomed.push_back(it->path());
+    }
   }
+  for (const fs::path& path : doomed) fs::remove(path, ec);
 }
 
 Result<ShardedGraph> ShardedGraph::Open(const std::string& base_path,
@@ -207,7 +221,7 @@ Result<ShardedGraph> ShardedGraph::Open(const std::string& base_path,
   std::ifstream in(manifest_path, std::ios::binary | std::ios::ate);
   if (!in) return Status::IOError("cannot open manifest " + manifest_path);
   const size_t size = static_cast<size_t>(in.tellg());
-  if (size < sizeof(kOocManifestMagic) + 8) {
+  if (size < sizeof(kOocManifestMagic) + sizeof(uint32_t) + 8) {
     return Status::IOError(manifest_path + ": too small to be a manifest");
   }
   std::vector<uint8_t> m(size);
@@ -224,21 +238,23 @@ Result<ShardedGraph> ShardedGraph::Open(const std::string& base_path,
       return Status::IOError(manifest_path + ": bad manifest magic");
     }
   }
+  // The version decides how the rest is checked, so it is read first:
+  // a version-1 manifest is unsupported, not a checksum mismatch.
+  const uint32_t version = r.ReadU32();
+  if (version != kOocFormatVersion) {
+    return Status::IOError(manifest_path + ": unsupported manifest version " +
+                           std::to_string(version));
+  }
   {
     ByteReader tail(m.data() + size - 8, 8);
     const uint64_t stored = tail.ReadU64();
-    const uint64_t computed = Fnv1a(m.data(), size - 8);
+    const uint64_t computed = Xxh64(m.data(), size - 8);
     if (stored != computed) {
       return Status::IOError(manifest_path + ": manifest checksum mismatch");
     }
   }
 
   ShardedGraph g;
-  const uint32_t version = r.ReadU32();
-  if (version != kOocFormatVersion) {
-    return Status::IOError(manifest_path + ": unsupported manifest version " +
-                           std::to_string(version));
-  }
   const uint32_t flags = r.ReadU32();
   g.directed_ = (flags & kFlagDirected) != 0;
   g.num_vertices_ = r.ReadU32();
@@ -312,7 +328,7 @@ Result<ShardedGraph> ShardedGraph::Open(const std::string& base_path,
     std::vector<uint8_t> bytes;
     std::vector<uint32_t> offsets;
     GAL_RETURN_IF_ERROR(ReadShardFile(ShardFileName(base_path, s), s,
-                                      g.infos_[s], &bytes, &offsets));
+                                      g.infos_[s], bytes, offsets));
   }
 
   bool env_forced = false;

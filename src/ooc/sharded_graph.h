@@ -72,9 +72,10 @@ Result<ShardWriteSummary> WriteShardedGraph(
     const Graph& g, const std::string& base_path,
     const ShardWriterOptions& options = {});
 
-/// Deletes the manifest and every shard file of a shard set (best
-/// effort; missing files are ignored). Tests and benches use this for
-/// temp-dir hygiene.
+/// Deletes the manifest and every `<base>.shard<digits>` file of a shard
+/// set, whatever the gaps in its indices (best effort; missing files are
+/// ignored). Tests and benches use this for temp-dir hygiene, and
+/// OocTriangleCount for its private oriented set.
 void RemoveShardedGraphFiles(const std::string& base_path);
 
 /// A disk-resident graph: the same compression-oblivious access forms

@@ -31,28 +31,6 @@ struct alignas(64) WorkerState {
 /// when the graph has too few vertices to fill them).
 constexpr uint32_t kChunkRounds = 16;
 
-/// Folds one round's engine stats into the run's: counters and
-/// per-thread busy time add up; the span summaries describe one engine
-/// pass, so a run of several rounds keeps none.
-void AddRoundStats(const TaskEngineStats& round, TaskEngineStats* run) {
-  if (run->busy_seconds.empty()) {
-    *run = round;
-    return;
-  }
-  run->tasks_executed += round.tasks_executed;
-  run->tasks_spawned += round.tasks_spawned;
-  run->steals += round.steals;
-  run->failed_steal_attempts += round.failed_steal_attempts;
-  run->parks += round.parks;
-  run->wall_seconds += round.wall_seconds;
-  for (size_t t = 0; t < round.busy_seconds.size(); ++t) {
-    run->busy_seconds[t] += round.busy_seconds[t];
-  }
-  run->steal_latency = StageTimingStat{};
-  run->park_time = StageTimingStat{};
-  run->queue_depth = StageTimingStat{};
-}
-
 }  // namespace
 
 TriangleCountResult SerialTriangleCount(const Graph& g) {
@@ -157,7 +135,7 @@ TriangleCountResult TaskTriangleCount(const Graph& g,
       result.triangles += state.triangles;
       result.intersection_ops += state.ops;
     }
-    AddRoundStats(round_stats, &result.task_stats);
+    AddTaskEngineStats(round_stats, &result.task_stats);
     if (!barrier.has_value()) break;  // no cluster: one round, no barrier
     // Host thread t ran simulated worker t mod W.
     for (size_t t = 0; t < round_stats.busy_seconds.size(); ++t) {

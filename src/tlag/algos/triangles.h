@@ -27,11 +27,7 @@ class OrientedRows {
   template <typename Rows, typename Degrees>
   void Build(const Rows& rows, const Degrees& degrees, VertexId begin,
              VertexId end) {
-    begin_ = begin;
-    end_ = end;
-    row_start_.assign(1, 0);
-    cols_.clear();
-    for (VertexId v = begin; v < end; ++v) {
+    Fill(begin, end, [&](VertexId v) {
       const uint32_t dv = degrees.Degree(v);
       const size_t start = cols_.size();
       rows.ForEachOutNeighbor(v, [&](VertexId u) {
@@ -41,8 +37,17 @@ class OrientedRows {
           cols_.push_back(u);
         }
       });
-      row_start_.push_back(cols_.size());
-    }
+    });
+  }
+
+  /// Rebuilds the block over [begin, end) from rows that are already
+  /// oriented (an out-of-core job's oriented shard), keeping every
+  /// neighbor: the block equals the one Build made them from.
+  template <typename Rows>
+  void Decode(const Rows& rows, VertexId begin, VertexId end) {
+    Fill(begin, end, [&](VertexId v) {
+      rows.ForEachOutNeighbor(v, [&](VertexId u) { cols_.push_back(u); });
+    });
   }
 
   VertexId begin() const { return begin_; }
@@ -54,6 +59,20 @@ class OrientedRows {
   }
 
  private:
+  /// Resets the block to [begin, end) and closes one row per vertex
+  /// after append_row(v) has pushed its neighbors onto cols_.
+  template <typename AppendRow>
+  void Fill(VertexId begin, VertexId end, AppendRow&& append_row) {
+    begin_ = begin;
+    end_ = end;
+    row_start_.assign(1, 0);
+    cols_.clear();
+    for (VertexId v = begin; v < end; ++v) {
+      append_row(v);
+      row_start_.push_back(cols_.size());
+    }
+  }
+
   VertexId begin_ = 0, end_ = 0;
   std::vector<size_t> row_start_;
   std::vector<VertexId> cols_;

@@ -61,6 +61,30 @@ struct TaskEngineStats {
   }
 };
 
+/// Folds one engine pass's stats into those of a job that runs several
+/// (triangle chunk-rounds, or an out-of-core job's orient and join
+/// passes): counters and per-thread busy time add up; the span summaries
+/// describe one pass, so a job of several keeps none.
+inline void AddTaskEngineStats(const TaskEngineStats& pass,
+                               TaskEngineStats* job) {
+  if (job->busy_seconds.empty()) {
+    *job = pass;
+    return;
+  }
+  job->tasks_executed += pass.tasks_executed;
+  job->tasks_spawned += pass.tasks_spawned;
+  job->steals += pass.steals;
+  job->failed_steal_attempts += pass.failed_steal_attempts;
+  job->parks += pass.parks;
+  job->wall_seconds += pass.wall_seconds;
+  for (size_t t = 0; t < pass.busy_seconds.size(); ++t) {
+    job->busy_seconds[t] += pass.busy_seconds[t];
+  }
+  job->steal_latency = StageTimingStat{};
+  job->park_time = StageTimingStat{};
+  job->queue_depth = StageTimingStat{};
+}
+
 /// How Run() spreads the initial tasks over the worker queues.
 enum class InitialDistribution : uint8_t {
   /// Interleaved: task i goes to queue i mod threads. Smooths skew when

@@ -1,17 +1,22 @@
 // Units for the out-of-core shard substrate (src/ooc/): writer/reader
-// roundtrips across shard sizes and layouts, corrupt/truncated-file
-// Status behavior, ShardCache LRU determinism / budget enforcement /
-// pin safety, bit-identity of the out-of-core engines against their
-// in-memory counterparts across budgets and thread counts, out-of-core
-// PageRank and WCC against the serial references on adversarial shapes,
-// and every triangle counter, in memory and out of core, against the
-// serial edge-iterator reference.
+// roundtrips across shard sizes and layouts, corrupt/truncated/older-
+// version file Status behavior (every payload bit flip caught), set
+// removal, ShardCache LRU determinism / budget enforcement / pin safety,
+// bit-identity of the out-of-core engines against their in-memory
+// counterparts across budgets and thread counts, the triangle job's
+// private oriented set (pins, budget, cleanup on every return path),
+// out-of-core PageRank and WCC against the serial references on
+// adversarial shapes, and every triangle counter, in memory and out of
+// core, against the serial edge-iterator reference.
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <numeric>
+#include <random>
 #include <string>
 #include <thread>
 #include <vector>
@@ -44,6 +49,44 @@ std::string FixtureBase(const std::string& name) {
   return TempBase(
       name + "_" +
       ::testing::UnitTest::GetInstance()->current_test_info()->name());
+}
+
+/// The files in base's directory whose names start with base's file name
+/// plus `suffix` (".oriented-" for a triangle job's private sets).
+std::vector<std::string> FilesWithPrefix(const std::string& base,
+                                         const std::string& suffix) {
+  const std::filesystem::path path(base);
+  const std::string prefix = path.filename().string() + suffix;
+  std::vector<std::string> found;
+  for (const auto& entry :
+       std::filesystem::directory_iterator(path.parent_path())) {
+    const std::string name = entry.path().filename().string();
+    if (name.starts_with(prefix)) found.push_back(name);
+  }
+  return found;
+}
+
+std::vector<uint8_t> ReadFileBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+}
+
+void WriteFileBytes(const std::string& path,
+                    const std::vector<uint8_t>& bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(reinterpret_cast<const char*>(bytes.data()),
+            static_cast<std::streamsize>(bytes.size()));
+}
+
+void PutU32(std::vector<uint8_t>& bytes, size_t at, uint32_t v) {
+  for (int i = 0; i < 4; ++i) {
+    bytes[at + i] = static_cast<uint8_t>(v >> (8 * i));
+  }
+}
+
+void PutU64(std::vector<uint8_t>& bytes, size_t at, uint64_t v) {
+  PutU32(bytes, at, static_cast<uint32_t>(v));
+  PutU32(bytes, at + 4, static_cast<uint32_t>(v >> 32));
 }
 
 /// Clears the OOC env knobs for the duration of a test that asserts
@@ -335,7 +378,8 @@ class OocBadFileTest : public ::testing::Test {
   }
   void TearDown() override { RemoveShardedGraphFiles(base_); }
 
-  static void FlipByte(const std::string& path, int64_t offset) {
+  static void FlipByte(const std::string& path, int64_t offset,
+                       uint8_t mask = 0x5a) {
     std::fstream f(path, std::ios::binary | std::ios::in | std::ios::out);
     ASSERT_TRUE(f.is_open());
     if (offset < 0) {
@@ -345,9 +389,23 @@ class OocBadFileTest : public ::testing::Test {
     f.seekg(offset);
     char c = 0;
     f.read(&c, 1);
-    c ^= 0x5a;
+    c = static_cast<char>(c ^ mask);
     f.seekp(offset);
     f.write(&c, 1);
+  }
+  /// Bytes of shard s's checksummed payload (stream + row offsets).
+  uint64_t PayloadBytes(uint32_t s) {
+    auto opened = ShardedGraph::Open(base_);
+    EXPECT_TRUE(opened.ok()) << opened.status();
+    const ShardInfo& info = opened.value().shard(s);
+    return info.adj_bytes + (uint64_t{info.NumVertices()} + 1) * 4;
+  }
+  /// Open fails, and names the checksum.
+  void ExpectChecksumFailure(const std::string& what) {
+    auto opened = ShardedGraph::Open(base_);
+    ASSERT_FALSE(opened.ok()) << what;
+    EXPECT_NE(std::string::npos, opened.status().message().find("checksum"))
+        << what << ": " << opened.status();
   }
   static void Truncate(const std::string& path, int64_t remove_bytes) {
     const auto size = std::filesystem::file_size(path);
@@ -395,6 +453,86 @@ TEST_F(OocBadFileTest, CorruptShardPayloadIsAnError) {
   auto opened = ShardedGraph::Open(base_);
   EXPECT_FALSE(opened.ok());
   EXPECT_NE(std::string::npos, opened.status().message().find("checksum"));
+}
+
+TEST_F(OocBadFileTest, EveryPayloadBitFlipFailsTheChecksum) {
+  // Each bit of one shard's payload, flipped alone, is caught: the
+  // checksum reads every byte of every load.
+  const std::string path = ShardFileName(base_, 1);
+  const uint64_t payload = PayloadBytes(1);
+  ASSERT_GT(payload, 0u);
+  for (uint64_t bit = 0; bit < payload * 8; ++bit) {
+    const auto offset = static_cast<int64_t>(bit / 8);
+    const auto mask = static_cast<uint8_t>(1u << (bit % 8));
+    FlipByte(path, offset, mask);
+    ExpectChecksumFailure("bit " + std::to_string(bit));
+    FlipByte(path, offset, mask);
+  }
+  EXPECT_TRUE(ShardedGraph::Open(base_).ok());
+}
+
+TEST_F(OocBadFileTest, PairedTopBitFlipsEightBytesApartFailTheChecksum) {
+  // Bit 7 of two bytes eight apart: at byte 7 of two words it is bit 63
+  // of each, which a bare xor-multiply step per word lets cancel (and a
+  // varint continuation bit sits there). A seeded sample of positions.
+  const std::string path = ShardFileName(base_, 1);
+  const uint64_t payload = PayloadBytes(1);
+  ASSERT_GT(payload, 16u);
+  std::mt19937_64 rng(28);
+  std::uniform_int_distribution<uint64_t> pick(0, payload - 9);
+  for (int sample = 0; sample < 96; ++sample) {
+    const auto first = static_cast<int64_t>(pick(rng));
+    FlipByte(path, first, 0x80);
+    FlipByte(path, first + 8, 0x80);
+    ExpectChecksumFailure("bytes " + std::to_string(first) + " and +8");
+    FlipByte(path, first, 0x80);
+    FlipByte(path, first + 8, 0x80);
+  }
+  EXPECT_TRUE(ShardedGraph::Open(base_).ok());
+}
+
+TEST_F(OocBadFileTest, VersionOneShardIsUnsupported) {
+  // A shard as the version-1 writer made it: version 1 in the footer and
+  // an FNV-1a payload checksum.
+  const std::string path = ShardFileName(base_, 1);
+  const uint64_t payload = PayloadBytes(1);
+  std::vector<uint8_t> bytes = ReadFileBytes(path);
+  ASSERT_EQ(payload + kOocShardFooterBytes, bytes.size());
+  PutU32(bytes, payload + 8, 1);
+  PutU64(bytes, payload + 32, Fnv1a(bytes.data(), payload));
+  WriteFileBytes(path, bytes);
+  auto opened = ShardedGraph::Open(base_);
+  ASSERT_FALSE(opened.ok());
+  EXPECT_NE(std::string::npos, opened.status().message().find(
+                                    "unsupported shard format version 1"))
+      << opened.status();
+}
+
+TEST_F(OocBadFileTest, VersionOneManifestIsUnsupported) {
+  // A manifest as the version-1 writer made it: version 1 after the
+  // magic and an FNV-1a trailer.
+  const std::string path = ManifestFileName(base_);
+  std::vector<uint8_t> bytes = ReadFileBytes(path);
+  ASSERT_GT(bytes.size(), 20u);
+  PutU32(bytes, 8, 1);
+  PutU64(bytes, bytes.size() - 8, Fnv1a(bytes.data(), bytes.size() - 8));
+  WriteFileBytes(path, bytes);
+  auto opened = ShardedGraph::Open(base_);
+  ASSERT_FALSE(opened.ok());
+  EXPECT_NE(std::string::npos,
+            opened.status().message().find("unsupported manifest version 1"))
+      << opened.status();
+}
+
+TEST_F(OocBadFileTest, RemovingASetWithAGapRemovesEveryShard) {
+  // A set with a middle shard missing (a write that failed partway, or
+  // a deleted file) still goes entirely.
+  auto opened = ShardedGraph::Open(base_);
+  ASSERT_TRUE(opened.ok()) << opened.status();
+  ASSERT_GE(opened.value().NumShards(), 3u);
+  ASSERT_TRUE(std::filesystem::remove(ShardFileName(base_, 1)));
+  RemoveShardedGraphFiles(base_);
+  EXPECT_EQ(std::vector<std::string>{}, FilesWithPrefix(base_, ""));
 }
 
 TEST_F(OocBadFileTest, CorruptShardFooterMagicIsAnError) {
@@ -664,6 +802,7 @@ TEST_F(OocParityTest, TrianglesAndOpsMatchTaskEngineAcrossBudgets) {
     OocTriangleOptions topt;
     topt.engine.num_threads = c.threads;
     const OocTriangleResult got = OocTriangleCount(opened.value(), topt);
+    ASSERT_TRUE(got.status.ok()) << got.status;
     EXPECT_EQ(want.triangles, got.triangles)
         << "budget " << c.budget << ", threads " << c.threads;
     EXPECT_EQ(want.intersection_ops, got.intersection_ops)
@@ -676,15 +815,19 @@ TEST_F(OocParityTest, TrianglesAndOpsMatchTaskEngineAcrossBudgets) {
 }
 
 TEST_F(OocParityTest, TrianglesPinEachShardAtMostOncePerTask) {
-  // A task orients its own shard, then each shard its rows reach, one
-  // pin apiece: at most S pins per task and S^2 per run, however many
-  // oriented edges cross shards.
+  // The orient pass pins each raw shard exactly once. In the join pass
+  // the task of shard s pins oriented s and each other shard its
+  // oriented rows reach, once apiece: |reach(s) ∪ {s}| <= S pins, however
+  // many oriented edges cross shards. Both sets' residency together
+  // stays within the budget.
   const Graph g = ErdosRenyi(200, 0.06, 23);
   const std::string base = TempBase("gal_ooc_parity_tri_pins");
   ShardWriterOptions wopt;
   wopt.target_shard_bytes = 512;
   auto summary = WriteShardedGraph(g, base, wopt);
   ASSERT_TRUE(summary.ok()) << summary.status();
+  OrientedRows oriented;
+  oriented.Build(g, g, 0, g.NumVertices());
 
   OocTriangleOptions topt;
   for (const ParityCase& c : Cases(summary.value())) {
@@ -692,19 +835,47 @@ TEST_F(OocParityTest, TrianglesPinEachShardAtMostOncePerTask) {
     options.memory_budget_bytes = c.budget;
     auto opened = ShardedGraph::Open(base, options);
     ASSERT_TRUE(opened.ok()) << opened.status();
-    const uint64_t shards = opened.value().NumShards();
+    const ShardedGraph& sg = opened.value();
+    const uint64_t shards = sg.NumShards();
     ASSERT_GT(shards, 1u);
+    uint64_t want_oriented_pins = 0;
+    for (uint32_t s = 0; s < shards; ++s) {
+      std::vector<uint8_t> reach(shards, 0);
+      reach[s] = 1;
+      for (VertexId v = sg.shard(s).begin; v < sg.shard(s).end; ++v) {
+        for (VertexId u : oriented.Row(v)) reach[sg.ShardOf(u)] = 1;
+      }
+      const uint64_t pins = std::count(reach.begin(), reach.end(), 1);
+      EXPECT_LE(pins, shards);
+      want_oriented_pins += pins;
+    }
+
+    const ShardCacheStats before = sg.cache().Stats();
     topt.engine.num_threads = c.threads;
-    const OocStats stats = OocTriangleCount(opened.value(), topt).stats;
-    EXPECT_LE(stats.shard_loads + stats.cache_hits, shards * shards)
-        << "budget " << c.budget << ", threads " << c.threads;
+    const OocTriangleResult got = OocTriangleCount(sg, topt);
+    const ShardCacheStats after = sg.cache().Stats();
+    const std::string where = "budget " + std::to_string(c.budget) +
+                              ", threads " + std::to_string(c.threads);
+    ASSERT_TRUE(got.status.ok()) << where << " " << got.status;
+    const uint64_t raw_pins =
+        after.loads + after.hits - before.loads - before.hits;
+    EXPECT_EQ(shards, raw_pins) << where;
+    EXPECT_EQ(want_oriented_pins,
+              got.stats.shard_loads + got.stats.cache_hits - raw_pins)
+        << where;
+    EXPECT_EQ(shards, got.stats.shard_writes) << where;
+    if (got.stats.budget_bytes > 0) {
+      EXPECT_LE(got.stats.peak_resident_bytes, got.stats.budget_bytes)
+          << where;
+    }
   }
-  // With nothing evicted, every shard is read exactly once.
+  // With nothing evicted, every raw and every oriented shard is loaded
+  // exactly once.
   OocEnvGuard guard;
   auto opened = ShardedGraph::Open(base);
   ASSERT_TRUE(opened.ok()) << opened.status();
   topt.engine.num_threads = 1;
-  EXPECT_EQ(opened.value().NumShards(),
+  EXPECT_EQ(2 * opened.value().NumShards(),
             OocTriangleCount(opened.value(), topt).stats.shard_loads);
   RemoveShardedGraphFiles(base);
 }
@@ -809,6 +980,95 @@ TEST_F(OocParityTest, WccSkipsShardsOnceTheirRangeConverges) {
   EXPECT_LT(got.stats.shard_loads + got.stats.cache_hits,
             uint64_t{got.stats.supersteps} * opened.value().NumShards());
   RemoveShardedGraphFiles(base);
+}
+
+/// A triangle job's private oriented set: removed on every return path.
+class OocOrientedSetTest : public ::testing::Test {
+ protected:
+  static uint64_t Triangles(const std::string& base, uint64_t budget,
+                            uint32_t threads) {
+    OocOptions options;
+    options.memory_budget_bytes = budget;
+    auto opened = ShardedGraph::Open(base, options);
+    EXPECT_TRUE(opened.ok()) << opened.status();
+    OocTriangleOptions topt;
+    topt.engine.num_threads = threads;
+    const OocTriangleResult got = OocTriangleCount(opened.value(), topt);
+    EXPECT_TRUE(got.status.ok()) << got.status;
+    return got.triangles;
+  }
+};
+
+TEST_F(OocOrientedSetTest, NoPrivateFileOutlivesARun) {
+  const Graph g = ErdosRenyi(200, 0.06, 23);
+  const std::string base = TempBase("gal_ooc_oriented_run");
+  ShardWriterOptions wopt;
+  wopt.target_shard_bytes = 512;
+  auto summary = WriteShardedGraph(g, base, wopt);
+  ASSERT_TRUE(summary.ok()) << summary.status();
+  const uint64_t want = SerialTriangleCount(g).triangles;
+  for (const uint64_t budget :
+       {summary.value().max_shard_resident_bytes, uint64_t{0}}) {
+    for (const uint32_t threads : {1u, 8u}) {
+      EXPECT_EQ(want, Triangles(base, budget, threads));
+      EXPECT_EQ(std::vector<std::string>{},
+                FilesWithPrefix(base, ".oriented-"))
+          << "budget " << budget << ", threads " << threads;
+    }
+  }
+  RemoveShardedGraphFiles(base);
+}
+
+TEST_F(OocOrientedSetTest, NoPrivateFileOutlivesAnEdgelessRun) {
+  // Forty isolated vertices (one empty shard) and no vertex at all (no
+  // shard).
+  for (const VertexId n : {VertexId{40}, VertexId{0}}) {
+    const Graph g = Graph::FromEdges(n, {}).value();
+    const std::string base = TempBase("gal_ooc_oriented_edgeless");
+    ASSERT_TRUE(WriteShardedGraph(g, base).ok());
+    for (const uint32_t threads : {1u, 8u}) {
+      EXPECT_EQ(0u, Triangles(base, 0, threads)) << n << " vertices";
+      EXPECT_EQ(std::vector<std::string>{},
+                FilesWithPrefix(base, ".oriented-"));
+    }
+    RemoveShardedGraphFiles(base);
+  }
+}
+
+TEST_F(OocOrientedSetTest, AFailedPrivateWriteReturnsAStatus) {
+  // With every raw shard resident (an unlimited-budget PageRank read
+  // them all), the store's directory is renamed away: the orient pass
+  // pins from memory, then cannot create the private files.
+  OocEnvGuard guard;
+  std::vector<Edge> edges = ErdosRenyi(200, 0.06, 23).CollectEdges();
+  for (VertexId v = 0; v < 200; ++v) edges.push_back({v, (v + 1) % 200});
+  const Graph g = Graph::FromEdges(200, std::move(edges)).value();
+  const std::filesystem::path dir = TempBase("gal_ooc_oriented_fail");
+  const std::filesystem::path moved = dir.string() + ".moved";
+  std::filesystem::remove_all(dir);
+  std::filesystem::remove_all(moved);
+  ASSERT_TRUE(std::filesystem::create_directory(dir));
+  const std::string base = (dir / "store").string();
+  ShardWriterOptions wopt;
+  wopt.target_shard_bytes = 512;
+  ASSERT_TRUE(WriteShardedGraph(g, base, wopt).ok());
+  for (const uint32_t threads : {1u, 8u}) {
+    auto opened = ShardedGraph::Open(base);
+    ASSERT_TRUE(opened.ok()) << opened.status();
+    const ShardedGraph& sg = opened.value();
+    OocPageRank(sg);
+    ASSERT_EQ(sg.NumShards(), sg.cache().ResidentShards().size());
+    std::filesystem::rename(dir, moved);
+    OocTriangleOptions topt;
+    topt.engine.num_threads = threads;
+    const OocTriangleResult got = OocTriangleCount(sg, topt);
+    std::filesystem::rename(moved, dir);
+    EXPECT_EQ(StatusCode::kIOError, got.status.code()) << got.status;
+    EXPECT_EQ(0u, got.triangles);
+    EXPECT_EQ(0u, got.stats.shard_writes);
+    EXPECT_EQ(std::vector<std::string>{}, FilesWithPrefix(base, ".oriented-"));
+  }
+  std::filesystem::remove_all(dir);
 }
 
 TEST(OocShapeTest, EqualsSerialReferences) {
@@ -986,6 +1246,7 @@ TEST(TriangleJoinTest, EveryCounterEqualsTheSerialReference) {
             const std::string where = layout + " ooc budget=" +
                                       std::to_string(budget) + " threads=" +
                                       std::to_string(threads);
+            ASSERT_TRUE(got.status.ok()) << where << " " << got.status;
             EXPECT_EQ(want.total, got.triangles) << where;
             EXPECT_EQ(want_ops, got.intersection_ops) << where;
           }
