@@ -4,8 +4,8 @@
 // and direction-optimizing (src/frontier/), and a dist-GNN training run
 // — so their communication volumes come from the *same* TrafficLedger
 // and their modeled times from the *same* VirtualClock: one comparable
-// axis across the survey's workload families. Width resolves from
-// GAL_CLUSTER_WORKERS (default 4).
+// axis across the survey's workload families. The cluster has the
+// default width of 4 workers.
 
 #include <cstdio>
 
@@ -30,7 +30,7 @@ int main() {
   NodeClassificationDataset ds = MakePlantedDataset(data_options);
   const Graph& g = ds.graph;
 
-  ClusterRuntime runtime;  // width from GAL_CLUSTER_WORKERS, default 4
+  ClusterRuntime runtime;  // the default width, 4
   std::printf("graph: %s, %u simulated workers\n\n", g.ToString().c_str(),
               runtime.num_workers());
 

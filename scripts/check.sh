@@ -156,11 +156,11 @@ GAL_SIMD=0 GAL_GRAPH_COMPRESSION=1 ./build/tests/gal_tests \
 echo
 echo "== fault: elastic cluster runtime (ctest label) =="
 # The quick gate for cluster/fault.h + cluster/checkpoint.h changes:
-# FaultPlan env/seed resolution, checkpoint ring accounting, the
-# recovery session's failure/straggler machinery, the cross-engine
-# bit-identity sweeps (TLAV PageRank, frontier BFS/SSSP/WCC, dist-GCN,
-# TLAG triangles), and the round barrier's clock/ledger agreement on
-# every engine.
+# FaultPlan checkpoint and failure env resolution, checkpoint ring
+# accounting, the recovery session's failure/straggler machinery, the
+# cross-engine bit-identity sweeps (TLAV PageRank, frontier
+# BFS/SSSP/WCC, dist-GCN, TLAG triangles), and the round barrier's
+# clock/ledger agreement on every engine.
 (cd build && ctest -L fault --output-on-failure -j "${JOBS}")
 
 echo

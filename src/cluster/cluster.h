@@ -26,21 +26,12 @@ inline uint32_t ResolveTaskThreads(uint32_t requested) {
   return env ? static_cast<uint32_t>(env->integer) : fallback;
 }
 
-/// Simulated-cluster width: an explicit request wins, else the
-/// GAL_CLUSTER_WORKERS environment variable, else 4 (the default width
-/// every engine config also defaults to). Unlike host threads, the
-/// worker count is semantically visible — it decides the partition and
-/// therefore what traffic crosses the wire. A malformed env value warns
-/// once and falls through to the default.
-inline uint32_t ResolveClusterWorkers(uint32_t requested) {
-  if (requested != 0) return requested;
-  const auto env = env::Lookup(env::Knob::kClusterWorkers, 4);
-  return env ? static_cast<uint32_t>(env->integer) : 4;
-}
-
 struct ClusterOptions {
-  /// 0 = resolve from GAL_CLUSTER_WORKERS, else 4.
-  uint32_t num_workers = 0;
+  /// Simulated-cluster width, at least 1 (TrafficLedger checks it). 4 is
+  /// the width every engine config also defaults to. Unlike host
+  /// threads, the worker count is semantically visible — it decides the
+  /// partition and therefore what traffic crosses the wire.
+  uint32_t num_workers = 4;
   NetworkCostModel network;
 };
 
@@ -60,7 +51,7 @@ struct ClusterOptions {
 class ClusterRuntime {
  public:
   explicit ClusterRuntime(ClusterOptions options = {})
-      : num_workers_(ResolveClusterWorkers(options.num_workers)),
+      : num_workers_(options.num_workers),
         cost_(options.network),
         ledger_(num_workers_),
         clock_(options.network) {}

@@ -43,17 +43,17 @@ struct RebalanceConfig {
   uint32_t max_migrations = 4;
 };
 
-/// A deterministic, seed-driven schedule of cluster misbehavior — the
-/// shared fault-injection substrate every engine family (TLAV, dist-GNN,
-/// TLAG) consumes through a RecoverySession. A plan is pure data: the
-/// same plan applied to the same job yields the same checkpoints,
-/// failures, slowdowns, and (for the order-independent programs shipped
-/// here) bit-identical results at any worker x host-thread combination.
+/// A deterministic schedule of cluster misbehavior — the shared
+/// fault-injection substrate every engine family (TLAV, dist-GNN, TLAG)
+/// consumes through a RecoverySession. A plan is pure data: the same
+/// plan applied to the same job yields the same checkpoints, failures,
+/// slowdowns, and (for the order-independent programs shipped here)
+/// bit-identical results at any worker x host-thread combination.
 ///
-/// Env resolution reads the five GAL_CLUSTER_FAULT_* rows of the knob
+/// Env resolution reads the two GAL_CLUSTER_FAULT_* rows of the knob
 /// table (common/env.h, README's knob table) under the strict policy: a
-/// checkpoint cadence, failures (w@r), slowdown windows (w:f[@a-b]), a
-/// seed that draws whatever FAIL/SLOW leave unset, and rebalancing.
+/// checkpoint cadence and failures (w@r). Slowdowns and rebalancing are
+/// set through the builders.
 class FaultPlan {
  public:
   FaultPlan() = default;
@@ -104,7 +104,7 @@ class FaultPlan {
     return factor;
   }
 
-  // --- construction from environment / seed -----------------------------
+  // --- construction from environment -----------------------------------
   /// Resolves the GAL_CLUSTER_FAULT_* variables; a malformed value is an
   /// InvalidArgument naming the variable and the offending text.
   static Result<FaultPlan> FromEnv();
@@ -112,20 +112,6 @@ class FaultPlan {
   /// and rejected row, and yields an empty plan — the default-config
   /// path engines take.
   static FaultPlan FromEnvOrWarn();
-
-  struct RandomOptions {
-    uint64_t seed = 1;
-    uint32_t num_workers = 4;
-    /// Rounds the schedule is drawn over (events land in [1, horizon)).
-    uint32_t horizon_rounds = 16;
-    uint32_t failures = 1;
-    uint32_t stragglers = 1;
-    double min_slowdown = 2.0;
-    double max_slowdown = 8.0;
-    uint32_t checkpoint_every = 4;
-  };
-  /// Deterministic seed-driven schedule: same options, same plan.
-  static FaultPlan Random(const RandomOptions& options);
 
  private:
   uint32_t checkpoint_every_ = 0;

@@ -17,39 +17,29 @@
 ///   - warn once, keep the default (every row but the fault plan's):
 ///     Lookup logs `VAR="value" is not <values>; using <fallback>` once
 ///     per process and row, and the caller keeps its fallback;
-///   - strict `Status` (the five GAL_CLUSTER_FAULT_* rows): Parse's
+///   - strict `Status` (the two GAL_CLUSTER_FAULT_* rows): Parse's
 ///     InvalidArgument, which FaultPlan::FromEnv returns as is.
-/// README.md's knob table lists the rows in this order; EnvTableTest
-/// keeps it, and the knobs scripts/check.sh sets, in sync.
+/// README.md's knob table lists the rows in this order. EnvTableTest
+/// keeps it and the knobs scripts/check.sh sets in sync with the table,
+/// and fails on a row that neither check.sh nor galbench sets.
 namespace gal::env {
 
 enum class Knob : uint8_t {
   kTaskThreads,
-  kClusterWorkers,
   kKernelThreads,
-  kStageExecutors,
   kSimd,
   kGraphCompression,
-  kFrontierMode,
-  kFrontierAlpha,
-  kFrontierBeta,
   kOocShardBytes,
   kOocBudgetBytes,
   kFaultCheckpoint,
   kFaultFail,
-  kFaultSlow,
-  kFaultSeed,
-  kFaultRebalance,
 };
 
 /// How a row's value is spelled; one whole-value parser per kind.
 enum class Kind : uint8_t {
-  kSwitch,     // 1/on/true/yes or 0/off/false/no; empty counts as unset
-  kInteger,    // decimal digits within [min, max]
-  kNumber,     // digits, at most one point, an optional exponent; > 0
-  kChoice,     // one of the row's spellings
-  kFailures,   // w@r[,w@r]*
-  kSlowdowns,  // w:f[@a-b][,...] with f >= 1 and a < b
+  kSwitch,    // 1/on/true/yes or 0/off/false/no; empty counts as unset
+  kInteger,   // decimal digits within [min, max]
+  kFailures,  // w@r[,w@r]*
 };
 
 enum class Policy : uint8_t { kWarnOnce, kStrict };
@@ -61,8 +51,7 @@ struct KnobSpec {
   Policy policy;
   const char* values;         // as the README and the warning say them
   const char* default_value;  // as the README says it
-  /// kChoice: the '|'-separated spellings in index order. kSwitch: an
-  /// extra "off|on" pair, or null.
+  /// kSwitch: an extra "off|on" pair, or null.
   const char* spellings = nullptr;
   uint64_t min = 0;  // kInteger bounds
   uint64_t max = UINT64_MAX;
@@ -72,20 +61,16 @@ struct KnobSpec {
 std::span<const KnobSpec> Table();
 const KnobSpec& Spec(Knob knob);
 
-/// One item of a kFailures or kSlowdowns value.
+/// One item of a kFailures value.
 struct Event {
   uint32_t worker = 0;
-  uint32_t round = 0;  // the failing round, or the window's first round
-  uint32_t until = UINT32_MAX;
-  double factor = 1.0;
+  uint32_t round = 0;
 };
 
 /// A parsed value; the row's kind says which member holds it.
 struct Value {
   bool on = false;
   uint64_t integer = 0;
-  double number = 0.0;
-  uint32_t choice = 0;  // index into the spellings
   std::vector<Event> events;
 };
 

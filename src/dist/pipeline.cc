@@ -8,19 +8,12 @@
 #include <thread>
 
 #include "common/core_budget.h"
-#include "common/env.h"
 #include "common/logging.h"
 #include "common/metrics.h"
 #include "common/threadpool.h"
 #include "common/timer.h"
 
 namespace gal {
-
-uint32_t ResolveStageExecutors(uint32_t configured) {
-  if (configured > 0) return configured;
-  const auto env = env::Lookup(env::Knob::kStageExecutors, 1);
-  return env ? static_cast<uint32_t>(env->integer) : 1;
-}
 
 ModeledStageSpec ModeledNetworkStage(const std::string& name,
                                      const NetworkCostModel& cost,
@@ -248,12 +241,11 @@ PipelineReport RunPipeline(const std::vector<PipelineStage>& stages,
   PipelineReport report;
   report.hardware_concurrency = std::thread::hardware_concurrency();
   report.stages.resize(stages.size());
-  std::vector<uint32_t> executors(stages.size());
   for (size_t s = 0; s < stages.size(); ++s) {
-    executors[s] = ResolveStageExecutors(stages[s].executors);
-    report.total_executors += executors[s];
+    GAL_CHECK(stages[s].executors >= 1);
+    report.total_executors += stages[s].executors;
     report.stages[s].name = stages[s].name;
-    report.stages[s].executors = executors[s];
+    report.stages[s].executors = stages[s].executors;
     report.stage_names.push_back(stages[s].name);
   }
   report.overlap_feasible =
@@ -286,7 +278,7 @@ PipelineReport RunPipeline(const std::vector<PipelineStage>& stages,
   for (size_t s = 0; s < stages.size(); ++s) {
     specs[s].name = stages[s].name;
     specs[s].busy = busy[s];
-    specs[s].executors = executors[s];
+    specs[s].executors = stages[s].executors;
   }
   ModeledPipelineResult modeled = ModelPipelineSchedule(specs);
   report.serial_stage_traces = specs;
@@ -312,7 +304,7 @@ PipelineReport RunPipeline(const std::vector<PipelineStage>& stages,
   {
     PipelineRun run(stages.size(), num_batches);
     for (size_t s = 0; s < stages.size(); ++s) {
-      run.stages[s].capacity = std::max<size_t>(2, 2 * executors[s]);
+      run.stages[s].capacity = std::max<size_t>(2, 2 * stages[s].executors);
     }
     std::vector<Histogram> pipelined_hist(stages.size());
     std::vector<Histogram> stall_hist(stages.size());
@@ -320,7 +312,7 @@ PipelineReport RunPipeline(const std::vector<PipelineStage>& stages,
     StageExecutorLease lease(report.total_executors);
     ThreadPool pool(report.total_executors);
     for (size_t s = 0; s < stages.size(); ++s) {
-      for (uint32_t e = 0; e < executors[s]; ++e) {
+      for (uint32_t e = 0; e < stages[s].executors; ++e) {
         pool.Submit([&, s] {
           {
             std::unique_lock<std::mutex> lock(run.mu);
@@ -378,7 +370,7 @@ PipelineReport RunPipeline(const std::vector<PipelineStage>& stages,
       report.stages[s].occupancy =
           report.pipelined_seconds > 0.0
               ? pipelined_hist[s].sum() /
-                    (static_cast<double>(executors[s]) *
+                    (static_cast<double>(stages[s].executors) *
                      report.pipelined_seconds)
               : 0.0;
       report.stages[s].stall_p50_seconds = stall_hist[s].P50();

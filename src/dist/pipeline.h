@@ -26,18 +26,12 @@ struct PipelineStage {
   /// Processes one batch (by index). Runtime is whatever the callable
   /// actually takes; the executor measures it.
   std::function<void(uint32_t batch)> work;
-  /// Executors for this stage in the pipelined pass. 0 means "default":
-  /// the GAL_STAGE_EXECUTORS env var if set to a positive integer, else
-  /// 1. Stages whose work mutates state shared across batches (e.g. an
-  /// optimizer step) must keep 1 executor; stages writing only per-batch
-  /// slots can be widened freely.
-  uint32_t executors = 0;
+  /// Executors for this stage in the pipelined pass, at least 1. Stages
+  /// whose work mutates state shared across batches (e.g. an optimizer
+  /// step) must keep 1 executor; stages writing only per-batch slots can
+  /// be widened freely.
+  uint32_t executors = 1;
 };
-
-/// Resolved executor count for one stage: `configured` if positive, else
-/// the GAL_STAGE_EXECUTORS env override if positive, else 1 (a malformed
-/// value warns once).
-uint32_t ResolveStageExecutors(uint32_t configured);
 
 /// One stage of the *modeled* pipeline: a per-batch busy-time row plus
 /// how many executors the virtual clock may schedule it on.
@@ -191,14 +185,14 @@ struct PipelineReport {
 ///
 /// The pipelined pass is a two-level task-engine: one shared ThreadPool
 /// hosts k_s long-running executors per stage (k_s from
-/// PipelineStage::executors / GAL_STAGE_EXECUTORS); executors pull batch
-/// indices from bounded per-stage ready queues. Handoff is
-/// batch-ordered: stage s+1's queue receives batch b only after stage s
-/// finished it, and batches are released downstream in ascending order
-/// even when a widened stage completes them out of order. The pass
-/// leases its executor threads from the process CoreBudget, so tensor
-/// kernels called inside a stage shrink their shard fan-out instead of
-/// oversubscribing the machine (see common/core_budget.h).
+/// PipelineStage::executors); executors pull batch indices from bounded
+/// per-stage ready queues. Handoff is batch-ordered: stage s+1's queue
+/// receives batch b only after stage s finished it, and batches are
+/// released downstream in ascending order even when a widened stage
+/// completes them out of order. The pass leases its executor threads
+/// from the process CoreBudget, so tensor kernels called inside a stage
+/// shrink their shard fan-out instead of oversubscribing the machine
+/// (see common/core_budget.h).
 ///
 /// Stage callables must be safe to call again for the second execution.
 /// Every (stage, batch) pair executes exactly once per pass, so outputs

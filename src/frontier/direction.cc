@@ -1,25 +1,6 @@
 #include "frontier/direction.h"
 
-#include "common/env.h"
-
 namespace gal {
-
-DirectionConfig DirectionConfig::FromEnv() {
-  DirectionConfig config;
-  // In the row's spelling order: auto|push|pull.
-  constexpr DirectionMode kModes[] = {
-      DirectionMode::kAuto, DirectionMode::kPushOnly, DirectionMode::kPullOnly};
-  if (const auto env = env::Lookup(env::Knob::kFrontierMode, "auto")) {
-    config.mode = kModes[env->choice];
-  }
-  if (const auto env = env::Lookup(env::Knob::kFrontierAlpha, config.alpha)) {
-    config.alpha = env->number;
-  }
-  if (const auto env = env::Lookup(env::Knob::kFrontierBeta, config.beta)) {
-    config.beta = env->number;
-  }
-  return config;
-}
 
 Direction DirectionController::Next(uint64_t frontier_edges,
                                     uint64_t frontier_vertices,

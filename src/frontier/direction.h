@@ -29,13 +29,6 @@ struct DirectionConfig {
   DirectionMode mode = DirectionMode::kAuto;
   double alpha = 15.0;
   double beta = 18.0;
-
-  /// Defaults with environment overrides applied (common/env.h):
-  ///   GAL_FRONTIER_MODE  ∈ {auto, push, pull}
-  ///   GAL_FRONTIER_ALPHA > 0 (push→pull aggressiveness; higher = later)
-  ///   GAL_FRONTIER_BETA  > 0 (pull→push switch-back; higher = later)
-  /// A malformed value warns once per process and keeps the default.
-  static DirectionConfig FromEnv();
 };
 
 /// Per-run direction chooser with the hysteresis the two thresholds

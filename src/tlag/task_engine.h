@@ -123,7 +123,7 @@ struct TaskEngineConfig {
 
 // ResolveTaskThreads — the explicit > GAL_TASK_THREADS > hardware
 // resolution every engine uses for host threads — lives in
-// cluster/cluster.h (included above) next to ResolveClusterWorkers.
+// cluster/cluster.h (included above).
 
 /// A think-like-a-task scheduler in the T-thinker mold: tasks are
 /// independent units of subgraph search; each worker owns a lock-free

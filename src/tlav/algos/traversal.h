@@ -22,12 +22,12 @@ inline constexpr uint32_t kUnreachable = std::numeric_limits<uint32_t>::max();
 /// the shared FaultPlan (`faults`: checkpoints, failures, stragglers,
 /// rebalancing); Pregel+ mirroring is a TlavEngine feature, and a
 /// non-zero `mirror_degree_threshold` is rejected. `direction` picks
-/// Beamer auto-switching (the default, or GAL_FRONTIER_MODE) or a forced
-/// mode — push-only is the baseline the Beamer comparison measures
-/// against. Results are bit-identical across all of these.
+/// Beamer auto-switching (the default) or a forced mode — push-only is
+/// the baseline the Beamer comparison measures against. Results are
+/// bit-identical across all of these.
 struct TraversalOptions {
   TlavConfig engine;
-  DirectionConfig direction = DirectionConfig::FromEnv();
+  DirectionConfig direction;
 };
 
 /// Hop distances from `source`. `status` is non-OK and `distance` empty

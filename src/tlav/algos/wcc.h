@@ -34,7 +34,7 @@ struct WccResult {
 /// identical across direction schedules, workers, threads and faults.
 struct WccOptions {
   TlavConfig engine;
-  DirectionConfig direction = DirectionConfig::FromEnv();
+  DirectionConfig direction;
 };
 
 WccResult Wcc(const Graph& g, const WccOptions& options);

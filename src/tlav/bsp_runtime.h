@@ -89,8 +89,7 @@ struct TlavStats {
 /// Configuration of a TLAV run, shared by the message engine and the
 /// frontier traversals.
 struct TlavConfig {
-  /// Simulated cluster width when `cluster` is null: 0 = resolve from
-  /// GAL_CLUSTER_WORKERS, else 4 (ResolveClusterWorkers).
+  /// Simulated cluster width when `cluster` is null, at least 1.
   uint32_t num_workers = 4;
   uint32_t max_supersteps = 1000000;
   /// Simulated per-message network overhead added to sizeof(M) when the
@@ -170,8 +169,7 @@ class BspRuntime {
       : g_(g),
         owned_cluster_(config.cluster == nullptr
                            ? std::make_unique<ClusterRuntime>(ClusterOptions{
-                                 ResolveClusterWorkers(config.num_workers),
-                                 NetworkCostModel{}})
+                                 config.num_workers, NetworkCostModel{}})
                            : nullptr),
         cluster_(config.cluster != nullptr ? config.cluster
                                            : owned_cluster_.get()),

@@ -145,14 +145,7 @@ TEST(VirtualClockTest, MarksAttributeJobsOnASharedClock) {
 
 TEST(ClusterRuntimeTest, WorkerCountResolution) {
   EXPECT_EQ(ClusterRuntime(ClusterOptions{3, {}}).num_workers(), 3u);
-  ASSERT_EQ(setenv("GAL_CLUSTER_WORKERS", "6", 1), 0);
-  EXPECT_EQ(ResolveClusterWorkers(0), 6u);
-  EXPECT_EQ(ResolveClusterWorkers(2), 2u);  // explicit wins
-  EXPECT_EQ(ClusterRuntime().num_workers(), 6u);
-  ASSERT_EQ(setenv("GAL_CLUSTER_WORKERS", "garbage", 1), 0);
-  EXPECT_EQ(ResolveClusterWorkers(0), 4u);
-  ASSERT_EQ(unsetenv("GAL_CLUSTER_WORKERS"), 0);
-  EXPECT_EQ(ResolveClusterWorkers(0), 4u);  // default width
+  EXPECT_EQ(ClusterRuntime().num_workers(), 4u);  // default width
 }
 
 TEST(ClusterRuntimeTest, InstallsPartitionOfMatchingWidth) {

@@ -273,25 +273,6 @@ TEST(EnvNumberTest, ParsesWholeIntegersOnly) {
   EXPECT_EQ(Parsed(env::Knob::kOocShardBytes, "512")->integer, 512u);
 }
 
-TEST(EnvNumberTest, ParsesWholeDecimalNumbersOnly) {
-  constexpr env::Knob kNumber = env::Knob::kFrontierAlpha;
-  const std::pair<const char*, double> good[] = {
-      {"3.5", 3.5}, {"7", 7.0},  {"1e3", 1000.0},
-      {".5", 0.5},  {"5.", 5.0}, {"2.5E-1", 0.25}};
-  for (const auto& [text, expected] : good) {
-    const std::optional<env::Value> value = Parsed(kNumber, text);
-    ASSERT_TRUE(value.has_value()) << text;
-    EXPECT_DOUBLE_EQ(value->number, expected) << text;
-  }
-  // Padding, signs, hex, words and non-finite or non-positive values: a
-  // strtod prefix parse read " 3" as 3 and "0x10" as 16.
-  for (const char* text : {" 3", "\t4", "0x10", "3 ", "+3", "-2", "0", "0.0",
-                           "3.5x", "abc", "", ".", "e5", "1e", "1.2.3",
-                           "inf", "nan", "1e999", "1e-400"}) {
-    EXPECT_TRUE(Rejected(kNumber, text)) << text;
-  }
-}
-
 // ---------------------------------------------------------------------------
 // Metrics
 

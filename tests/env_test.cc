@@ -1,8 +1,9 @@
 // The GAL_* knob table (common/env.h): README.md's knob table and
-// scripts/check.sh are kept in sync with it, and every knob's parser
-// holds up under seeded byte mutation.
+// scripts/check.sh are kept in sync with it, every knob is set by a
+// check-script stage or by galbench, and every knob's parser holds up
+// under seeded byte mutation.
 
-#include <cmath>
+#include <algorithm>
 #include <fstream>
 #include <iterator>
 #include <map>
@@ -94,34 +95,66 @@ TEST(EnvTableTest, CheckScriptSetsOnlyRegisteredKnobs) {
   EXPECT_GT(found, 0u);
 }
 
+/// The GAL_* names a shell line assigns: its leading NAME=value words,
+/// as in `GAL_SIMD=0 ./build/tests/gal_tests ...`.
+std::vector<std::string> AssignedKnobs(const std::string& line) {
+  std::vector<std::string> names;
+  std::istringstream words(line);
+  for (std::string word; words >> word;) {
+    const size_t eq = word.find('=');
+    if (eq == std::string::npos ||
+        word.find_first_not_of("ABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_") !=
+            eq) {
+      break;
+    }
+    if (word.rfind("GAL_", 0) == 0) names.push_back(word.substr(0, eq));
+  }
+  return names;
+}
+
+// A knob is there to force a condition a check stage or the benchmark
+// runs under. A row that only its own parsing tests set is a second
+// spelling of a config field, so every row needs a setter: a stage of
+// scripts/check.sh that assigns it, or a setenv in galbench/main.cc.
+TEST(EnvTableTest, EveryKnobHasASetter) {
+  std::istringstream script(Slurp("scripts/check.sh"));
+  std::vector<std::string> assigned;
+  for (std::string line; std::getline(script, line);) {
+    for (const std::string& name : AssignedKnobs(line)) {
+      assigned.push_back(name);
+    }
+  }
+  const std::string galbench = Slurp("galbench/main.cc");
+  for (const env::KnobSpec& spec : env::Table()) {
+    const bool by_script =
+        std::find(assigned.begin(), assigned.end(), spec.name) !=
+        assigned.end();
+    const bool by_galbench =
+        galbench.find("setenv(\"" + std::string(spec.name) + "\"") !=
+        std::string::npos;
+    EXPECT_TRUE(by_script || by_galbench)
+        << spec.name << " is set by no scripts/check.sh stage and not by "
+        << "galbench/main.cc";
+  }
+}
+
 /// Valid spellings of each knob: the mutation seeds.
 std::map<env::Knob, std::vector<std::string>> ValidSpellings() {
   using env::Knob;
   const std::vector<std::string> counts = {"1", "4", "64", "4294967295"};
   const std::vector<std::string> switches = {"1",  "on",    "true", "yes",
                                              "0",  "off",   "false", "no"};
-  const std::vector<std::string> numbers = {"15", "3.5", "1e3", ".5", "2.5E-1"};
-  const std::vector<std::string> rounds = {"0", "5", "4294967295"};
   std::vector<std::string> compression = switches;
   compression.insert(compression.end(), {"none", "delta-varint"});
   return {
       {Knob::kTaskThreads, counts},
-      {Knob::kClusterWorkers, counts},
       {Knob::kKernelThreads, counts},
-      {Knob::kStageExecutors, counts},
       {Knob::kSimd, switches},
       {Knob::kGraphCompression, compression},
-      {Knob::kFrontierMode, {"auto", "push", "pull"}},
-      {Knob::kFrontierAlpha, numbers},
-      {Knob::kFrontierBeta, numbers},
       {Knob::kOocShardBytes, {"512", "65536", "18446744073709551615"}},
       {Knob::kOocBudgetBytes, {"0", "1", "1048576"}},
-      {Knob::kFaultCheckpoint, rounds},
+      {Knob::kFaultCheckpoint, {"0", "5", "4294967295"}},
       {Knob::kFaultFail, {"0@3", "1@7,0@9", "3@1,2@2,1@3"}},
-      {Knob::kFaultSlow, {"0:2", "2:3.5@4-9,0:2", "1:1000@0-4294967295",
-                          "1:1e3"}},
-      {Knob::kFaultSeed, rounds},
-      {Knob::kFaultRebalance, {"0", "1"}},
   };
 }
 
@@ -154,30 +187,15 @@ std::string Disallowed(const env::KnobSpec& spec, const std::string& text,
       return value.integer >= spec.min && value.integer <= spec.max
                  ? ""
                  : "out of bounds";
-    case env::Kind::kNumber:
-      return std::isfinite(value.number) && value.number > 0.0
-                 ? ""
-                 : "not a positive finite number";
-    case env::Kind::kChoice:
-      return IndexIn(spec.spellings, text) == static_cast<int>(value.choice)
-                 ? ""
-                 : "not the listed choice";
     case env::Kind::kFailures:
       return value.events.empty() ? "no events" : "";
-    case env::Kind::kSlowdowns:
-      if (value.events.empty()) return "no events";
-      for (const env::Event& e : value.events) {
-        if (!std::isfinite(e.factor) || e.factor < 1.0) return "bad factor";
-        if (e.until <= e.round) return "empty window";
-      }
-      return "";
   }
   return "unknown kind";
 }
 
 // Every mutant of a valid spelling either parses to a value its row's
-// kind allows or is rejected: a positive count, a finite factor >= 1, a
-// non-empty window or a listed choice, never a silent misread. Pure
+// kind allows or is rejected: a listed switch spelling, a count within
+// its bounds or a non-empty failure list, never a silent misread. Pure
 // parses, so no setenv; check.sh's ASan stage runs this too.
 TEST(EnvMutationTest, EveryMutantParsesToAnAllowedValueOrIsRejected) {
   constexpr int kMutantsPerKnob = 300;

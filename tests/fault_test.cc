@@ -68,35 +68,6 @@ TEST(FaultPlanTest, SlowdownWindowsCompose) {
   EXPECT_DOUBLE_EQ(plan.SlowdownFactor(0, 5), 1.0);   // unlisted worker
 }
 
-TEST(FaultPlanTest, RandomIsDeterministicAndInBounds) {
-  FaultPlan::RandomOptions options;
-  options.seed = 42;
-  options.num_workers = 3;
-  options.horizon_rounds = 12;
-  options.failures = 2;
-  options.stragglers = 2;
-  const FaultPlan a = FaultPlan::Random(options);
-  const FaultPlan b = FaultPlan::Random(options);
-
-  ASSERT_EQ(a.failures().size(), 2u);
-  ASSERT_EQ(a.slowdowns().size(), 2u);
-  EXPECT_EQ(a.checkpoint_every(), options.checkpoint_every);
-  for (size_t i = 0; i < a.failures().size(); ++i) {
-    EXPECT_EQ(a.failures()[i].worker, b.failures()[i].worker);
-    EXPECT_EQ(a.failures()[i].round, b.failures()[i].round);
-    EXPECT_LT(a.failures()[i].worker, options.num_workers);
-    EXPECT_GE(a.failures()[i].round, 1u);
-    EXPECT_LT(a.failures()[i].round, options.horizon_rounds);
-  }
-  for (size_t i = 0; i < a.slowdowns().size(); ++i) {
-    EXPECT_EQ(a.slowdowns()[i].worker, b.slowdowns()[i].worker);
-    EXPECT_DOUBLE_EQ(a.slowdowns()[i].factor, b.slowdowns()[i].factor);
-    EXPECT_EQ(a.slowdowns()[i].from_round, b.slowdowns()[i].from_round);
-    EXPECT_GE(a.slowdowns()[i].factor, options.min_slowdown);
-    EXPECT_LE(a.slowdowns()[i].factor, options.max_slowdown);
-  }
-}
-
 // --- env resolution ---------------------------------------------------------
 
 class FaultEnvTest : public ::testing::Test {
@@ -104,30 +75,18 @@ class FaultEnvTest : public ::testing::Test {
   void TearDown() override {
     unsetenv("GAL_CLUSTER_FAULT_CHECKPOINT");
     unsetenv("GAL_CLUSTER_FAULT_FAIL");
-    unsetenv("GAL_CLUSTER_FAULT_SLOW");
-    unsetenv("GAL_CLUSTER_FAULT_SEED");
-    unsetenv("GAL_CLUSTER_FAULT_REBALANCE");
-    unsetenv("GAL_CLUSTER_WORKERS");
   }
 };
 
 TEST_F(FaultEnvTest, FromEnvParsesFullSpec) {
   ASSERT_EQ(setenv("GAL_CLUSTER_FAULT_CHECKPOINT", "5", 1), 0);
   ASSERT_EQ(setenv("GAL_CLUSTER_FAULT_FAIL", "1@7,0@9", 1), 0);
-  ASSERT_EQ(setenv("GAL_CLUSTER_FAULT_SLOW", "2:3.5@4-9,0:2", 1), 0);
-  ASSERT_EQ(setenv("GAL_CLUSTER_FAULT_REBALANCE", "1", 1), 0);
   Result<FaultPlan> plan = FaultPlan::FromEnv();
   ASSERT_TRUE(plan.ok()) << plan.status().message();
   EXPECT_EQ(plan->checkpoint_every(), 5u);
   ASSERT_EQ(plan->failures().size(), 2u);
   EXPECT_EQ(plan->failures()[1].worker, 0u);
   EXPECT_EQ(plan->failures()[1].round, 9u);
-  ASSERT_EQ(plan->slowdowns().size(), 2u);
-  EXPECT_DOUBLE_EQ(plan->slowdowns()[0].factor, 3.5);
-  EXPECT_EQ(plan->slowdowns()[0].from_round, 4u);
-  EXPECT_EQ(plan->slowdowns()[0].until_round, 9u);
-  EXPECT_EQ(plan->slowdowns()[1].until_round, UINT32_MAX);
-  EXPECT_TRUE(plan->rebalance().enabled);
 }
 
 TEST_F(FaultEnvTest, FromEnvRejectsMalformedValues) {
@@ -135,21 +94,12 @@ TEST_F(FaultEnvTest, FromEnvRejectsMalformedValues) {
       {"GAL_CLUSTER_FAULT_CHECKPOINT", "5x"},
       {"GAL_CLUSTER_FAULT_FAIL", "1@"},
       {"GAL_CLUSTER_FAULT_FAIL", "nope"},
-      {"GAL_CLUSTER_FAULT_SLOW", "0:0.5"},   // factor < 1
-      {"GAL_CLUSTER_FAULT_SLOW", "0:2@9-4"}, // empty window
-      {"GAL_CLUSTER_FAULT_SEED", "abc"},
-      {"GAL_CLUSTER_FAULT_REBALANCE", "yes"},
-      // Numbers parse whole: no padding, sign, hex or non-finite factor
-      // (a nan factor would drop its worker from every modeled round).
-      {"GAL_CLUSTER_FAULT_SLOW", "0:nan"},
-      {"GAL_CLUSTER_FAULT_SLOW", "0:inf"},
-      {"GAL_CLUSTER_FAULT_SLOW", "0:0x10"},
-      {"GAL_CLUSTER_FAULT_SLOW", " 1:2"},
+      // Numbers parse whole: no padding, sign or hex.
       {"GAL_CLUSTER_FAULT_CHECKPOINT", " 5"},
       {"GAL_CLUSTER_FAULT_CHECKPOINT", "+5"},
       {"GAL_CLUSTER_FAULT_CHECKPOINT", "-0"},
+      {"GAL_CLUSTER_FAULT_CHECKPOINT", "0x10"},
       {"GAL_CLUSTER_FAULT_FAIL", "+1@ 3"},
-      {"GAL_CLUSTER_FAULT_SEED", " 7"},
   };
   for (const auto& [var, value] : cases) {
     ASSERT_EQ(setenv(var, value, 1), 0);
@@ -161,23 +111,6 @@ TEST_F(FaultEnvTest, FromEnvRejectsMalformedValues) {
     EXPECT_TRUE(FaultPlan::FromEnvOrWarn().empty());
     ASSERT_EQ(unsetenv(var), 0);
   }
-}
-
-TEST_F(FaultEnvTest, SeedFillsInUnspecifiedEvents) {
-  ASSERT_EQ(setenv("GAL_CLUSTER_FAULT_SEED", "7", 1), 0);
-  Result<FaultPlan> seeded = FaultPlan::FromEnv();
-  ASSERT_TRUE(seeded.ok());
-  EXPECT_EQ(seeded->failures().size(), 1u);
-  EXPECT_EQ(seeded->slowdowns().size(), 1u);
-  EXPECT_GT(seeded->checkpoint_every(), 0u);
-
-  // Explicit FAIL wins: the seed only draws the straggler.
-  ASSERT_EQ(setenv("GAL_CLUSTER_FAULT_FAIL", "0@3", 1), 0);
-  Result<FaultPlan> mixed = FaultPlan::FromEnv();
-  ASSERT_TRUE(mixed.ok());
-  ASSERT_EQ(mixed->failures().size(), 1u);
-  EXPECT_EQ(mixed->failures()[0].round, 3u);
-  EXPECT_EQ(mixed->slowdowns().size(), 1u);
 }
 
 // --- CheckpointStore --------------------------------------------------------

@@ -1,11 +1,9 @@
 // The direction-optimizing frontier substrate: representation
-// exactness, the Beamer switch heuristics and their env knobs, and
-// bit-identical traversal results (through TlavBfs / Wcc / TlavSssp, the
-// substrate's entry points) across directions, worker counts, and host
-// thread counts.
+// exactness, the Beamer switch heuristics, and bit-identical traversal
+// results (through TlavBfs / Wcc / TlavSssp, the substrate's entry
+// points) across directions, worker counts, and host thread counts.
 
 #include <cstdlib>
-#include <string>
 
 #include <gtest/gtest.h>
 
@@ -117,69 +115,6 @@ TEST(DirectionControllerTest, ForcedModesNeverSwitch) {
   EXPECT_EQ(pull.Next(0, 1, 1000000), Direction::kPull);
   EXPECT_EQ(push.switches(), 0u);
   EXPECT_EQ(pull.switches(), 0u);
-}
-
-class DirectionConfigTest : public ::testing::Test {
- protected:
-  void TearDown() override {
-    unsetenv("GAL_FRONTIER_MODE");
-    unsetenv("GAL_FRONTIER_ALPHA");
-    unsetenv("GAL_FRONTIER_BETA");
-  }
-};
-
-TEST_F(DirectionConfigTest, EnvOverridesKnobs) {
-  ASSERT_EQ(setenv("GAL_FRONTIER_MODE", "pull", 1), 0);
-  ASSERT_EQ(setenv("GAL_FRONTIER_ALPHA", "3.5", 1), 0);
-  ASSERT_EQ(setenv("GAL_FRONTIER_BETA", "7", 1), 0);
-  DirectionConfig config = DirectionConfig::FromEnv();
-  EXPECT_EQ(config.mode, DirectionMode::kPullOnly);
-  EXPECT_DOUBLE_EQ(config.alpha, 3.5);
-  EXPECT_DOUBLE_EQ(config.beta, 7.0);
-  ASSERT_EQ(setenv("GAL_FRONTIER_MODE", "push", 1), 0);
-  EXPECT_EQ(DirectionConfig::FromEnv().mode, DirectionMode::kPushOnly);
-  ASSERT_EQ(setenv("GAL_FRONTIER_MODE", "auto", 1), 0);
-  EXPECT_EQ(DirectionConfig::FromEnv().mode, DirectionMode::kAuto);
-}
-
-size_t Count(const std::string& text, const std::string& needle) {
-  size_t n = 0;
-  for (size_t at = text.find(needle); at != std::string::npos;
-       at = text.find(needle, at + 1)) {
-    ++n;
-  }
-  return n;
-}
-
-TEST_F(DirectionConfigTest, MalformedValuesWarnOnceAndKeepDefaults) {
-  // Full-string parses: a prefix ("pul"), a number with trailing junk
-  // ("3.5x"), a non-number, a non-positive value and an empty string are
-  // all malformed. Each keeps its default and warns once per process, no
-  // matter how often the knobs are resolved.
-  const std::pair<const char*, const char*> cases[] = {
-      {"GAL_FRONTIER_MODE", "pul"},      {"GAL_FRONTIER_MODE", "sideways"},
-      {"GAL_FRONTIER_ALPHA", "3.5x"},    {"GAL_FRONTIER_ALPHA", "abc"},
-      {"GAL_FRONTIER_BETA", "-2"},       {"GAL_FRONTIER_BETA", ""},
-  };
-  testing::internal::CaptureStderr();
-  for (const auto& [var, value] : cases) {
-    ASSERT_EQ(setenv(var, value, 1), 0);
-    for (int repeat = 0; repeat < 2; ++repeat) {
-      const DirectionConfig config = DirectionConfig::FromEnv();
-      EXPECT_EQ(config.mode, DirectionMode::kAuto) << var << "=" << value;
-      EXPECT_DOUBLE_EQ(config.alpha, 15.0) << var << "=" << value;
-      EXPECT_DOUBLE_EQ(config.beta, 18.0) << var << "=" << value;
-    }
-    ASSERT_EQ(unsetenv(var), 0);
-  }
-  const std::string log = testing::internal::GetCapturedStderr();
-  EXPECT_EQ(Count(log, "GAL_FRONTIER_MODE=\"pul\""), 1u) << log;
-  EXPECT_EQ(Count(log, "GAL_FRONTIER_ALPHA=\"3.5x\""), 1u) << log;
-  EXPECT_EQ(Count(log, "GAL_FRONTIER_BETA=\"-2\""), 1u) << log;
-  for (const char* var :
-       {"GAL_FRONTIER_MODE", "GAL_FRONTIER_ALPHA", "GAL_FRONTIER_BETA"}) {
-    EXPECT_EQ(Count(log, var), 1u) << log;  // once per variable
-  }
 }
 
 // --- Traversal parity ---------------------------------------------------------

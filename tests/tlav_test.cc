@@ -227,48 +227,6 @@ TEST(TlavEngineTest, AggregatorFoldsItsInitialValueOnce) {
   }
 }
 
-/// The deterministic fields of two runs that must agree exactly.
-void ExpectSameRun(const TlavStats& a, const TlavStats& b) {
-  EXPECT_EQ(a.supersteps, b.supersteps);
-  EXPECT_EQ(a.total_messages, b.total_messages);
-  EXPECT_EQ(a.cross_worker_messages, b.cross_worker_messages);
-  EXPECT_EQ(a.total_message_bytes, b.total_message_bytes);
-  EXPECT_EQ(a.cross_worker_bytes, b.cross_worker_bytes);
-  EXPECT_EQ(a.vertex_activations, b.vertex_activations);
-  EXPECT_EQ(a.edge_scans, b.edge_scans);
-  ASSERT_EQ(a.per_step.size(), b.per_step.size());
-  for (size_t s = 0; s < a.per_step.size(); ++s) {
-    EXPECT_EQ(a.per_step[s].active_vertices, b.per_step[s].active_vertices);
-    EXPECT_EQ(a.per_step[s].messages, b.per_step[s].messages);
-  }
-}
-
-TEST(TlavEngineTest, ZeroWorkersResolvesToTheClusterDefault) {
-  // num_workers = 0 resolves through ResolveClusterWorkers, as
-  // ClusterOptions does: with GAL_CLUSTER_WORKERS unset that is the
-  // default width of 4, so the run matches an explicit 4-worker run bit
-  // for bit — through PageRank and through an engine built directly.
-  ASSERT_EQ(unsetenv("GAL_CLUSTER_WORKERS"), 0);
-  const Graph g = Rmat(8, 6, 3);
-  PageRankOptions four;
-  four.engine.num_workers = 4;
-  PageRankOptions zero = four;
-  zero.engine.num_workers = 0;
-  const PageRankResult a = PageRank(g, four);
-  const PageRankResult b = PageRank(g, zero);
-  EXPECT_EQ(b.ranks, a.ranks);
-  ExpectSameRun(b.stats, a.stats);
-
-  TlavEngine<int, int> four_engine(&g, TlavConfig{.num_workers = 4});
-  TlavEngine<int, int> zero_engine(&g, TlavConfig{.num_workers = 0});
-  EXPECT_EQ(zero_engine.cluster().num_workers(), 4u);
-  EchoProgram p4, p0;
-  const TlavStats s4 = four_engine.Run(p4);
-  const TlavStats s0 = zero_engine.Run(p0);
-  EXPECT_EQ(zero_engine.values(), four_engine.values());
-  ExpectSameRun(s0, s4);
-}
-
 TEST(TlavEngineTest, MaxSuperstepsBoundsRun) {
   Graph g = Path(4);
   TlavEngine<int, int> engine(&g, TlavConfig{.num_workers = 1,
