@@ -109,9 +109,12 @@ echo "== tsan: shard-cache suites =="
 # The parity, private-set and shape suites run the three out-of-core
 # jobs at 1 and 8 threads, so TSan watches the per-worker readers,
 # channel slots, per-thread tallies and blocks, and the per-thread write
-# status, against concurrent shard loads/evictions in both caches.
+# status, against concurrent shard loads/evictions in both caches. The
+# vanished-shard case runs each job at 8 threads over a store whose
+# files are gone, so every load fails and the cache writes its failure
+# status under its mutex while other workers pin.
 ./build-tsan/tests/gal_tests \
-    --gtest_filter='ShardCacheTest.*:OocParityTest.*:OocOrientedSetTest.*:OocShapeTest.*'
+    --gtest_filter='ShardCacheTest.*:OocParityTest.*:OocOrientedSetTest.*:OocShapeTest.*:OocBadFileTest.AShardThatVanishesAfterOpenIsAStatus'
 
 echo
 echo "== forced tiny budget: every shard evicted between touches =="

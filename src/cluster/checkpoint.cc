@@ -101,8 +101,8 @@ const std::vector<uint8_t>* RecoverySession::OnFailure(
 
 uint32_t RecoverySession::RebalanceCandidate(
     uint32_t round, std::span<const double> per_worker_load) {
-  const RebalanceConfig& rb = plan_.rebalance();
-  if (!rb.enabled || per_worker_load.size() < 2) return kNoWorker;
+  if (!plan_.rebalance() || per_worker_load.size() < 2) return kNoWorker;
+  const RebalanceConfig& rb = *plan_.rebalance();
   if (migrations_done_ >= rb.max_migrations) return kNoWorker;
   if (round < cooldown_until_round_) return kNoWorker;
 

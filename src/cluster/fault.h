@@ -2,6 +2,7 @@
 #define GAL_CLUSTER_FAULT_H_
 
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "common/status.h"
@@ -30,15 +31,13 @@ struct SlowdownEvent {
 
 /// Live-rebalancing policy: when one worker's (slowdown-scaled) load
 /// stays above `threshold` x the mean of the other workers for
-/// `sustain_rounds` consecutive rounds, the engine migrates
-/// `migrate_fraction` of its vertices to the other workers (via
-/// RebalanceAway, the LDG-style greedy), books the moved state to the
-/// TrafficLedger, and waits `cooldown_rounds` before re-triggering.
+/// `sustain_rounds` consecutive rounds, the engine migrates half of its
+/// vertices to the other workers (via RebalanceAway, the LDG-style
+/// greedy), books the moved state to the TrafficLedger, and waits
+/// `cooldown_rounds` before re-triggering.
 struct RebalanceConfig {
-  bool enabled = false;
   double threshold = 2.0;
   uint32_t sustain_rounds = 3;
-  double migrate_fraction = 0.5;
   uint32_t cooldown_rounds = 4;
   uint32_t max_migrations = 4;
 };
@@ -73,7 +72,6 @@ class FaultPlan {
     return *this;
   }
   FaultPlan& Rebalance(RebalanceConfig config) {
-    config.enabled = true;
     rebalance_ = config;
     return *this;
   }
@@ -82,13 +80,16 @@ class FaultPlan {
   uint32_t checkpoint_every() const { return checkpoint_every_; }
   const std::vector<FailureEvent>& failures() const { return failures_; }
   const std::vector<SlowdownEvent>& slowdowns() const { return slowdowns_; }
-  const RebalanceConfig& rebalance() const { return rebalance_; }
+  /// Unset unless Rebalance() was called: the plan does not rebalance.
+  const std::optional<RebalanceConfig>& rebalance() const {
+    return rebalance_;
+  }
 
   /// True when the plan prescribes no behavior at all — the fast path
   /// every engine checks before paying any fault-tolerance machinery.
   bool empty() const {
     return checkpoint_every_ == 0 && failures_.empty() && slowdowns_.empty() &&
-           !rebalance_.enabled;
+           !rebalance_;
   }
   bool active() const { return !empty(); }
 
@@ -117,7 +118,7 @@ class FaultPlan {
   uint32_t checkpoint_every_ = 0;
   std::vector<FailureEvent> failures_;
   std::vector<SlowdownEvent> slowdowns_;
-  RebalanceConfig rebalance_;
+  std::optional<RebalanceConfig> rebalance_;
 };
 
 }  // namespace gal

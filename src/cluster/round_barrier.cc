@@ -88,18 +88,17 @@ std::vector<uint8_t> RoundBarrier::Snapshot() const {
 
 /// Live rebalancing: the session watches a deterministic load signal,
 /// the vertex count per part of the installed partition, and names a
-/// sustained straggler; the engine sheds migrate_fraction of that
-/// worker's vertices, and the barrier books each moved vertex's state
-/// to its new owner.
+/// sustained straggler; the engine sheds half of that worker's
+/// vertices, and the barrier books each moved vertex's state to its new
+/// owner.
 void RoundBarrier::Rebalance() {
-  if (!hooks_.migrate || !plan_.rebalance().enabled) return;
+  if (!hooks_.migrate || !plan_.rebalance()) return;
   std::vector<double> load(cluster_->num_workers(), 0.0);
   for (uint32_t part : cluster_->partition().assignment) load[part] += 1.0;
   const uint32_t from =
       session_->RebalanceCandidate(round_, std::span<const double>(load));
   if (from == RecoverySession::kNoWorker) return;
-  const std::vector<VertexId> moved =
-      hooks_.migrate(from, plan_.rebalance().migrate_fraction);
+  const std::vector<VertexId> moved = hooks_.migrate(from);
   if (moved.empty()) return;
   const std::vector<uint32_t>& owner = cluster_->partition().assignment;
   std::vector<uint64_t> dst_bytes(cluster_->num_workers(), 0);

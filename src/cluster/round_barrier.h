@@ -31,11 +31,10 @@ class RoundBarrier {
     /// Writes everything the next round reads; `load` reads it back.
     std::function<void(BlobWriter&)> save;
     std::function<void(BlobReader&)> load;
-    /// Moves `fraction` of worker `from`'s vertices away, installs the
-    /// new partition on the cluster and returns the moved vertices.
-    /// Unset when the engine does not rebalance.
-    std::function<std::vector<VertexId>(uint32_t from, double fraction)>
-        migrate;
+    /// Moves half of worker `from`'s vertices away, installs the new
+    /// partition on the cluster and returns the moved vertices. Unset
+    /// when the engine does not rebalance.
+    std::function<std::vector<VertexId>(uint32_t from)> migrate;
     /// The state a migration ships for vertex v.
     std::function<uint64_t(VertexId)> vertex_bytes;
   };

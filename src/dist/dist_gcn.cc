@@ -307,9 +307,9 @@ DistGcnReport TrainDistGcn(const NodeClassificationDataset& dataset,
   // decides which rows a worker reads stale or lossy, so those configs
   // keep their partition and rely on checkpoints alone.
   if (lossless) {
-    hooks.migrate = [&](uint32_t from, double fraction) {
+    hooks.migrate = [&](uint32_t from) {
       std::vector<VertexId> moved;
-      parts = RebalanceAway(g, parts, from, fraction, &moved);
+      parts = RebalanceAway(g, parts, from, &moved);
       place();
       return moved;
     };
@@ -399,9 +399,7 @@ DistGcnReport TrainDistGcn(const NodeClassificationDataset& dataset,
   // core count.
   ModeledPipelineResult overlap =
       ModelClusterOverlap(rounds, cost, std::max(1u, config.comm_channels));
-  report.simulated_epoch_seconds = config.overlap_comm_compute
-                                       ? overlap.pipelined_seconds
-                                       : overlap.serial_seconds;
+  report.simulated_epoch_seconds = overlap.serial_seconds;
   report.modeled_overlap_epoch_seconds = overlap.pipelined_seconds;
   report.modeled_overlap_speedup = overlap.speedup;
   report.overlap_bottleneck_stage =

@@ -46,9 +46,6 @@ struct DistGcnConfig {
   /// of raw-feature halo exchange.
   bool p3_feature_split = false;
   NetworkCostModel network;
-  /// When true, communication of one epoch overlaps the next epoch's
-  /// computation in the simulated-time model (pipelined systems).
-  bool overlap_comm_compute = false;
   /// Modeled parallel network channels: the comm stage of the modeled
   /// compute->comm pipeline gets this many executors in the virtual
   /// clock (k-executor scheduling; >1 models multi-channel/multi-NIC
@@ -110,8 +107,8 @@ struct DistGcnReport {
   double comm_seconds = 0.0;          // modeled wire time
   /// Modeled seconds of the whole run, from the cluster VirtualClock's
   /// rounds replayed through ModelPipelineSchedule: the barriered serial
-  /// total without overlap, the pipelined makespan with
-  /// overlap_comm_compute.
+  /// total, each round's compute then its comm.
+  /// `modeled_overlap_epoch_seconds` is the pipelined makespan.
   double simulated_epoch_seconds = 0.0;
 
   /// Per-round traces behind the modeled overlap replay, exposed so

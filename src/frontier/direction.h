@@ -21,14 +21,13 @@ enum class DirectionMode : uint8_t {
   kPullOnly,  // always gather (for representation-parity testing)
 };
 
-/// Direction-optimizing knobs (Beamer, Asanović, Patterson, SC'12).
-/// A step switches push→pull when the edges the frontier would scatter
-/// over exceed 1/alpha of the edges still incident to unexplored
-/// vertices, and pull→push when the frontier shrinks below |V|/beta.
+/// Direction-optimizing traversal (Beamer, Asanović, Patterson, SC'12).
+/// In kAuto a step switches push→pull when the edges the frontier would
+/// scatter over exceed 1/α of the edges still incident to unexplored
+/// vertices, and pull→push when the frontier shrinks below |V|/β, with
+/// the paper's α = 15 and β = 18.
 struct DirectionConfig {
   DirectionMode mode = DirectionMode::kAuto;
-  double alpha = 15.0;
-  double beta = 18.0;
 };
 
 /// Per-run direction chooser with the hysteresis the two thresholds

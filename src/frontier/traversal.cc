@@ -72,8 +72,7 @@ std::vector<uint32_t> FrontierBfs(const Graph& g, VertexId source,
                                   TlavStats& stats) {
   GAL_CHECK_OK(CheckFrontierConfig(config));
   BspRuntime rt(g, config, sizeof(uint32_t));
-  ExchangeChannel<uint32_t> channel(rt.cluster(),
-                                    config.message_overhead_bytes);
+  ExchangeChannel<uint32_t> channel(rt.cluster(), kMessageEnvelopeBytes);
   const VertexId n = g.NumVertices();
   const uint32_t W = rt.workers();
 
@@ -132,7 +131,7 @@ std::vector<uint32_t> FrontierBfs(const Graph& g, VertexId source,
       // of one message per unclaimed in-edge.
       for (uint32_t w = 0; w < W; ++w) {
         rt.cluster()->ledger().ChargeBroadcast(
-            w, (n + W - 1) / W / 8 + 1 + config.message_overhead_bytes);
+            w, (n + W - 1) / W / 8 + 1 + kMessageEnvelopeBytes);
       }
       // Gather: every unvisited vertex probes its in-neighbors and
       // claims the level at the first frontier hit.
@@ -189,8 +188,7 @@ std::vector<VertexId> FrontierWcc(const G& ug, const TlavConfig& config,
                                   TlavStats& stats) {
   GAL_CHECK_OK(CheckFrontierConfig(config));
   BspRuntime rt(ug, config, sizeof(VertexId));
-  ExchangeChannel<VertexId> channel(rt.cluster(),
-                                    config.message_overhead_bytes);
+  ExchangeChannel<VertexId> channel(rt.cluster(), kMessageEnvelopeBytes);
   const VertexId n = ug.NumVertices();
   const uint32_t W = rt.workers();
 
@@ -310,8 +308,7 @@ std::vector<uint64_t> FrontierSssp(const Graph& g, VertexId source,
   constexpr uint64_t kInf = std::numeric_limits<uint64_t>::max();
   GAL_CHECK_OK(CheckFrontierConfig(config));
   BspRuntime rt(g, config, sizeof(uint64_t));
-  ExchangeChannel<uint64_t> channel(rt.cluster(),
-                                    config.message_overhead_bytes);
+  ExchangeChannel<uint64_t> channel(rt.cluster(), kMessageEnvelopeBytes);
   const VertexId n = g.NumVertices();
   const uint32_t W = rt.workers();
 

@@ -45,11 +45,12 @@ NodeClassificationDataset MakePlantedDataset(
       SyntheticNodeFeatures(ds.labels, options.num_classes,
                             options.feature_dim, options.signal,
                             options.noise, options.seed + 1);
+  constexpr double kTrainFraction = 0.5;
   Rng rng(options.seed + 2);
   ds.train_mask.assign(options.num_vertices, 0);
   ds.test_mask.assign(options.num_vertices, 0);
   for (VertexId v = 0; v < options.num_vertices; ++v) {
-    if (rng.Bernoulli(options.train_fraction)) {
+    if (rng.Bernoulli(kTrainFraction)) {
       ds.train_mask[v] = 1;
     } else {
       ds.test_mask[v] = 1;

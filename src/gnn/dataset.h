@@ -34,12 +34,12 @@ struct PlantedDatasetOptions {
   /// fidelity of aggregation (sampling, staleness, quantization).
   double signal = 1.0;
   double noise = 2.0;
-  double train_fraction = 0.5;
   uint64_t seed = 1;
 };
 
 /// Planted-partition dataset: community structure aligned with labels,
-/// noisy class-coded features. The synthetic stand-in for the
+/// noisy class-coded features, and each vertex in the train split with
+/// probability 1/2 (else the test split). The synthetic stand-in for the
 /// ogbn/Reddit-style benchmarks the surveyed systems evaluate on.
 NodeClassificationDataset MakePlantedDataset(
     const PlantedDatasetOptions& options = {});

@@ -116,10 +116,12 @@ BiasedWalkResult Node2VecWalks(const Graph& g, uint32_t walks_per_vertex,
 
 DeepWalkResult DeepWalkEmbeddings(const Graph& g,
                                   const DeepWalkOptions& options) {
+  constexpr uint32_t kWindow = 3;     // context vertices on each side
+  constexpr uint32_t kNegatives = 4;  // negative samples per pair
   DeepWalkResult result;
   BiasedWalkResult walks = Node2VecWalks(
-      g, options.walks_per_vertex, options.walk_length, options.return_p,
-      options.inout_q, options.seed, options.engine);
+      g, options.walks_per_vertex, options.walk_length, /*return_p=*/1.0,
+      /*inout_q=*/1.0, options.seed, options.engine);
   result.walk_stats = walks.stats;
   for (const auto& walk : walks.corpus) result.walk_vertices += walk.size();
 
@@ -156,13 +158,13 @@ DeepWalkResult DeepWalkEmbeddings(const Graph& g,
     for (const auto& walk : walks.corpus) {
       for (size_t c = 0; c < walk.size(); ++c) {
         const VertexId center = walk[c];
-        const size_t begin = c >= options.window ? c - options.window : 0;
-        const size_t end = std::min(walk.size(), c + options.window + 1);
+        const size_t begin = c >= kWindow ? c - kWindow : 0;
+        const size_t end = std::min(walk.size(), c + kWindow + 1);
         for (size_t x = begin; x < end; ++x) {
           if (x == c) continue;
           std::fill(grad_center.begin(), grad_center.end(), 0.0f);
           update_pair(center, walk[x], 1.0f);
-          for (uint32_t k = 0; k < options.negatives; ++k) {
+          for (uint32_t k = 0; k < kNegatives; ++k) {
             update_pair(center,
                         negative_table[rng.Uniform(negative_table.size())],
                         0.0f);

@@ -141,8 +141,9 @@ GraphClassifierReport TrainGraphClassifier(
   std::vector<int32_t> labels(db.size());
   std::vector<uint8_t> train_mask(db.size(), 0);
   std::vector<uint8_t> test_mask(db.size(), 0);
+  constexpr double kTrainFraction = 0.67;
   const uint32_t train_count =
-      static_cast<uint32_t>(config.train_fraction * db.size());
+      static_cast<uint32_t>(kTrainFraction * db.size());
   for (uint32_t t = 0; t < db.size(); ++t) {
     labels[t] = db[t].class_label;
     (t < train_count ? train_mask : test_mask)[t] = 1;

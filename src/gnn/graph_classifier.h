@@ -26,9 +26,6 @@ struct GraphClassifierConfig {
   float weight_decay = 0.002f;
   /// Augment vertex features with local subgraph counts.
   bool subgraph_features = false;
-  /// Fraction of transactions used for training (head of the db;
-  /// callers should shuffle/interleave classes).
-  double train_fraction = 0.67;
   uint64_t seed = 1;
 };
 
@@ -39,6 +36,8 @@ struct GraphClassifierReport {
   uint32_t feature_dim = 0;
 };
 
+/// Trains on the first 67% of the db's transactions and tests on the
+/// rest, so callers shuffle or interleave the classes.
 GraphClassifierReport TrainGraphClassifier(const TransactionDb& db,
                                            const GraphClassifierConfig& config);
 

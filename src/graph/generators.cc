@@ -58,22 +58,25 @@ Graph ErdosRenyi(VertexId n, double p, uint64_t seed) {
   return BuildUndirected(n, std::move(edges));
 }
 
-Graph Rmat(uint32_t scale, uint32_t edge_factor, uint64_t seed,
-           const RmatOptions& options) {
+Graph Rmat(uint32_t scale, uint32_t edge_factor, uint64_t seed) {
+  // Graph500's quadrant probabilities; d = 1 - a - b - c.
+  constexpr double kA = 0.57;
+  constexpr double kB = 0.19;
+  constexpr double kC = 0.19;
   GAL_CHECK(scale < 31);
   const VertexId n = static_cast<VertexId>(1u) << scale;
   const uint64_t m = static_cast<uint64_t>(edge_factor) * n;
   Rng rng(seed);
   std::vector<Edge> edges;
   edges.reserve(m);
-  const double ab = options.a + options.b;
-  const double abc = ab + options.c;
+  const double ab = kA + kB;
+  const double abc = ab + kC;
   for (uint64_t e = 0; e < m; ++e) {
     VertexId src = 0;
     VertexId dst = 0;
     for (uint32_t bit = 0; bit < scale; ++bit) {
       const double r = rng.NextDouble();
-      if (r < options.a) {
+      if (r < kA) {
         // upper-left quadrant: no bits set
       } else if (r < ab) {
         dst |= (1u << bit);

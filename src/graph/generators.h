@@ -20,17 +20,11 @@ namespace gal {
 /// Implemented with geometric skipping, so cost is O(|E|), not O(n^2).
 Graph ErdosRenyi(VertexId n, double p, uint64_t seed);
 
-/// R-MAT with 2^scale vertices and edge_factor * 2^scale edges.
-/// (a, b, c) are the standard quadrant probabilities; d = 1 - a - b - c.
-/// Defaults follow Graph500. Duplicates/self-loops are dropped, so the
-/// realized edge count is slightly below the nominal one.
-struct RmatOptions {
-  double a = 0.57;
-  double b = 0.19;
-  double c = 0.19;
-};
-Graph Rmat(uint32_t scale, uint32_t edge_factor, uint64_t seed,
-           const RmatOptions& options = {});
+/// R-MAT with 2^scale vertices and edge_factor * 2^scale edges, at
+/// Graph500's quadrant probabilities (a, b, c, d) = (0.57, 0.19, 0.19,
+/// 0.05). Duplicates/self-loops are dropped, so the realized edge count
+/// is slightly below the nominal one.
+Graph Rmat(uint32_t scale, uint32_t edge_factor, uint64_t seed);
 
 /// Barabási–Albert preferential attachment: each new vertex attaches to
 /// `attach` existing vertices. Produces heavy-tailed degrees with a

@@ -11,9 +11,7 @@ BfsMatchResult BfsSubgraphMatch(const Graph& data, const Graph& query,
                                 const BfsMatchOptions& options) {
   Timer timer;
   BfsMatchResult result;
-  CandidateSets candidates = options.match.nlf_filter
-                                 ? NlfFilter(data, query)
-                                 : LdfFilter(data, query);
+  CandidateSets candidates = NlfFilter(data, query);
   if (options.match.refine_candidates) {
     RefineCandidates(data, query, &candidates);
   }

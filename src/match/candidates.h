@@ -27,7 +27,8 @@ CandidateSets LdfFilter(const Graph& data, const Graph& query);
 
 /// NLF (neighbor label frequency): LDF plus, for every label l, v must
 /// have at least as many l-labeled neighbors as u does. Strictly
-/// stronger than LDF on labeled graphs.
+/// stronger than LDF on labeled graphs; LdfFilter when either graph is
+/// unlabeled. Both matchers filter with it.
 CandidateSets NlfFilter(const Graph& data, const Graph& query);
 
 /// Iterated edge-consistency refinement of candidate sets (the

@@ -116,8 +116,7 @@ MatchResult SubgraphMatch(const Graph& data, const Graph& query,
                           const MatchOptions& options, bool collect) {
   Timer timer;
   MatchResult result;
-  CandidateSets candidates = options.nlf_filter ? NlfFilter(data, query)
-                                                : LdfFilter(data, query);
+  CandidateSets candidates = NlfFilter(data, query);
   if (options.refine_candidates) {
     RefineCandidates(data, query, &candidates);
   }

@@ -19,8 +19,6 @@ struct MatchOptions {
   /// subgraph instance is produced exactly once; when false, every
   /// automorphic image is produced (embedding semantics).
   bool symmetry_breaking = false;
-  /// Use NLF candidate filtering (falls back to LDF when unlabeled).
-  bool nlf_filter = true;
   /// Run iterated edge-consistency refinement on the candidate sets
   /// before enumeration (EGSM-style candidate-graph pruning).
   bool refine_candidates = false;

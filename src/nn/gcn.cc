@@ -1,7 +1,5 @@
 #include "nn/gcn.h"
 
-#include <memory>
-
 #include "common/logging.h"
 #include "nn/optimizer.h"
 #include "tensor/kernel_context.h"
@@ -69,13 +67,8 @@ TrainReport TrainClassifier(const ClassifierModel& model,
                             const std::vector<uint8_t>& train_mask,
                             const std::vector<uint8_t>& test_mask,
                             const TrainConfig& config) {
-  std::unique_ptr<Optimizer> opt;
-  if (config.use_adam) {
-    opt = std::make_unique<Adam>(config.lr);
-  } else {
-    opt = std::make_unique<Sgd>(config.lr);
-  }
-  opt->Attach(model.params);
+  Adam opt(config.lr);
+  opt.Attach(model.params);
 
   // Pre-warm the shared kernel pool so worker spawn cost lands before
   // the first epoch, not inside it (same policy as the pipeline benches).
@@ -94,7 +87,7 @@ TrainReport TrainClassifier(const ClassifierModel& model,
         grads[i].AddScaled(*model.params[i], config.weight_decay);
       }
     }
-    opt->Step(grads);
+    opt.Step(grads);
 
     SoftmaxXentResult test = SoftmaxCrossEntropy(logits, labels, test_mask);
     report.epochs.push_back({train.loss, accuracy(train), accuracy(test)});

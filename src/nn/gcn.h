@@ -57,11 +57,11 @@ class GcnModel {
   std::vector<Matrix> relu_masks_;     // per non-final layer
 };
 
-/// One full training run of the model on a node-classification task.
+/// One full training run of the model on a node-classification task,
+/// stepped by Adam at learning rate `lr`.
 struct TrainConfig {
   uint32_t epochs = 50;
   float lr = 0.05f;
-  bool use_adam = true;
   /// L2 regularization strength (0 = off); added to every weight
   /// gradient as weight_decay * W.
   float weight_decay = 0.0f;

@@ -6,15 +6,16 @@
 
 namespace gal {
 
-void Sgd::Step(const std::vector<Matrix>& grads) {
-  GAL_CHECK(grads.size() == params_.size());
-  for (size_t i = 0; i < params_.size(); ++i) {
-    params_[i]->AddScaled(grads[i], -lr_);
-  }
-}
+namespace {
+
+constexpr float kBeta1 = 0.9f;
+constexpr float kBeta2 = 0.999f;
+constexpr float kEps = 1e-8f;
+
+}  // namespace
 
 void Adam::Attach(std::vector<Matrix*> params) {
-  Optimizer::Attach(std::move(params));
+  params_ = std::move(params);
   m_.clear();
   v_.clear();
   for (Matrix* p : params_) {
@@ -27,8 +28,8 @@ void Adam::Attach(std::vector<Matrix*> params) {
 void Adam::Step(const std::vector<Matrix>& grads) {
   GAL_CHECK(grads.size() == params_.size());
   ++t_;
-  const float bc1 = 1.0f - std::pow(beta1_, static_cast<float>(t_));
-  const float bc2 = 1.0f - std::pow(beta2_, static_cast<float>(t_));
+  const float bc1 = 1.0f - std::pow(kBeta1, static_cast<float>(t_));
+  const float bc2 = 1.0f - std::pow(kBeta2, static_cast<float>(t_));
   for (size_t i = 0; i < params_.size(); ++i) {
     std::vector<float>& p = params_[i]->data();
     std::vector<float>& m = m_[i].data();
@@ -36,11 +37,11 @@ void Adam::Step(const std::vector<Matrix>& grads) {
     const std::vector<float>& g = grads[i].data();
     GAL_CHECK(g.size() == p.size());
     for (size_t j = 0; j < p.size(); ++j) {
-      m[j] = beta1_ * m[j] + (1.0f - beta1_) * g[j];
-      v[j] = beta2_ * v[j] + (1.0f - beta2_) * g[j] * g[j];
+      m[j] = kBeta1 * m[j] + (1.0f - kBeta1) * g[j];
+      v[j] = kBeta2 * v[j] + (1.0f - kBeta2) * g[j] * g[j];
       const float mhat = m[j] / bc1;
       const float vhat = v[j] / bc2;
-      p[j] -= lr_ * mhat / (std::sqrt(vhat) + eps_);
+      p[j] -= lr_ * mhat / (std::sqrt(vhat) + kEps);
     }
   }
 }

@@ -8,35 +8,15 @@
 
 namespace gal {
 
-/// Optimizer over a fixed set of parameter matrices. Step() consumes
-/// gradients aligned index-for-index with the registered parameters.
-class Optimizer {
+/// Adam (β1 = 0.9, β2 = 0.999, ε = 1e-8) over a fixed set of parameter
+/// matrices. Step() consumes gradients aligned index-for-index with the
+/// attached parameters.
+class Adam {
  public:
-  virtual ~Optimizer() = default;
+  explicit Adam(float lr) : lr_(lr) {}
   /// Registers the parameters once, before the first Step.
-  virtual void Attach(std::vector<Matrix*> params) { params_ = std::move(params); }
-  virtual void Step(const std::vector<Matrix>& grads) = 0;
-
- protected:
-  std::vector<Matrix*> params_;
-};
-
-class Sgd : public Optimizer {
- public:
-  explicit Sgd(float lr) : lr_(lr) {}
-  void Step(const std::vector<Matrix>& grads) override;
-
- private:
-  float lr_;
-};
-
-class Adam : public Optimizer {
- public:
-  explicit Adam(float lr, float beta1 = 0.9f, float beta2 = 0.999f,
-                float eps = 1e-8f)
-      : lr_(lr), beta1_(beta1), beta2_(beta2), eps_(eps) {}
-  void Attach(std::vector<Matrix*> params) override;
-  void Step(const std::vector<Matrix>& grads) override;
+  void Attach(std::vector<Matrix*> params);
+  void Step(const std::vector<Matrix>& grads);
 
   /// Checkpoint access for the elastic cluster runtime: the step count
   /// and moment estimates are part of trainer state, so rollback must
@@ -53,9 +33,7 @@ class Adam : public Optimizer {
 
  private:
   float lr_;
-  float beta1_;
-  float beta2_;
-  float eps_;
+  std::vector<Matrix*> params_;
   uint64_t t_ = 0;
   std::vector<Matrix> m_;
   std::vector<Matrix> v_;

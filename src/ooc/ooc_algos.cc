@@ -132,8 +132,9 @@ OocPageRankResult OocPageRank(const ShardedGraph& g,
   pr.engine = OocEngineConfig(options.num_threads);
   PageRankResult ranked = PageRank(g, pr);
   OocPageRankResult result;
-  result.ranks = std::move(ranked.ranks);
   result.stats = run.Finish(ranked.stats.supersteps);
+  result.status = g.cache().status();
+  if (result.status.ok()) result.ranks = std::move(ranked.ranks);
   return result;
 }
 
@@ -154,6 +155,11 @@ OocWccResult OocWcc(const ShardedGraph& g, const OocWccOptions& options) {
       g, FrontierWcc(g, config, DirectionConfig{}, stats));
   result.num_components = CountComponents(result.component);
   result.stats = run.Finish(stats.supersteps);
+  result.status = g.cache().status();
+  if (!result.status.ok()) {
+    result.component.clear();
+    result.num_components = 0;
+  }
   return result;
 }
 
@@ -216,6 +222,7 @@ OocTriangleResult OocTriangleCount(const ShardedGraph& g,
   };
   AddTaskEngineStats(engine.Run(shards, orient_task), &result.task_stats);
   uint64_t files_written = 0, bytes_written = 0;
+  result.status = g.cache().status();
   for (const Scratch& sc : scratch) {
     if (result.status.ok()) result.status = sc.write_status;
     files_written += sc.files_written;
@@ -261,9 +268,12 @@ OocTriangleResult OocTriangleCount(const ShardedGraph& g,
   AddTaskEngineStats(engine.Run(std::move(shards), join_task),
                      &result.task_stats);
 
-  for (const Scratch& sc : scratch) {
-    result.triangles += sc.triangles;
-    result.intersection_ops += sc.ops;
+  result.status = oriented_cache.status();
+  if (result.status.ok()) {
+    for (const Scratch& sc : scratch) {
+      result.triangles += sc.triangles;
+      result.intersection_ops += sc.ops;
+    }
   }
   run.AddPrivateSet(oriented_cache.Stats(), store_resident, files_written,
                     bytes_written);

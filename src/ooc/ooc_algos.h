@@ -48,12 +48,15 @@ struct OocPageRankOptions {
 struct OocPageRankResult {
   std::vector<double> ranks;  // original-id order, sums to ~1
   OocStats stats;
+  Status status;  // the store's failed shard load (IOError), ranks empty
 };
 
 /// PageRank(g) with the store as the engine's neighbor source, over its
 /// shard-aligned placement and with no fault plan: each worker sweeps
 /// its shards in ascending id, one pin per shard per sending superstep.
-/// Ranks are bit-identical at any memory budget and thread count.
+/// Ranks are bit-identical at any memory budget and thread count. When
+/// a shard file changed or vanished after Open, the job returns the
+/// store cache's status() (ShardCache).
 OocPageRankResult OocPageRank(const ShardedGraph& g,
                               const OocPageRankOptions& options = {});
 
@@ -66,7 +69,9 @@ struct OocWccResult {
   std::vector<VertexId> component;  // original-id order, canonical labels
   uint32_t num_components = 0;
   OocStats stats;
-  Status status;  // InvalidArgument, nothing loaded, on a directed store
+  /// InvalidArgument, nothing loaded, on a directed store; the store's
+  /// failed shard load (IOError), component empty, as in OocPageRank.
+  Status status;
 };
 
 /// FrontierWcc with the store as its neighbor source, in automatic
@@ -88,7 +93,10 @@ struct OocTriangleResult {
   uint64_t intersection_ops = 0;
   OocStats stats;
   TaskEngineStats task_stats;  // both engine passes, folded
-  Status status;  // IOError, counts zero, when the private set's write fails
+  /// IOError, counts zero, when a shard load of the store or of the
+  /// private set fails (as in OocPageRank), else when a private write
+  /// fails.
+  Status status;
 };
 
 /// Degree-ordered triangle counting on the task engine over the

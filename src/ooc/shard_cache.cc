@@ -81,15 +81,20 @@ const LoadedShard* ShardCache::Acquire(uint32_t s) {
     space_cv_.wait(lock);
   }
   EvictToFitLocked(incoming);
+  Status st;
   {
     ScopedSpan span(load_hist_);
-    const Status st = ReadShardFile(ShardFileName(base_path_, s), s, infos_[s],
-                                    e.shard.bytes, e.shard.row_offsets);
+    st = ReadShardFile(ShardFileName(base_path_, s), s, infos_[s],
+                       e.shard.bytes, e.shard.row_offsets);
+  }
+  if (!st.ok()) {
     // Open() validated every shard file (a job's private set was just
-    // written); failing here means the file changed (or vanished)
-    // mid-run, which is unrecoverable.
-    GAL_CHECK(st.ok()) << "shard load failed after open-time validation: "
-                       << st;
+    // written), so the file changed or vanished mid-run. The shard is
+    // admitted with empty rows, so pins, residency and the budget stay
+    // accounted as for a load.
+    if (status_.ok()) status_ = std::move(st);
+    e.shard.bytes.clear();
+    e.shard.row_offsets.assign(size_t{infos_[s].NumVertices()} + 1, 0);
   }
   e.resident = true;
   e.pins = 1;
@@ -114,6 +119,11 @@ void ShardCache::Release(uint32_t s) {
 ShardCacheStats ShardCache::Stats() const {
   std::lock_guard<std::mutex> lock(mu_);
   return stats_;
+}
+
+Status ShardCache::status() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return status_;
 }
 
 std::vector<uint32_t> ShardCache::ResidentShards() const {

@@ -10,6 +10,7 @@
 
 #include "common/logging.h"
 #include "common/metrics.h"
+#include "common/status.h"
 #include "graph/compressed_csr.h"
 #include "ooc/shard_format.h"
 
@@ -49,7 +50,10 @@ struct ShardCacheStats {
 ///
 /// Loads run under the cache mutex (loads serialize; correctness and
 /// the deterministic LRU trace first), each timed into a Histogram so
-/// OocStats can report p50/p95 load spans.
+/// OocStats can report p50/p95 load spans. A load that fails, because
+/// the file changed or vanished after Open validated it, is recorded in
+/// status() and pins the shard with every row empty: the running job
+/// drains, and the out-of-core jobs return status().
 class ShardCache {
  public:
   /// budget_bytes == 0 means unlimited. Load spans go to `load_spans`
@@ -62,8 +66,9 @@ class ShardCache {
   ShardCache(const ShardCache&) = delete;
   ShardCache& operator=(const ShardCache&) = delete;
 
-  /// Pins shard `s` resident and returns it; blocks until it fits.
-  /// Every Acquire must be paired with a Release (use PinnedShard).
+  /// Pins shard `s` resident and returns it (empty rows when its load
+  /// failed); blocks until it fits. Every Acquire must be paired with a
+  /// Release (use PinnedShard).
   const LoadedShard* Acquire(uint32_t s);
   void Release(uint32_t s);
   /// Evicts every unpinned resident shard (each counts as an eviction),
@@ -71,6 +76,8 @@ class ShardCache {
   void DropUnpinned();
 
   ShardCacheStats Stats() const;
+  /// The first failed shard load, OK when every load succeeded.
+  Status status() const;
   StageTimingStat LoadTimings() const {
     return StageTimingStat::FromHistogram("shard_load", *load_hist_);
   }
@@ -108,6 +115,7 @@ class ShardCache {
   std::vector<Entry> entries_;
   uint64_t use_counter_ = 0;
   ShardCacheStats stats_;
+  Status status_;
   Histogram own_load_hist_;
   Histogram* const load_hist_;
 };

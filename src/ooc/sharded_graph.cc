@@ -343,8 +343,11 @@ Result<ShardedGraph> ShardedGraph::Open(const std::string& base_path,
         "raise the budget");
   }
   g.cache_ = std::make_unique<ShardCache>(base_path, g.infos_, budget);
-  g.clock_ = std::make_unique<VirtualClock>(NetworkCostModel{
-      options.disk_bandwidth_bytes_per_sec, options.disk_latency_seconds});
+  // The modeled disk: one NVMe drive, latency + bytes/bandwidth a load.
+  constexpr double kDiskBandwidthBytesPerSec = 2.0e9;
+  constexpr double kDiskLatencySeconds = 100e-6;
+  g.clock_ = std::make_unique<VirtualClock>(
+      NetworkCostModel{kDiskBandwidthBytesPerSec, kDiskLatencySeconds});
   return g;
 }
 

@@ -38,10 +38,6 @@ struct OocOptions {
   /// state (degrees, ranks, labels) is deliberately outside the budget,
   /// matching GraphChi's "vertex values in RAM, edges on disk" split.
   uint64_t memory_budget_bytes = 0;
-  /// Modeled disk: a shard load is charged latency + bytes/bandwidth on
-  /// the store's VirtualClock. Defaults approximate one NVMe drive.
-  double disk_bandwidth_bytes_per_sec = 2.0e9;
-  double disk_latency_seconds = 100e-6;
 };
 
 /// Resolves the effective writer shard size / open budget against the
@@ -87,10 +83,10 @@ void RemoveShardedGraphFiles(const std::string& base_path);
 ///
 /// Random-access forms pin the owning shard transiently; the BSP
 /// engines read rows through RowReader<ShardedGraph>, one pin per
-/// worker. The store owns a VirtualClock priced as a disk (latency +
-/// bytes/bandwidth) that each out-of-core job charges one round,
-/// putting modeled I/O time on the same axis as the cluster engines'
-/// modeled network time.
+/// worker. The store owns a VirtualClock priced as one NVMe drive
+/// (100 µs per load + bytes at 2 GB/s) that each out-of-core job charges
+/// one round, putting modeled I/O time on the same axis as the cluster
+/// engines' modeled network time.
 class ShardedGraph {
  public:
   static Result<ShardedGraph> Open(const std::string& base_path,

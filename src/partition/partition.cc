@@ -257,18 +257,19 @@ std::vector<uint32_t> InitialPartition(const Graph& g,
 /// Greedy boundary refinement: move a vertex to the neighboring part
 /// with the largest cut gain if balance allows.
 void Refine(const Graph& g, const std::vector<uint32_t>& weight,
-            uint32_t num_parts, double imbalance,
-            std::vector<uint32_t>& part, uint32_t passes) {
+            uint32_t num_parts, std::vector<uint32_t>& part) {
+  constexpr uint32_t kPasses = 4;
+  constexpr double kImbalance = 1.05;  // allowed max-part / avg-part ratio
   const VertexId n = g.NumVertices();
   uint64_t total_weight = 0;
   for (uint32_t w : weight) total_weight += w;
   const double max_load =
-      imbalance * static_cast<double>(total_weight) / num_parts;
+      kImbalance * static_cast<double>(total_weight) / num_parts;
   std::vector<uint64_t> load(num_parts, 0);
   for (VertexId v = 0; v < n; ++v) load[part[v]] += weight[v];
 
   std::vector<int32_t> gain(num_parts);
-  for (uint32_t pass = 0; pass < passes; ++pass) {
+  for (uint32_t pass = 0; pass < kPasses; ++pass) {
     bool moved = false;
     for (VertexId v = 0; v < n; ++v) {
       std::fill(gain.begin(), gain.end(), 0);
@@ -295,16 +296,17 @@ void Refine(const Graph& g, const std::vector<uint32_t>& weight,
 
 }  // namespace
 
-VertexPartition MultilevelPartition(const Graph& g, uint32_t num_parts,
-                                    const MultilevelOptions& options) {
+VertexPartition MultilevelPartition(const Graph& g, uint32_t num_parts) {
+  constexpr uint32_t kCoarsenUntil = 256;  // stop coarsening below this
+  constexpr uint64_t kSeed = 1;
   GAL_CHECK(num_parts >= 1);
-  Rng rng(options.seed);
+  Rng rng(kSeed);
 
   // Coarsening phase.
   std::vector<CoarseLevel> levels;
   const Graph* current = &g;
   std::vector<uint32_t> weight(g.NumVertices(), 1);
-  while (current->NumVertices() > options.coarsen_until) {
+  while (current->NumVertices() > kCoarsenUntil) {
     CoarseLevel level = Coarsen(*current, weight, rng);
     // Stop if coarsening stalls (e.g. star graphs match poorly).
     if (level.graph.NumVertices() >= current->NumVertices() * 95 / 100) break;
@@ -316,8 +318,7 @@ VertexPartition MultilevelPartition(const Graph& g, uint32_t num_parts,
   // Initial partition on the coarsest graph.
   std::vector<uint32_t> part =
       InitialPartition(*current, weight, num_parts, rng);
-  Refine(*current, weight, num_parts, options.imbalance, part,
-         options.refine_passes);
+  Refine(*current, weight, num_parts, part);
 
   // Uncoarsen with refinement at every level.
   for (size_t i = levels.size(); i > 0; --i) {
@@ -330,8 +331,7 @@ VertexPartition MultilevelPartition(const Graph& g, uint32_t num_parts,
     }
     std::vector<uint32_t> fine_weight(fine.NumVertices(), 1);
     if (i >= 2) fine_weight = levels[i - 2].weight;
-    Refine(fine, fine_weight, num_parts, options.imbalance, fine_part,
-           options.refine_passes);
+    Refine(fine, fine_weight, num_parts, fine_part);
     part = std::move(fine_part);
   }
 
@@ -342,8 +342,7 @@ VertexPartition MultilevelPartition(const Graph& g, uint32_t num_parts,
 }
 
 VertexPartition BfsVoronoiPartition(const Graph& g, uint32_t num_parts,
-                                    const std::vector<VertexId>& seeds,
-                                    uint64_t seed) {
+                                    const std::vector<VertexId>& seeds) {
   GAL_CHECK(num_parts >= 1);
   const VertexId n = g.NumVertices();
   VertexPartition result;
@@ -388,7 +387,8 @@ VertexPartition BfsVoronoiPartition(const Graph& g, uint32_t num_parts,
 
   std::vector<uint32_t> block_order(num_blocks);
   std::iota(block_order.begin(), block_order.end(), 0);
-  Rng rng(seed);
+  constexpr uint64_t kShuffleSeed = 1;
+  Rng rng(kShuffleSeed);
   for (uint32_t i = num_blocks; i > 1; --i) {
     std::swap(block_order[i - 1], block_order[rng.Uniform(i)]);
   }

@@ -58,16 +58,10 @@ VertexPartition LdgPartition(const Graph& g, uint32_t num_parts,
                              uint64_t seed = 1);
 
 /// Multilevel partitioner (METIS stand-in): coarsen by heavy-edge
-/// matching until small, split greedily by BFS region growing, then
-/// project back with boundary refinement at each level.
-struct MultilevelOptions {
-  uint32_t coarsen_until = 256;   // stop coarsening below this many vertices
-  uint32_t refine_passes = 4;     // boundary-move passes per level
-  double imbalance = 1.05;        // allowed max-part / avg-part ratio
-  uint64_t seed = 1;
-};
-VertexPartition MultilevelPartition(const Graph& g, uint32_t num_parts,
-                                    const MultilevelOptions& options = {});
+/// matching down to 256 vertices, split greedily by BFS region growing,
+/// then project back with up to 4 boundary-refinement passes per level,
+/// each move keeping every part within 1.05x the average load.
+VertexPartition MultilevelPartition(const Graph& g, uint32_t num_parts);
 
 /// ByteGNN/BGL-style partitioner specialized for GNN workloads: grow BFS
 /// regions from the *training seed* vertices (the graph Voronoi diagram
@@ -76,14 +70,13 @@ VertexPartition MultilevelPartition(const Graph& g, uint32_t num_parts,
 /// neighborhood mostly within one part even when the global edge cut is
 /// worse than METIS's.
 VertexPartition BfsVoronoiPartition(const Graph& g, uint32_t num_parts,
-                                    const std::vector<VertexId>& seeds,
-                                    uint64_t seed = 1);
+                                    const std::vector<VertexId>& seeds);
 
 /// --- Live rebalancing -------------------------------------------------
 
-/// Sheds load from an overloaded part: reassigns ~`fraction` of part
-/// `from`'s vertices (the tail of its ascending-id list — a contiguous
-/// range under range partitions, deterministic under any) to the other
+/// Sheds load from an overloaded part: reassigns half of part `from`'s
+/// vertices (the tail of its ascending-id list — a contiguous range
+/// under range partitions, deterministic under any) to the other
 /// parts using LdgPartition's greedy rule — most already-placed
 /// neighbors, damped by a capacity penalty — with `from` excluded as a
 /// destination. The elastic-cluster runtime calls this on sustained
@@ -92,12 +85,12 @@ VertexPartition BfsVoronoiPartition(const Graph& g, uint32_t num_parts,
 /// read between steps, when no worker holds a row.
 template <NeighborSource G>
 VertexPartition RebalanceAway(const G& g, const VertexPartition& current,
-                              uint32_t from, double fraction,
+                              uint32_t from,
                               std::vector<VertexId>* moved = nullptr) {
   GAL_CHECK(from < current.num_parts);
   VertexPartition p = current;
   if (moved != nullptr) moved->clear();
-  if (current.num_parts < 2 || fraction <= 0.0) return p;
+  if (current.num_parts < 2) return p;
 
   const VertexId n = static_cast<VertexId>(current.assignment.size());
   std::vector<VertexId> owned;
@@ -106,9 +99,7 @@ VertexPartition RebalanceAway(const G& g, const VertexPartition& current,
     ++load[current.assignment[v]];
     if (current.assignment[v] == from) owned.push_back(v);
   }
-  const size_t count = std::min(
-      owned.size(),
-      static_cast<size_t>(static_cast<double>(owned.size()) * fraction));
+  const size_t count = owned.size() / 2;
   if (count == 0) return p;
 
   // The shed range: the tail of the overloaded part's id space. Placing

@@ -18,13 +18,12 @@ inline constexpr uint32_t kUnreachable = std::numeric_limits<uint32_t>::max();
 /// direction-optimizing frontier substrate (frontier/traversal.h), in
 /// any direction mode and under any fault plan. `engine` supplies the
 /// simulated cluster (`cluster` / `num_workers`), the step bound
-/// (`max_supersteps`), the wire envelope (`message_overhead_bytes`) and
-/// the shared FaultPlan (`faults`: checkpoints, failures, stragglers,
-/// rebalancing); Pregel+ mirroring is a TlavEngine feature, and a
-/// non-zero `mirror_degree_threshold` is rejected. `direction` picks
-/// Beamer auto-switching (the default) or a forced mode — push-only is
-/// the baseline the Beamer comparison measures against. Results are
-/// bit-identical across all of these.
+/// (`max_supersteps`) and the shared FaultPlan (`faults`: checkpoints,
+/// failures, stragglers, rebalancing); Pregel+ mirroring is a TlavEngine
+/// feature, and a non-zero `mirror_degree_threshold` is rejected.
+/// `direction` picks Beamer auto-switching (the default) or a forced
+/// mode — push-only is the baseline the Beamer comparison measures
+/// against. Results are bit-identical across all of these.
 struct TraversalOptions {
   TlavConfig engine;
   DirectionConfig direction;

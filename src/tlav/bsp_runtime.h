@@ -86,15 +86,16 @@ struct TlavStats {
   }
 };
 
+/// Simulated per-message network overhead added to sizeof(M) when a
+/// TLAV message crosses workers (envelope: dst id + lengths).
+inline constexpr uint32_t kMessageEnvelopeBytes = 8;
+
 /// Configuration of a TLAV run, shared by the message engine and the
 /// frontier traversals.
 struct TlavConfig {
   /// Simulated cluster width when `cluster` is null, at least 1.
   uint32_t num_workers = 4;
   uint32_t max_supersteps = 1000000;
-  /// Simulated per-message network overhead added to sizeof(M) when the
-  /// message crosses workers (envelope: dst id + lengths).
-  uint32_t message_overhead_bytes = 8;
   /// Pregel+-style mirroring: a vertex whose degree reaches this
   /// threshold broadcasts to each remote worker once (its "mirror"
   /// fans the value out locally) instead of once per neighbor
@@ -226,9 +227,7 @@ class BspRuntime {
            state_.load(r);
            stats_->per_step.resize(r.Pod<uint64_t>());
          },
-         [this](uint32_t from, double fraction) {
-           return Migrate(from, fraction);
-         },
+         [this](uint32_t from) { return Migrate(from); },
          state_.vertex_bytes});
   }
 
@@ -276,13 +275,13 @@ class BspRuntime {
   }
 
  private:
-  /// The barrier's migration hook: sheds `fraction` of worker `from`'s
+  /// The barrier's migration hook: sheds half of worker `from`'s
   /// vertices via RebalanceAway and reinstalls the partition. The
   /// engines fold messages order-independently, so moving a vertex's
   /// home changes traffic and timing, never results.
-  std::vector<VertexId> Migrate(uint32_t from, double fraction) {
+  std::vector<VertexId> Migrate(uint32_t from) {
     std::vector<VertexId> moved;
-    partition_ = RebalanceAway(g_, partition_, from, fraction, &moved);
+    partition_ = RebalanceAway(g_, partition_, from, &moved);
     cluster_->InstallPartition(partition_);
     AssignOwnedVertices();
     return moved;

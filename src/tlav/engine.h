@@ -114,8 +114,7 @@ class TlavEngine {
       : graph_(graph),
         config_(std::move(config)),
         rt_(*graph, config_, sizeof(M), std::move(partition)),
-        channel_(rt_.cluster(), config_.message_overhead_bytes,
-                 graph_->NumVertices()),
+        channel_(rt_.cluster(), kMessageEnvelopeBytes, graph_->NumVertices()),
         decode_scratch_(rt_.workers()) {
     const VertexId n = graph_->NumVertices();
     values_.resize(n);

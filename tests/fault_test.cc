@@ -47,13 +47,13 @@ TEST(FaultPlanTest, BuildersAndQueries) {
   EXPECT_EQ(plan.failures()[0].worker, 1u);
   EXPECT_EQ(plan.failures()[0].round, 7u);
   ASSERT_EQ(plan.slowdowns().size(), 1u);
-  EXPECT_FALSE(plan.rebalance().enabled);
+  EXPECT_FALSE(plan.rebalance().has_value());
 
   RebalanceConfig rb;
   rb.threshold = 3.0;
-  plan.Rebalance(rb);  // builder forces enabled
-  EXPECT_TRUE(plan.rebalance().enabled);
-  EXPECT_DOUBLE_EQ(plan.rebalance().threshold, 3.0);
+  plan.Rebalance(rb);
+  ASSERT_TRUE(plan.rebalance().has_value());
+  EXPECT_DOUBLE_EQ(plan.rebalance()->threshold, 3.0);
 }
 
 TEST(FaultPlanTest, SlowdownWindowsCompose) {

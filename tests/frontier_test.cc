@@ -107,11 +107,9 @@ TEST(DirectionControllerTest, SwitchesAtBeamerThresholdsWithHysteresis) {
 }
 
 TEST(DirectionControllerTest, ForcedModesNeverSwitch) {
-  DirectionController push(DirectionConfig{DirectionMode::kPushOnly, 15, 18},
-                           100);
+  DirectionController push(DirectionConfig{DirectionMode::kPushOnly}, 100);
   EXPECT_EQ(push.Next(1000000, 100, 1), Direction::kPush);
-  DirectionController pull(DirectionConfig{DirectionMode::kPullOnly, 15, 18},
-                           100);
+  DirectionController pull(DirectionConfig{DirectionMode::kPullOnly}, 100);
   EXPECT_EQ(pull.Next(0, 1, 1000000), Direction::kPull);
   EXPECT_EQ(push.switches(), 0u);
   EXPECT_EQ(pull.switches(), 0u);

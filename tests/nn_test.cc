@@ -12,20 +12,6 @@
 namespace gal {
 namespace {
 
-TEST(OptimizerTest, SgdMovesAgainstGradient) {
-  Matrix w(1, 2);
-  w.at(0, 0) = 1.0f;
-  w.at(0, 1) = -1.0f;
-  Sgd opt(0.1f);
-  opt.Attach({&w});
-  Matrix g(1, 2);
-  g.at(0, 0) = 2.0f;
-  g.at(0, 1) = -2.0f;
-  opt.Step({g});
-  EXPECT_FLOAT_EQ(w.at(0, 0), 0.8f);
-  EXPECT_FLOAT_EQ(w.at(0, 1), -0.8f);
-}
-
 TEST(OptimizerTest, AdamConvergesOnQuadratic) {
   // Minimize ||w - target||^2 by gradient steps.
   Matrix w(1, 3);

@@ -559,6 +559,72 @@ TEST_F(OocBadFileTest, EnvForcedTinyBudgetClampsUpAndOpens) {
   ExpectSameAdjacency(g_, opened.value());
 }
 
+TEST_F(OocBadFileTest, AShardThatVanishesAfterOpenIsAStatus) {
+  // Each job runs on a fresh one-shard-budget store whose directory is
+  // renamed away after Open validated it, so the job's first shard load
+  // fails. The job drains and returns the IOError naming that shard
+  // file, and the triangle job leaves no private file behind.
+  const std::filesystem::path dir = FixtureBase("gal_ooc_vanish");
+  const std::filesystem::path moved = dir.string() + ".moved";
+  const std::string base = (dir / "store").string();
+  const auto open_then_vanish = [&]() -> Result<ShardedGraph> {
+    std::filesystem::remove_all(dir);
+    std::filesystem::remove_all(moved);
+    std::filesystem::create_directory(dir);
+    ShardWriterOptions wopt;
+    wopt.target_shard_bytes = 128;
+    auto summary = WriteShardedGraph(g_, base, wopt);
+    if (!summary.ok()) return summary.status();
+    OocOptions options;
+    options.memory_budget_bytes = summary.value().max_shard_resident_bytes;
+    auto opened = ShardedGraph::Open(base, options);
+    std::filesystem::rename(dir, moved);
+    return opened;
+  };
+  const auto expect_vanished = [&](const Status& status, const char* job,
+                                   uint32_t threads) {
+    EXPECT_EQ(StatusCode::kIOError, status.code())
+        << job << " at " << threads << " threads: " << status;
+    EXPECT_NE(std::string::npos, status.message().find(base + ".shard"))
+        << job << " at " << threads << " threads: " << status;
+  };
+  for (const uint32_t threads : {1u, 8u}) {
+    {
+      auto store = open_then_vanish();
+      ASSERT_TRUE(store.ok()) << store.status();
+      OocPageRankOptions options;
+      options.num_threads = threads;
+      const OocPageRankResult got = OocPageRank(store.value(), options);
+      expect_vanished(got.status, "pagerank", threads);
+      EXPECT_TRUE(got.ranks.empty());
+    }
+    {
+      auto store = open_then_vanish();
+      ASSERT_TRUE(store.ok()) << store.status();
+      OocWccOptions options;
+      options.num_threads = threads;
+      const OocWccResult got = OocWcc(store.value(), options);
+      expect_vanished(got.status, "wcc", threads);
+      EXPECT_TRUE(got.component.empty());
+      EXPECT_EQ(0u, got.num_components);
+    }
+    {
+      auto store = open_then_vanish();
+      ASSERT_TRUE(store.ok()) << store.status();
+      OocTriangleOptions options;
+      options.engine.num_threads = threads;
+      const OocTriangleResult got = OocTriangleCount(store.value(), options);
+      expect_vanished(got.status, "triangles", threads);
+      EXPECT_EQ(0u, got.triangles);
+      EXPECT_EQ(0u, got.intersection_ops);
+      EXPECT_FALSE(std::filesystem::exists(dir));
+      EXPECT_EQ(std::vector<std::string>{},
+                FilesWithPrefix((moved / "store").string(), ".oriented-"));
+    }
+  }
+  std::filesystem::remove_all(moved);
+}
+
 // ---------------------------------------------------------------------------
 
 /// Cycle(12) has uniformly 2-byte rows (ids < 128, so every varint is
